@@ -67,6 +67,10 @@ The gate factor models the coincidence electronics: it is 1 only when the
 signal/idler arrival-time offset falls inside the group-delay window
 ``D * L`` opened by the crystal dispersion, and 0 otherwise.
 
+Point samples (``Delta``, ``TwoPoint``) need no quadrature: they lower to
+unit-weight points ``p_k`` and ``A(y) = sum_k K(p_k - y)`` (``point_sum``,
+which evaluates the kernel once per point over any number of offsets).
+
 Integration strategy: the integrand is smooth on the transmitting region
 of every schematic sample shipped here, so each region is covered by
 tensor-product Gauss-Legendre panels placed on the sample support (single
@@ -88,7 +92,6 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureError
 from .optics import SPEED_OF_LIGHT, MicroscopeConfig, eta0_inv_sq, r0
-from .psf import psf_twin
 from .specfun import airy_amp
 
 __all__ = [
@@ -306,13 +309,16 @@ def longitudinal_k(branch: str, disp: DispersionModel, omega: float,
     raise ConfigError(f"branch must be 'ordinary' or 'extraordinary', got {branch!r}")
 
 
-def gate(t12: float, disp: DispersionModel, omega_o: float, omega_e: float) -> float:
+def gate(t12: float | None, disp: DispersionModel, omega_o: float, omega_e: float) -> float:
     """Coincidence gate: 1.0 iff ``0 < t12 < D L`` with the group-delay
     mismatch ``D = 1/u_o - 1/u_e`` at the two carriers, else 0.0.
 
     A non-positive ``D`` closes the window entirely (the gate is 0 for
     every offset); the indices must be physical (>= 1) at the carriers.
+    ``t12`` must be given: a dispersion model without it is a ConfigError.
     """
+    if t12 is None:
+        raise ConfigError("t12 is required when a dispersion model is supplied")
     if not math.isfinite(t12):
         raise ConfigError("arrival-time offset t12 must be finite")
     if _index_value(disp.n_o, "n_o", omega_o) < 1.0:
@@ -544,6 +550,34 @@ def _offset_pair(y) -> tuple[float, float]:
     return pair
 
 
+def sample_points(sample: SampleTransmittance) -> np.ndarray | None:
+    """Unit-weight points ``(x, y)`` [m] that a point-like sample lowers
+    to, one per row; None for samples with extended support."""
+    if isinstance(sample, Delta):
+        return np.zeros((1, 2))
+    if isinstance(sample, TwoPoint):
+        half = 0.5 * sample.separation
+        return np.array([[-half, 0.0], [half, 0.0]])
+    return None
+
+
+def point_sum(points: np.ndarray, offsets: np.ndarray, kern) -> np.ndarray:
+    """``sum_k kern(p_k - y)`` at every scan offset ``y`` (rows of ``offsets``).
+
+    One ``kern`` call per sample point covers all offsets.  With the
+    complex twin kernel the sum is the coherent amplitude, which the
+    caller squares; with a classical intensity response it is already the
+    incoherent image.
+    """
+    return sum(kern(px - offsets[:, 0], py - offsets[:, 1]) for px, py in points)
+
+
+def _point_amplitude(sample: SampleTransmittance, offset: tuple[float, float],
+                     cfg: MicroscopeConfig) -> complex:
+    kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
+    return complex(point_sum(sample_points(sample), np.array([offset]), kern)[0])
+
+
 def amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
               quad: QuadratureSpec | None = None) -> complex:
     """Coherent coincidence amplitude ``A(y)`` for a structured sample.
@@ -560,10 +594,7 @@ def amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
     quad = quad if quad is not None else QuadratureSpec()
     offset = _offset_pair(y)
     if isinstance(sample, TwoPoint):
-        half = 0.5 * sample.separation
-        vals = kernel_field(np.array([half - offset[0], -half - offset[0]]),
-                            np.array([-offset[1], -offset[1]]), cfg)
-        return complex(vals[0] + vals[1])
+        return _point_amplitude(sample, offset, cfg)
     kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
     return integrate_sample(sample, offset, cfg, quad, kern, coherent=True)
 
@@ -576,19 +607,15 @@ def coincidence_rate(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
 
     Without a dispersion model the gate factor is 1 (ungated counting).
     With one, ``t12`` is required and the rate is multiplied by the 0/1
-    gate.  A point sample bypasses quadrature and returns the twin-photon
-    response directly.
+    gate.  A point sample bypasses quadrature: its rate is ``|K(-y)|^2``,
+    the twin-photon response.
     """
-    if disp is not None:
-        if t12 is None:
-            raise ConfigError("t12 is required when a dispersion model is supplied")
-        factor = gate(t12, disp, cfg.omega_o, cfg.omega_e)
-    else:
-        factor = 1.0
+    factor = 1.0 if disp is None else gate(t12, disp, cfg.omega_o, cfg.omega_e)
     if factor == 0.0:
         return 0.0
     offset = _offset_pair(y)
     if isinstance(sample, Delta):
-        return factor * psf_twin(math.hypot(*offset), cfg)
-    value = amplitude(offset, cfg, sample, quad)
+        value = _point_amplitude(sample, offset, cfg)
+    else:
+        value = amplitude(offset, cfg, sample, quad)
     return factor * (value.real * value.real + value.imag * value.imag)

@@ -62,15 +62,10 @@ DEFAULT_ACCURACY = EvalAccuracy()
 # ============================================================================
 
 def _series_jn(n: int, x: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
-    # J_n(x) = sum_m (-1)^m (x/2)^(2m+n) / (m! (m+n)!), |x| <= 12.
+    # J_n(x) = sum_m (-1)^m (x/2)^(2m+n) / (m! (m+n)!), |x| <= 12, n = 0 or 1.
     half = 0.5 * x
     q = half * half
-    if n == 0:
-        term = np.ones_like(x)
-    elif n == 1:
-        term = half.copy()
-    else:
-        term = half * half / 2.0
+    term = np.ones_like(x) if n == 0 else half.copy()
     total = term.copy()
     comp = np.zeros_like(term)  # Kahan compensation
     for m in range(1, acc.max_terms + 1):
@@ -125,13 +120,6 @@ def _bessel_jn(n: int, x, acc: EvalAccuracy) -> np.ndarray:
     if hi.any():
         out[hi] = _asymptotic_jn(n, ax[hi], acc)
     return out
-
-
-def _bessel_j2(x, accuracy: EvalAccuracy = DEFAULT_ACCURACY):
-    """Order-2 companion used by the recurrence self-checks (even)."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = _bessel_jn(2, x, accuracy)
-    return float(out) if scalar else out
 
 
 # ============================================================================

@@ -15,7 +15,8 @@ import pytest
 from twinfocal.errors import ConfigError, NumericalError, ScanRangeError
 from twinfocal.optics import MicroscopeConfig, airy_radius
 from twinfocal.psf import fwhm, psf_confocal, psf_twin, psf_widefield
-from twinfocal.coincidence import Delta, DispersionModel, Slit, TwoPoint, Raster
+from twinfocal import scansim
+from twinfocal.coincidence import Delta, DispersionModel, Slit, TwoPoint, Raster, amplitude
 from twinfocal.scansim import (
     Grid,
     Instrument,
@@ -29,6 +30,11 @@ from twinfocal.scansim import (
 
 CFG8 = MicroscopeConfig(w0=8e-3)
 CFG12 = MicroscopeConfig(w0=12e-3)
+
+# toy crystal whose gate is open at t12 = 0.5 * OPEN_WINDOW
+OPEN_DISP = DispersionModel(n_o=lambda w: 1.60, n_e=lambda w, psi: 1.55,
+                            psi=0.5, L=1e-3)
+OPEN_WINDOW = (1.60 - 1.55) * 1e-3 / 299792458.0
 
 MIN_SEP_TWIN_12MM = 1.1154503577565829e-07
 MIN_SEP_CONFOCAL_12MM = 2.566209787578817e-07
@@ -60,6 +66,17 @@ def test_geometry_validation():
         ScanPlan(geometry="line")
     with pytest.raises(ConfigError):
         ScanPlan(geometry=Line(), instrument="twin")
+
+
+def test_scan_size_limit_names_count_and_memory():
+    """Oversized plans are refused when built, before any offset array
+    is allocated; the message gives the count and the memory."""
+    with pytest.raises(ConfigError, match=r"1000000000 offsets.*MiB"):
+        Line(samples=10**9)
+    with pytest.raises(ConfigError, match=r"1049600 offsets"):
+        Grid(nx=1024, ny=1025)
+    Line(samples=scansim._MAX_OFFSETS)
+    Grid(nx=1024, ny=1024)
 
 
 def test_line_offsets_layout():
@@ -156,20 +173,49 @@ def test_scan_mirror_symmetry():
     assert np.allclose(image.values, image.values[::-1], rtol=1e-12, atol=0)
 
 
+def test_batched_two_point_scan_matches_per_offset_amplitude():
+    """The array evaluation of a twin two-point scan agrees with one
+    amplitude per offset up to airy_amp's last-bit dependence on its array."""
+    sample = TwoPoint(2.5e-7)
+    for geometry in (Line(half_range=6e-7, samples=65),
+                     Grid(half_range_x=6e-7, half_range_y=6e-7, nx=17, ny=17)):
+        image = scan(ScanPlan(geometry=geometry, instrument=Instrument.TWIN_PHOTON),
+                     CFG12, sample)
+        batched = image.values.ravel() * image.peak_value_raw
+        per_offset = np.array([abs(amplitude(pt, CFG12, sample)) ** 2
+                               for pt in geometry.offsets()])
+        assert np.allclose(batched, per_offset, rtol=1e-14, atol=0)
+
+
 # ----------------------------------------------------------------------------
 # parallelism
 # ----------------------------------------------------------------------------
 
 def test_thread_count_determinism(monkeypatch):
-    plan = line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33)
-    sample = Slit(width=2e-7)
-    monkeypatch.delenv("TWINFOCAL_THREADS", raising=False)
-    baseline = scan(plan, CFG8, sample)
-    for setting in ("2", "5", "0"):
-        monkeypatch.setenv("TWINFOCAL_THREADS", setting)
-        image = scan(plan, CFG8, sample)
-        assert np.array_equal(image.values, baseline.values)
-        assert image.peak_value_raw == baseline.peak_value_raw
+    twin_grid = ScanPlan(geometry=Grid(half_range_x=6e-7, half_range_y=6e-7,
+                                       nx=17, ny=16),
+                         instrument=Instrument.TWIN_PHOTON)
+    cases = [
+        (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33), Slit(width=2e-7), {}),
+        (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33), TwoPoint(2.5e-7), {}),
+        (twin_grid, TwoPoint(2.5e-7), {"t12": 0.5 * OPEN_WINDOW, "disp": OPEN_DISP}),
+        (line_plan(Instrument.CONFOCAL, half_range=6e-7, samples=33), TwoPoint(2.5e-7), {}),
+    ]
+    for plan, sample, gating in cases:
+        monkeypatch.delenv("TWINFOCAL_THREADS", raising=False)
+        baseline = scan(plan, CFG8, sample, **gating)
+        for setting in ("2", "5", "0"):
+            monkeypatch.setenv("TWINFOCAL_THREADS", setting)
+            image = scan(plan, CFG8, sample, **gating)
+            assert np.array_equal(image.values, baseline.values)
+            assert image.peak_value_raw == baseline.peak_value_raw
+
+
+def test_worker_count_is_clamped():
+    assert scansim._worker_count(100000, 2, 1089) == 2
+    assert scansim._worker_count(100000, 64, 3) == 3
+    assert scansim._worker_count(4, 64, 1089) == 4
+    assert scansim._worker_count(1, 64, 0) == 1
 
 
 def test_thread_count_rejects_bad_values(monkeypatch):
@@ -180,6 +226,8 @@ def test_thread_count_rejects_bad_values(monkeypatch):
     monkeypatch.setenv("TWINFOCAL_THREADS", "-1")
     with pytest.raises(ConfigError):
         scan(plan, CFG8, Delta())
+    monkeypatch.setenv("TWINFOCAL_THREADS", "100000")
+    assert scansim._thread_count() == 100000
 
 
 # ----------------------------------------------------------------------------
@@ -197,14 +245,21 @@ def test_gated_out_scan_is_all_zero():
 
 
 def test_gate_open_scan_matches_ungated():
-    disp = DispersionModel(n_o=lambda w: 1.60, n_e=lambda w, psi: 1.55,
-                           psi=0.5, L=1e-3)
-    window = (1.60 - 1.55) * 1e-3 / 299792458.0
     plan = line_plan(Instrument.TWIN_PHOTON, samples=17)
-    gated = scan(plan, CFG8, Delta(), t12=0.5 * window, disp=disp)
+    gated = scan(plan, CFG8, Delta(), t12=0.5 * OPEN_WINDOW, disp=OPEN_DISP)
     plain = scan(plan, CFG8, Delta())
     assert np.array_equal(gated.values, plain.values)
     assert gated.peak_value_raw == plain.peak_value_raw
+
+
+def test_gated_point_scan_requires_t12():
+    for sample in (Delta(), TwoPoint(2.5e-7)):
+        with pytest.raises(ConfigError, match="t12"):
+            scan(line_plan(Instrument.TWIN_PHOTON, samples=17), CFG8, sample,
+                 disp=OPEN_DISP)
+    # classical instruments have no pair timing and ignore the model
+    scan(line_plan(Instrument.CONFOCAL, samples=17), CFG8, TwoPoint(2.5e-7),
+         disp=OPEN_DISP)
 
 
 # ----------------------------------------------------------------------------
