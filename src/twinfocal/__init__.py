@@ -11,7 +11,7 @@ The package splits along the physics:
 """
 
 from .errors import ConfigError, NumericalError, QuadratureError, ScanRangeError
-from .specfun import EvalAccuracy, airy_amp, bessel_j0, bessel_j1
+from .specfun import airy_amp, bessel_j0, bessel_j1
 from .optics import (
     SPEED_OF_LIGHT,
     MicroscopeConfig,
@@ -25,14 +25,11 @@ from .optics import (
     sigma_p_sq,
 )
 from .psf import (
-    HardCircularPupil,
     RadialProfile,
-    TabulatedRadialPupil,
     fwhm,
     psf_confocal,
     psf_twin,
     psf_widefield,
-    pupil_ft,
     width_reduction,
 )
 from .coincidence import (
@@ -69,7 +66,6 @@ __all__ = [
     "NumericalError",
     "QuadratureError",
     "ScanRangeError",
-    "EvalAccuracy",
     "airy_amp",
     "bessel_j0",
     "bessel_j1",
@@ -83,14 +79,11 @@ __all__ = [
     "pump_focus",
     "r0",
     "sigma_p_sq",
-    "HardCircularPupil",
     "RadialProfile",
-    "TabulatedRadialPupil",
     "fwhm",
     "psf_confocal",
     "psf_twin",
     "psf_widefield",
-    "pupil_ft",
     "width_reduction",
     "Delta",
     "DispersionModel",

@@ -210,7 +210,9 @@ _DISPERSION_REQUIRED = ("dispersion.n_o", "dispersion.n_e", "dispersion.psi")
 
 @dataclass(frozen=True)
 class DispersionSpec:
-    """Serializable crystal description: index polynomials in omega."""
+    """Serializable crystal description: index polynomials in omega.  The
+    ``n_e`` polynomial ignores ``psi``, so the walk-off ``walkoff_Ne`` of
+    a crystal built from it is 0."""
 
     n_o: tuple[float, ...]
     n_e: tuple[float, ...]

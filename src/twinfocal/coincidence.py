@@ -67,9 +67,11 @@ The gate factor models the coincidence electronics: it is 1 only when the
 signal/idler arrival-time offset falls inside the group-delay window
 ``D * L`` opened by the crystal dispersion, and 0 otherwise.
 
-Point samples (``Delta``, ``TwoPoint``) need no quadrature: they lower to
-unit-weight points ``p_k`` and ``A(y) = sum_k K(p_k - y)`` (``point_sum``,
-which evaluates the kernel once per point over any number of offsets).
+``sample_amplitudes`` evaluates ``A`` for any sample at any number of
+offsets, and every amplitude and rate goes through it.  Point samples
+(``Delta``, ``TwoPoint``) need no quadrature: they lower to unit-weight
+points ``p_k`` and ``A(y) = sum_k K(p_k - y)`` (``point_sum``, which
+evaluates the kernel once per point over all offsets).
 
 Integration strategy: the integrand is smooth on the transmitting region
 of every schematic sample shipped here, so each region is covered by
@@ -310,8 +312,9 @@ def longitudinal_k(branch: str, disp: DispersionModel, omega: float,
 
 
 def gate(t12: float | None, disp: DispersionModel, omega_o: float, omega_e: float) -> float:
-    """Coincidence gate: 1.0 iff ``0 < t12 < D L`` with the group-delay
-    mismatch ``D = 1/u_o - 1/u_e`` at the two carriers, else 0.0.
+    """Coincidence gate: 1.0 iff ``0 < t12 < D L``, the ``delay_window``
+    of the group-delay mismatch ``D = 1/u_o - 1/u_e`` at the two carriers,
+    else 0.0.
 
     A non-positive ``D`` closes the window entirely (the gate is 0 for
     every offset); the indices must be physical (>= 1) at the carriers.
@@ -326,11 +329,7 @@ def gate(t12: float | None, disp: DispersionModel, omega_o: float, omega_e: floa
     n_along = lambda w: disp.n_e(w, disp.psi)  # noqa: E731
     if _index_value(n_along, "n_e", omega_e) < 1.0:
         raise ConfigError("n_e must be >= 1 at the extraordinary carrier")
-    mismatch = inv_group_velocity(disp.n_o, omega_o) - inv_group_velocity(n_along, omega_e)
-    window = mismatch * disp.L
-    if window <= 0.0:
-        return 0.0
-    return 1.0 if 0.0 < t12 < window else 0.0
+    return 1.0 if 0.0 < t12 < delay_window(disp, omega_o, omega_e) else 0.0
 
 
 def delay_window(disp: DispersionModel, omega_o: float, omega_e: float) -> float:
@@ -398,7 +397,7 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
         # pump amplitude at the doubled coordinate, undoubled Fresnel phase
         eta = eta0_inv_sq(cfg)
         return amp * np.exp(-0.5 * r_sq * complex(4.0 * eta.real, eta.imag))
-    return amp.astype(complex)
+    return np.asarray(amp, dtype=complex)
 
 
 def default_truncation_radius(cfg: MicroscopeConfig, target_rel_tol: float = 1e-8) -> float:
@@ -443,18 +442,6 @@ def _panel_sum(centers_x: np.ndarray, centers_y: np.ndarray, weights_t: np.ndarr
     values = kern(sample_x, sample_y)
     per_panel = np.einsum("i,j,kij->k", gwx, gwy, values)
     return complex(np.dot(weights_t, per_panel))
-
-
-def _panel_abs_mass(centers_x: np.ndarray, centers_y: np.ndarray, weights_t: np.ndarray,
-                    half_x: float, half_y: float, n_x: int, n_y: int,
-                    offset: tuple[float, float], kern) -> float:
-    gx, gwx = _gl_on(-half_x, half_x, n_x)
-    gy, gwy = _gl_on(-half_y, half_y, n_y)
-    sample_x = centers_x[:, None, None] + gx[None, :, None] - offset[0]
-    sample_y = centers_y[:, None, None] + gy[None, None, :] - offset[1]
-    values = np.abs(kern(sample_x, sample_y))
-    per_panel = np.einsum("i,j,kij->k", gwx, gwy, values)
-    return float(np.dot(np.abs(weights_t), per_panel))
 
 
 def _sample_panels(sample: SampleTransmittance, offset: tuple[float, float],
@@ -515,8 +502,9 @@ def integrate_sample(sample: SampleTransmittance, offset: tuple[float, float],
     n_y = quad.angular_nodes if extended else quad.radial_nodes
     coarse = _panel_sum(centers_x, centers_y, weights, half_x, half_y,
                         n_x, n_y, offset, kern)
-    mass = _panel_abs_mass(centers_x, centers_y, weights, half_x, half_y,
-                           n_x, n_y, offset, kern)
+    abs_kern = lambda vx, vy: np.abs(kern(vx, vy))  # noqa: E731
+    mass = _panel_sum(centers_x, centers_y, np.abs(weights), half_x, half_y,
+                      n_x, n_y, offset, abs_kern).real
     for _ in range(_DOUBLING_CHECKS):
         n_x, n_y = 2 * n_x, 2 * n_y
         fine = _panel_sum(centers_x, centers_y, weights, half_x, half_y,
@@ -572,10 +560,32 @@ def point_sum(points: np.ndarray, offsets: np.ndarray, kern) -> np.ndarray:
     return sum(kern(px - offsets[:, 0], py - offsets[:, 1]) for px, py in points)
 
 
-def _point_amplitude(sample: SampleTransmittance, offset: tuple[float, float],
-                     cfg: MicroscopeConfig) -> complex:
+def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
+                      cfg: MicroscopeConfig, quad: QuadratureSpec, kern,
+                      coherent: bool = True) -> np.ndarray:
+    """Integral of ``t(u) * kern(u - y)`` at every scan offset ``y`` (rows
+    of ``offsets``).
+
+    Point samples are summed over all offsets at once (``point_sum``);
+    extended ones are integrated one offset at a time.  With the twin
+    kernel the result is the coherent amplitude ``A(y)``; with a classical
+    intensity response and ``coherent=False`` it is the incoherent image.
+    """
+    points = sample_points(sample)
+    if points is not None:
+        return point_sum(points, offsets, kern)
+    return np.array([
+        integrate_sample(sample, (float(x), float(y)), cfg, quad, kern, coherent)
+        for x, y in offsets
+    ])
+
+
+def _twin_amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
+                    quad: QuadratureSpec | None) -> complex:
     kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
-    return complex(point_sum(sample_points(sample), np.array([offset]), kern)[0])
+    offsets = np.array([_offset_pair(y)])
+    quad = quad if quad is not None else QuadratureSpec()
+    return complex(sample_amplitudes(sample, offsets, cfg, quad, kern)[0])
 
 
 def amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
@@ -584,19 +594,14 @@ def amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
 
     ``y`` is the scan offset, either a scalar (displacement along x) or a
     2-vector [m].  The result is the raw, unnormalized integral; scanning
-    code normalizes per scan.  Point-pair samples are evaluated in closed
-    form (the integral collapses onto the two points); everything else
-    goes through panel quadrature with an internal node-doubling check.
+    code normalizes per scan.  A point pair sums the kernel at its two
+    points; everything else goes through panel quadrature with an
+    internal node-doubling check.
     """
     if isinstance(sample, Delta):
         raise ConfigError("amplitude is for structured samples; "
                           "use coincidence_rate for a point sample")
-    quad = quad if quad is not None else QuadratureSpec()
-    offset = _offset_pair(y)
-    if isinstance(sample, TwoPoint):
-        return _point_amplitude(sample, offset, cfg)
-    kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
-    return integrate_sample(sample, offset, cfg, quad, kern, coherent=True)
+    return _twin_amplitude(y, cfg, sample, quad)
 
 
 def coincidence_rate(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
@@ -613,9 +618,5 @@ def coincidence_rate(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
     factor = 1.0 if disp is None else gate(t12, disp, cfg.omega_o, cfg.omega_e)
     if factor == 0.0:
         return 0.0
-    offset = _offset_pair(y)
-    if isinstance(sample, Delta):
-        value = _point_amplitude(sample, offset, cfg)
-    else:
-        value = amplitude(offset, cfg, sample, quad)
+    value = _twin_amplitude(y, cfg, sample, quad)
     return factor * (value.real * value.real + value.imag * value.imag)

@@ -69,7 +69,9 @@ class MicroscopeConfig:
         collimated detection; a finite value must satisfy the thin-lens
         imaging condition with ``s0`` and ``f``.
     d : float
-        Pump-lens-to-crystal distance [m].  Default ``f_p``.
+        Pump-lens-to-crystal distance [m].  Default ``f_p``.  It moves
+        only ``sigma_p_sq``: every response (``psf_twin``, the
+        coincidence kernel) assumes the crystal at the pump focus.
     pump_gaussian : bool
         When False, the pump is treated as unfocused: the Gaussian
         envelope in the twin point spread function and in the coincidence

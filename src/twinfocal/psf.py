@@ -1,7 +1,6 @@
-"""Lateral point spread functions, pupil transforms, and width metrics.
+"""Lateral point spread functions and width metrics.
 
-Three instrument responses share one pupil model (hard circular aperture
-by default, tabulated radial profiles optionally):
+The three instrument responses of a hard circular aperture:
 
 * widefield:  airy_amp(2 pi a y / (lambda_o f))^2
 * confocal:   airy_amp(2 pi a y / (lambda_o f))^4
@@ -13,7 +12,8 @@ With degenerate wavelengths and s0 = f the twin arguments are exactly the
 confocal argument at 2y, so removing the Gaussian envelope yields a
 response that is the confocal one with halved width.  The envelope is the
 pump spot intensity exp(-w^2/r0^2) at the same doubled coordinate w = 2y;
-the derivation is in the ``coincidence`` module docstring.
+the derivation is in the ``coincidence`` module docstring, and
+``psf_twin`` is the on-axis ``|K|^2`` of that module's kernel.
 
 All three peak at exactly 1 for y = 0 by construction; no numerical
 renormalization is applied.
@@ -23,20 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ScanRangeError
-from .optics import SPEED_OF_LIGHT, MicroscopeConfig, r0
-from .specfun import airy_amp, bessel_j0
+from .coincidence import kernel_field
+from .optics import MicroscopeConfig
+from .specfun import airy_amp
 
 __all__ = [
-    "HardCircularPupil",
-    "TabulatedRadialPupil",
-    "Pupil",
     "RadialProfile",
-    "pupil_ft",
     "psf_widefield",
     "psf_confocal",
     "psf_twin",
@@ -47,80 +44,6 @@ __all__ = [
 # Coarse grid used to bracket the half-max crossing before bisection.
 _FWHM_GRID = 2048
 _FWHM_REL_TOL = 1e-8
-
-
-# ============================================================================
-# pupils
-# ============================================================================
-
-@dataclass(frozen=True)
-class HardCircularPupil:
-    """Uniformly transmitting circular aperture of the given radius [m]."""
-
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (self.radius > 0.0) or not math.isfinite(self.radius):
-            raise ConfigError("pupil radius must be positive and finite")
-
-
-@dataclass(frozen=True, eq=False)
-class TabulatedRadialPupil:
-    """Radially sampled pupil amplitude, interpolated by its sample grid.
-
-    ``radii`` must increase strictly from 0 and carry at least 8 samples;
-    amplitudes are clamped to the physical range [0, 1] by validation.
-    """
-
-    radii: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        radii = np.asarray(self.radii, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=float)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "amplitudes", amps)
-        if radii.ndim != 1 or radii.shape != amps.shape:
-            raise ConfigError("pupil samples must be two equal-length 1D arrays")
-        if radii.size < 8:
-            raise ConfigError("tabulated pupil needs at least 8 samples")
-        if radii[0] != 0.0 or np.any(np.diff(radii) <= 0.0):
-            raise ConfigError("pupil radii must increase strictly from 0")
-        if np.any(~np.isfinite(amps)) or np.any(amps < 0.0) or np.any(amps > 1.0):
-            raise ConfigError("pupil amplitudes must lie in [0, 1]")
-
-
-Pupil = Union[HardCircularPupil, TabulatedRadialPupil]
-
-
-def pupil_ft(pupil: Pupil, q) -> float:
-    """Normalized far-field amplitude of a pupil at spatial frequency q [1/m].
-
-    For the hard circular aperture this is the Airy amplitude
-    ``airy_amp(q * radius)``.  Tabulated pupils are transformed with a
-    zeroth-order Hankel-type quadrature over their samples,
-    ``integral p(r) J0(q r) r dr``, normalized to 1 at q = 0.
-    """
-    scalar = np.isscalar(q) or np.ndim(q) == 0
-    qa = np.asarray(q, dtype=float)
-    if np.any(~np.isfinite(qa)) or np.any(qa < 0.0):
-        raise ValueError("spatial frequency must be finite and non-negative")
-    if isinstance(pupil, HardCircularPupil):
-        out = airy_amp(qa * pupil.radius)
-    elif isinstance(pupil, TabulatedRadialPupil):
-        radii = pupil.radii
-        weights = pupil.amplitudes * radii
-        norm = np.trapezoid(weights, radii)
-        if norm <= 0.0:
-            raise ConfigError("tabulated pupil has zero transmitted power")
-        flat = np.atleast_1d(qa)
-        vals = np.empty(flat.shape)
-        for i, qi in enumerate(flat):
-            vals[i] = np.trapezoid(weights * bessel_j0(qi * radii), radii) / norm
-        out = vals.reshape(qa.shape)
-    else:
-        raise ConfigError(f"not a pupil: {pupil!r}")
-    return float(out) if scalar else out
 
 
 # ============================================================================
@@ -153,22 +76,18 @@ def psf_confocal(y, cfg: MicroscopeConfig):
 def psf_twin(y, cfg: MicroscopeConfig):
     """Coincidence-detection intensity response of the twin-photon instrument.
 
-    The product of the two single-photon Airy intensities evaluated with
-    doubled arguments (signal and idler fold back through the objective)
-    times the pump-spot Gaussian at the same doubled coordinate,
+    ``|K(y, 0)|^2`` of the coincidence kernel: the product of the two
+    single-photon Airy intensities evaluated with doubled arguments
+    (signal and idler fold back through the objective) times the
+    pump-spot Gaussian at the same doubled coordinate,
     ``exp(-(2y)^2/r0^2) = exp(-4 y^2/r0^2)``.  The Gaussian factor is
     dropped entirely when ``cfg.pump_gaussian`` is False (unfocused pump),
     which makes the argument-doubling identity against the confocal
-    response exact.  Equals ``|kernel_field|^2`` on the scan axis.
+    response exact.
     """
     arr = _check_offsets(y)
-    scale = 2.0 * cfg.a / (cfg.s0 * SPEED_OF_LIGHT)
-    amp_o = airy_amp(cfg.omega_o * scale * arr)
-    amp_e = airy_amp(cfg.omega_e * scale * arr)
-    out = (amp_o * amp_o) * (amp_e * amp_e)
-    if cfg.pump_gaussian:
-        spot = r0(cfg)
-        out = out * np.exp(-(2.0 * arr / spot) ** 2)
+    k = kernel_field(arr, 0.0, cfg)
+    out = k.real * k.real + k.imag * k.imag
     return float(out) if np.ndim(y) == 0 else out
 
 

@@ -8,11 +8,12 @@ widefield and confocal instruments image incoherently, integrating
 ``|t|^2`` against their intensity responses.  Images are peak-normalized,
 with the raw peak kept for reference.
 
-Point samples (``Delta``, ``TwoPoint``) lower to unit-weight points
-``p_k`` and are evaluated as arrays for every instrument, one kernel call
-per point over a whole chunk of offsets: the twin rate is
-``|sum_k K(p_k - y)|^2``, the classical image ``sum_k PSF(|p_k - y|)``.
-Extended samples (slit, grating, raster) are integrated offset by offset.
+Every scan goes through ``coincidence.sample_amplitudes``.  Point samples
+(``Delta``, ``TwoPoint``) are evaluated as arrays, one kernel call per
+point over a chunk of offsets: the twin rate is ``|sum_k K(p_k - y)|^2``,
+the classical image ``sum_k PSF(|p_k - y|)``.  Extended samples (slit,
+grating, raster) are integrated offset by offset.  A twin chunk whose
+gate is closed does no kernel work.
 Scans are limited to 2**20 offsets; larger plans are rejected with a
 ``ConfigError`` when the ``Line`` or ``Grid`` is built.
 
@@ -50,12 +51,9 @@ from .coincidence import (
     QuadratureSpec,
     SampleTransmittance,
     TwoPoint,
-    coincidence_rate,
     gate,
-    integrate_sample,
     kernel_field,
-    point_sum,
-    sample_points,
+    sample_amplitudes,
 )
 
 __all__ = [
@@ -229,31 +227,18 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
     else:
         response = _instrument_psf(plan.instrument)
         kern = lambda vx, vy: response(np.hypot(vx, vy), cfg)  # noqa: E731
-    points = sample_points(sample)
 
-    if points is not None:
-        def evaluate(chunk: np.ndarray) -> np.ndarray:
-            total = point_sum(points, chunk, kern)
-            if not twin:
-                return total
-            # The gate is the same at every offset but is evaluated per
-            # offset; the benchmark's traced self-check counts these calls.
-            gates = 1.0 if disp is None else np.array(
-                [gate(t12, disp, cfg.omega_o, cfg.omega_e) for _ in chunk])
-            return gates * (total.real * total.real + total.imag * total.imag)
-    elif twin:
-        def evaluate(chunk: np.ndarray) -> np.ndarray:
-            return np.array([
-                coincidence_rate(pt, cfg, sample, quad, t12=t12, disp=disp)
-                for pt in chunk
-            ])
-    else:
-        def evaluate(chunk: np.ndarray) -> np.ndarray:
-            return np.array([
-                abs(integrate_sample(sample, (float(pt[0]), float(pt[1])),
-                                     cfg, quad, kern, coherent=False))
-                for pt in chunk
-            ])
+    def evaluate(chunk: np.ndarray) -> np.ndarray:
+        if not twin:
+            return np.abs(sample_amplitudes(sample, chunk, cfg, quad, kern, coherent=False))
+        # The gate is the same at every offset but is evaluated per
+        # offset; the benchmark's traced self-check counts these calls.
+        gates = 1.0 if disp is None else np.array(
+            [gate(t12, disp, cfg.omega_o, cfg.omega_e) for _ in chunk])
+        if not np.any(gates):
+            return np.zeros(chunk.shape[0])
+        amps = sample_amplitudes(sample, chunk, cfg, quad, kern)
+        return gates * (amps.real * amps.real + amps.imag * amps.imag)
 
     values = _map_chunked(evaluate, offsets)
     peak = float(values.max()) if values.size else 0.0

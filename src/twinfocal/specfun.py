@@ -1,8 +1,8 @@
 """Self-contained Bessel functions of the first kind and the Airy amplitude.
 
-Everything downstream (pupil transforms, point spread functions, the
-coincidence kernel) reduces to J0 and J1 of real argument, so the accuracy
-budget of the whole model is set here.  The functions are evaluated from
+Everything downstream (the point spread functions and the coincidence
+kernel) reduces to J0 and J1 of real argument, so the accuracy budget of
+the whole model is set here.  The functions are evaluated from
 scratch rather than delegated to an external special-function library:
 
 * ascending power series for ``|x| <= 12``, summed with compensated
@@ -20,66 +20,43 @@ All functions accept floats or numpy arrays and return the matching kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["EvalAccuracy", "DEFAULT_ACCURACY", "bessel_j0", "bessel_j1", "airy_amp"]
+__all__ = ["bessel_j0", "bessel_j1", "airy_amp"]
 
 # Branch switchover: power series below, Hankel expansion above.
 _SERIES_CUTOFF = 12.0
 
-
-@dataclass(frozen=True)
-class EvalAccuracy:
-    """Termination controls for the series evaluations.
-
-    Attributes
-    ----------
-    abs_tol : float
-        Stop the ascending series once every remaining term is below this
-        bound; successive terms then shrink by more than half, so the
-        discarded tail is smaller than ``abs_tol``.
-    max_terms : int
-        Hard cap on the number of series terms.
-    """
-
-    abs_tol: float = 1e-15
-    max_terms: int = 120
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be > 0")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_ACCURACY = EvalAccuracy()
+# Series termination: stop once every remaining term is below _ABS_TOL
+# (successive terms then shrink by more than half, so the discarded tail
+# is smaller than _ABS_TOL); never sum more than _MAX_TERMS terms.
+_ABS_TOL = 1e-15
+_MAX_TERMS = 120
 
 
 # ============================================================================
 # evaluation branches (internal, expect non-negative finite arrays)
 # ============================================================================
 
-def _series_jn(n: int, x: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
+def _series_jn(n: int, x: np.ndarray) -> np.ndarray:
     # J_n(x) = sum_m (-1)^m (x/2)^(2m+n) / (m! (m+n)!), |x| <= 12, n = 0 or 1.
     half = 0.5 * x
     q = half * half
     term = np.ones_like(x) if n == 0 else half.copy()
     total = term.copy()
     comp = np.zeros_like(term)  # Kahan compensation
-    for m in range(1, acc.max_terms + 1):
+    for m in range(1, _MAX_TERMS + 1):
         term = term * (-q) / (m * (m + n))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if np.all(np.abs(term) < 0.01 * acc.abs_tol):
+        if np.all(np.abs(term) < 0.01 * _ABS_TOL):
             break
     return total
 
 
-def _asymptotic_jn(n: int, x: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
+def _asymptotic_jn(n: int, x: np.ndarray) -> np.ndarray:
     # Hankel expansion J_n(x) ~ sqrt(2/(pi x)) [cos(w) P - sin(w) Q],
     # w = x - (n/2 + 1/4) pi.  The expansion is divergent; each element is
     # truncated just before its own terms start to grow again.
@@ -89,7 +66,7 @@ def _asymptotic_jn(n: int, x: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
     q_sum = np.zeros_like(x)
     prev = np.full_like(x, np.inf)
     active = np.ones(x.shape, dtype=bool)
-    for k in range(1, 2 * acc.max_terms + 1):
+    for k in range(1, 2 * _MAX_TERMS + 1):
         ck = ck * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
         mag = np.abs(ck)
         active &= mag < prev
@@ -102,23 +79,23 @@ def _asymptotic_jn(n: int, x: np.ndarray, acc: EvalAccuracy) -> np.ndarray:
             q_sum = q_sum + contrib
         else:
             p_sum = p_sum + contrib
-        if np.all(mag[active] < 0.01 * acc.abs_tol):
+        if np.all(mag[active] < 0.01 * _ABS_TOL):
             break
     omega = x - (0.5 * n + 0.25) * np.pi
     return np.sqrt(2.0 / (np.pi * x)) * (np.cos(omega) * p_sum - np.sin(omega) * q_sum)
 
 
-def _bessel_jn(n: int, x, acc: EvalAccuracy) -> np.ndarray:
+def _bessel_jn(n: int, x) -> np.ndarray:
     ax = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise ValueError("bessel argument must be finite")
     out = np.empty_like(ax)
     lo = ax <= _SERIES_CUTOFF
     if lo.any():
-        out[lo] = _series_jn(n, ax[lo], acc)
+        out[lo] = _series_jn(n, ax[lo])
     hi = ~lo
     if hi.any():
-        out[hi] = _asymptotic_jn(n, ax[hi], acc)
+        out[hi] = _asymptotic_jn(n, ax[hi])
     return out
 
 
@@ -126,15 +103,13 @@ def _bessel_jn(n: int, x, acc: EvalAccuracy) -> np.ndarray:
 # public API
 # ============================================================================
 
-def bessel_j0(x, accuracy: EvalAccuracy = DEFAULT_ACCURACY):
+def bessel_j0(x):
     """Bessel function of the first kind, order zero.
 
     Parameters
     ----------
     x : float or ndarray
         Finite real argument.
-    accuracy : EvalAccuracy, optional
-        Series termination controls.
 
     Returns
     -------
@@ -143,11 +118,11 @@ def bessel_j0(x, accuracy: EvalAccuracy = DEFAULT_ACCURACY):
         evaluation.  Absolute error <= 1e-12 for ``|x| <= 50``.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = _bessel_jn(0, x, accuracy)
+    out = _bessel_jn(0, x)
     return float(out) if scalar else out
 
 
-def bessel_j1(x, accuracy: EvalAccuracy = DEFAULT_ACCURACY):
+def bessel_j1(x):
     """Bessel function of the first kind, order one.
 
     Odd symmetry J1(-x) = -J1(x) holds exactly by construction: the
@@ -156,12 +131,12 @@ def bessel_j1(x, accuracy: EvalAccuracy = DEFAULT_ACCURACY):
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     arr = np.asarray(x, dtype=float)
-    out = np.copysign(1.0, arr) * _bessel_jn(1, arr, accuracy)
+    out = np.copysign(1.0, arr) * _bessel_jn(1, arr)
     # copysign maps -0.0 to -1; J1(0) = 0 either way, so signed zeros are safe
     return float(out) if scalar else out
 
 
-def airy_amp(v, accuracy: EvalAccuracy = DEFAULT_ACCURACY):
+def airy_amp(v):
     """Normalized amplitude of a uniformly lit circular aperture, 2 J1(v)/v.
 
     The peak is 1 at ``v = 0`` (exactly, by the removable-singularity
@@ -185,5 +160,5 @@ def airy_amp(v, accuracy: EvalAccuracy = DEFAULT_ACCURACY):
     nz = av > 0.0
     if nz.any():
         avnz = av[nz]
-        out[nz] = 2.0 * _bessel_jn(1, avnz, accuracy) / avnz
+        out[nz] = 2.0 * _bessel_jn(1, avnz) / avnz
     return float(out) if scalar else out

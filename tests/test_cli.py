@@ -1,6 +1,8 @@
 """CLI parsing, config round-trips, subcommand output, and exit codes."""
 
 import io
+import math
+import random
 import subprocess
 import sys
 
@@ -140,6 +142,139 @@ def test_round_trip_covers_every_sample_kind():
         again = parse_run_config(run.to_text())
         assert type(again.sample) is type(run.sample)
         assert again.sample == run.sample
+
+
+def _random_config(rng: random.Random) -> tuple[str, dict[str, object]]:
+    """Valid config text with random values and units, and the SI value
+    each written key must parse to."""
+    expected: dict[str, object] = {}
+    lines: list[str] = []
+
+    def put(key, value, text=None):
+        expected[key] = value
+        lines.append(f"{key} = {value if text is None else text}")
+
+    def quantity(key, value, units):
+        unit = rng.choice(list(units))
+        put(key, value, f"{value / units[unit]!r}{rng.choice(['', ' '])}{unit}")
+
+    lengths = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0, "": 1.0}
+    lambda_p = rng.uniform(300e-9, 600e-9)
+    quantity("microscope.lambda_p", lambda_p, lengths)
+    if rng.random() < 0.5:
+        lambda_o = lambda_p * rng.uniform(1.5, 2.5)
+        quantity("microscope.lambda_o", lambda_o, lengths)
+        quantity("microscope.lambda_e", 1.0 / (1.0 / lambda_p - 1.0 / lambda_o), lengths)
+    a = rng.uniform(5e-3, 5e-2)
+    f = rng.uniform(5e-3, 5e-2)
+    quantity("microscope.a", a, lengths)
+    quantity("microscope.f", f, lengths)
+    quantity("microscope.f_p", rng.uniform(5e-3, 5e-2), lengths)
+    quantity("microscope.w0", a * rng.uniform(0.01, 0.99), lengths)
+    if rng.random() < 0.5:
+        s0 = f * rng.uniform(1.1, 3.0)
+        quantity("microscope.s0", s0, lengths)
+        if rng.random() < 0.5:
+            quantity("microscope.s1", 1.0 / (1.0 / f - 1.0 / s0), lengths)
+    if rng.random() < 0.5:
+        quantity("microscope.d", rng.uniform(5e-3, 5e-2), lengths)
+    pump = rng.random() < 0.5
+    put("microscope.pump_gaussian", pump, rng.choice(
+        ["true", "yes", "on", "1"] if pump else ["false", "no", "off", "0"]))
+
+    kind = rng.choice(["delta", "two_point", "slit", "grating", "raster"])
+    put("sample.kind", kind)
+    if kind == "two_point":
+        quantity("sample.separation", rng.uniform(5e-8, 2e-6), lengths)
+    elif kind == "slit":
+        quantity("sample.width", rng.uniform(5e-8, 2e-6), lengths)
+    elif kind == "grating":
+        quantity("sample.period", rng.uniform(1e-7, 4e-6), lengths)
+        put("sample.duty", rng.uniform(0.05, 0.95))
+    elif kind == "raster":
+        quantity("sample.pitch", rng.uniform(5e-8, 5e-7), lengths)
+        width = rng.randint(1, 6)
+        rows = tuple("".join(rng.choice("01") for _ in range(width))
+                     for _ in range(rng.randint(1, 6)))
+        put("sample.rows", rows, ";".join(rows))
+
+    if rng.random() < 0.5:
+        angles = {"deg": math.pi / 180.0, "rad": 1.0, "": 1.0}
+        times = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "s": 1.0, "": 1.0}
+        for key in ("dispersion.n_o", "dispersion.n_e"):
+            coeffs = (rng.uniform(1.4, 2.0),) + tuple(
+                rng.uniform(-1e-17, 1e-17) for _ in range(rng.randint(0, 2)))
+            put(key, coeffs, ", ".join(repr(c) for c in coeffs))
+        quantity("dispersion.psi", rng.uniform(0.1, 1.4), angles)
+        for key in ("dispersion.theta_o", "dispersion.theta_e"):
+            if rng.random() < 0.5:
+                quantity(key, rng.uniform(0.0, 0.1), angles)
+        if rng.random() < 0.5:
+            quantity("dispersion.length", rng.uniform(1e-4, 1e-2), lengths)
+        if rng.random() < 0.5:
+            quantity("dispersion.t12", rng.uniform(-1e-12, 1e-12), times)
+
+    put("quadrature.radial_nodes", rng.randint(8, 96))
+    put("quadrature.angular_nodes", rng.randint(8, 512))
+    if rng.random() < 0.5:
+        quantity("quadrature.truncation_radius", rng.uniform(1e-7, 1e-5), lengths)
+    put("quadrature.target_rel_tol", 10.0 ** rng.uniform(-12, -4))
+    put("scan.instrument", rng.choice(["twin", "confocal", "widefield"]))
+    put("scan.geometry", rng.choice(["line", "grid"]))
+    put("scan.direction", rng.choice(["x", "y"]))
+    for key in ("scan.half_range", "scan.half_range_x", "scan.half_range_y"):
+        quantity(key, rng.uniform(1e-7, 5e-6), lengths)
+    for key in ("scan.samples", "scan.nx", "scan.ny"):
+        put(key, rng.randint(16, 300))
+    put("scan.threshold", rng.uniform(0.01, 0.99))
+    for key in ("output.csv", "output.svg"):
+        if rng.random() < 0.5:
+            put(key, f"out_{rng.randint(0, 999)}.{key[-3:]}")
+    put("output.precision", rng.randint(1, 17))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n", expected
+
+
+def test_round_trip_fuzz():
+    """Seeded random configs: every key parses to its SI value and the
+    canonical text parses back to the same typed values."""
+    rng = random.Random(20100615)
+    kinds = set()
+    with_dispersion = 0
+    for _ in range(200):
+        text, expected = _random_config(rng)
+        run = parse_run_config(text)
+        canonical = run.to_text()
+        written = dict(line.split(" = ", 1) for line in canonical.splitlines())
+        for key, value in expected.items():
+            got = written[key]
+            if isinstance(value, bool):
+                assert got == ("true" if value else "false"), key
+            elif isinstance(value, float):
+                assert float(got) == pytest.approx(value, rel=1e-14), key
+            elif key == "sample.rows":
+                assert tuple(got.split(";")) == value, key
+            elif isinstance(value, tuple):
+                assert tuple(float(v) for v in got.split(",")) == value, key
+            else:
+                assert got == str(value), key
+
+        reparsed = parse_run_config(canonical)
+        assert reparsed.microscope == run.microscope
+        if isinstance(run.sample, Raster):
+            assert reparsed.sample.pitch == run.sample.pitch
+            assert np.array_equal(reparsed.sample.grid, run.sample.grid)
+        else:
+            assert reparsed.sample == run.sample
+        assert reparsed.dispersion == run.dispersion
+        assert reparsed.quadrature == run.quadrature
+        assert reparsed.scan == run.scan
+        assert reparsed.output == run.output
+        assert reparsed.to_text() == canonical
+        kinds.add(expected["sample.kind"])
+        with_dispersion += run.dispersion is not None
+    assert kinds == {"delta", "two_point", "slit", "grating", "raster"}
+    assert 50 < with_dispersion < 150
 
 
 # ----------------------------------------------------------------------------

@@ -247,6 +247,11 @@ def test_kernel_matches_formula():
     vals = kernel_field(X, Y, cfg_open)
     assert np.allclose(vals.imag, 0.0, atol=0)
     assert np.allclose(vals, kernel_formula(X, Y, cfg_open), rtol=1e-13, atol=0)
+    # scalar input with a flat pump gives a 0-d complex array
+    scalar = kernel_field(1e-7, 0.0, cfg_open)
+    assert scalar.dtype == complex and scalar.shape == ()
+    assert complex(scalar) == pytest.approx(complex(kernel_formula(1e-7, 0.0, cfg_open)),
+                                            rel=1e-13)
 
 
 def test_two_point_closed_form():

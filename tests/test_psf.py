@@ -1,4 +1,4 @@
-"""Point spread functions, pupil transforms, and FWHM machinery.
+"""Point spread functions and FWHM machinery.
 
 Frozen widths were computed independently by bisecting the reference
 Bessel series for the half-max crossings:
@@ -19,14 +19,11 @@ from conftest import reference_airy_intensity, reference_half_crossing
 from twinfocal.errors import ConfigError, ScanRangeError
 from twinfocal.optics import MicroscopeConfig, airy_radius, r0
 from twinfocal.psf import (
-    HardCircularPupil,
     RadialProfile,
-    TabulatedRadialPupil,
     fwhm,
     psf_confocal,
     psf_twin,
     psf_widefield,
-    pupil_ft,
     width_reduction,
 )
 from twinfocal.specfun import airy_amp
@@ -37,40 +34,6 @@ FWHM_TWIN_1MM = 1.2902836441213355e-07
 
 CFG = MicroscopeConfig()
 RANGE = 4.0 * airy_radius(CFG)
-
-
-# ----------------------------------------------------------------------------
-# pupils
-# ----------------------------------------------------------------------------
-
-def test_hard_pupil_ft_is_airy():
-    pupil = HardCircularPupil(radius=2e-2)
-    assert pupil_ft(pupil, 0.0) == 1.0
-    assert abs(pupil_ft(pupil, 3.83171 / 2e-2)) < 1e-5
-    qs = np.linspace(0.0, 500.0, 50)
-    assert np.allclose(pupil_ft(pupil, qs), airy_amp(qs * 2e-2), rtol=0, atol=1e-15)
-    with pytest.raises(ConfigError):
-        HardCircularPupil(radius=0.0)
-
-
-def test_tabulated_disk_matches_airy():
-    radii = np.linspace(0.0, 2e-2, 512)
-    pupil = TabulatedRadialPupil(radii=radii, amplitudes=np.ones(512))
-    assert pupil_ft(pupil, 0.0) == pytest.approx(1.0, abs=1e-14)
-    q = 1.61634 / 2e-2
-    assert pupil_ft(pupil, q) == pytest.approx(airy_amp(1.61634), abs=1e-3)
-
-
-def test_tabulated_pupil_validation():
-    radii = np.linspace(0.0, 1.0, 16)
-    with pytest.raises(ConfigError):
-        TabulatedRadialPupil(radii=radii[:4], amplitudes=np.ones(4))
-    with pytest.raises(ConfigError):
-        TabulatedRadialPupil(radii=radii + 0.1, amplitudes=np.ones(16))
-    with pytest.raises(ConfigError):
-        TabulatedRadialPupil(radii=radii, amplitudes=1.5 * np.ones(16))
-    with pytest.raises(ValueError):
-        pupil_ft(HardCircularPupil(1.0), -1.0)
 
 
 # ----------------------------------------------------------------------------

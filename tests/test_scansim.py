@@ -15,7 +15,7 @@ import pytest
 from twinfocal.errors import ConfigError, NumericalError, ScanRangeError
 from twinfocal.optics import MicroscopeConfig, airy_radius
 from twinfocal.psf import fwhm, psf_confocal, psf_twin, psf_widefield
-from twinfocal import scansim
+from twinfocal import coincidence, scansim
 from twinfocal.coincidence import Delta, DispersionModel, Slit, TwoPoint, Raster, amplitude
 from twinfocal.scansim import (
     Grid,
@@ -234,14 +234,22 @@ def test_thread_count_rejects_bad_values(monkeypatch):
 # gating during scans
 # ----------------------------------------------------------------------------
 
-def test_gated_out_scan_is_all_zero():
+def test_gated_out_scan_is_all_zero(monkeypatch):
     slow_e = DispersionModel(n_o=lambda w: 1.55, n_e=lambda w, psi: 1.60,
                              psi=0.5, L=1e-3)
-    image = scan(line_plan(Instrument.TWIN_PHOTON, samples=17), CFG8, Delta(),
-                 t12=1e-13, disp=slow_e)
-    assert image.peak_value_raw == 0.0
-    assert np.all(image.values == 0.0)
-    assert dip_contrast(image) == 0.0
+
+    def no_kernel(*args):
+        raise AssertionError("a closed gate must not evaluate the kernel")
+
+    # the kernel is never reached, so no quadrature is done either
+    monkeypatch.setattr(coincidence, "kernel_field", no_kernel)
+    monkeypatch.setattr(scansim, "kernel_field", no_kernel)
+    for sample in (Delta(), Slit(width=2e-7)):
+        image = scan(line_plan(Instrument.TWIN_PHOTON, samples=17), CFG8, sample,
+                     t12=1e-13, disp=slow_e)
+        assert image.peak_value_raw == 0.0
+        assert np.all(image.values == 0.0)
+        assert dip_contrast(image) == 0.0
 
 
 def test_gate_open_scan_matches_ungated():
@@ -253,7 +261,7 @@ def test_gate_open_scan_matches_ungated():
 
 
 def test_gated_point_scan_requires_t12():
-    for sample in (Delta(), TwoPoint(2.5e-7)):
+    for sample in (Delta(), TwoPoint(2.5e-7), Slit(width=2e-7)):
         with pytest.raises(ConfigError, match="t12"):
             scan(line_plan(Instrument.TWIN_PHOTON, samples=17), CFG8, sample,
                  disp=OPEN_DISP)

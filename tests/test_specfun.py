@@ -7,13 +7,7 @@ import pytest
 
 from conftest import reference_j0, reference_j1, reference_jn
 
-from twinfocal.specfun import (
-    DEFAULT_ACCURACY,
-    EvalAccuracy,
-    airy_amp,
-    bessel_j0,
-    bessel_j1,
-)
+from twinfocal.specfun import airy_amp, bessel_j0, bessel_j1
 
 # Classic frozen values (series-verified to 50 digits by the reference
 # oracle; literals kept for readability).
@@ -106,12 +100,3 @@ def test_non_finite_input_rejected():
         with pytest.raises(ValueError):
             airy_amp(bad)
 
-
-def test_eval_accuracy_validation():
-    with pytest.raises(ValueError):
-        EvalAccuracy(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        EvalAccuracy(max_terms=0)
-    tight = EvalAccuracy(abs_tol=1e-15, max_terms=200)
-    assert bessel_j0(5.0, accuracy=tight) == pytest.approx(reference_j0(5.0), abs=1e-13)
-    assert DEFAULT_ACCURACY.abs_tol > 0.0
