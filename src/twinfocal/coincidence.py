@@ -392,7 +392,9 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
     r_sq = vx * vx + vy * vy
     radius = np.sqrt(r_sq)
     alpha_o, alpha_e = _twin_alphas(cfg)
-    amp = airy_amp(alpha_o * radius) * airy_amp(alpha_e * radius)
+    amp_o = airy_amp(alpha_o * radius)
+    # a degenerate pair has two equal Airy factors: evaluate it once
+    amp = amp_o * (amp_o if alpha_e == alpha_o else airy_amp(alpha_e * radius))
     if cfg.pump_gaussian:
         # pump amplitude at the doubled coordinate, undoubled Fresnel phase
         eta = eta0_inv_sq(cfg)

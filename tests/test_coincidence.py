@@ -15,7 +15,7 @@ import pytest
 from conftest import riemann_amplitude
 
 from twinfocal.errors import ConfigError, QuadratureError
-from twinfocal.optics import SPEED_OF_LIGHT, MicroscopeConfig, airy_radius, r0
+from twinfocal.optics import SPEED_OF_LIGHT, MicroscopeConfig, airy_radius, eta0_inv_sq, r0
 from twinfocal.psf import psf_twin
 from twinfocal.specfun import airy_amp
 from twinfocal import coincidence
@@ -252,6 +252,36 @@ def test_kernel_matches_formula():
     assert scalar.dtype == complex and scalar.shape == ()
     assert complex(scalar) == pytest.approx(complex(kernel_formula(1e-7, 0.0, cfg_open)),
                                             rel=1e-13)
+
+
+def test_degenerate_kernel_evaluates_one_airy_factor(monkeypatch):
+    """A degenerate pair shares one ``airy_amp`` call, and the kernel stays
+    byte-identical to the product of one call per photon."""
+    X, Y = np.meshgrid(np.linspace(-2e-6, 2e-6, 41), np.linspace(-1e-6, 1e-6, 21))
+    lambda_p, lambda_o = 351e-9, 600e-9
+    non_degenerate = MicroscopeConfig(w0=8e-3, lambda_p=lambda_p, lambda_o=lambda_o,
+                                      lambda_e=1.0 / (1.0 / lambda_p - 1.0 / lambda_o))
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return airy_amp(v)
+
+    monkeypatch.setattr(coincidence, "airy_amp", counted)
+    for cfg, expected_calls in ((CFG8, 1), (MicroscopeConfig(w0=8e-3, pump_gaussian=False), 1),
+                                (non_degenerate, 2)):
+        calls.clear()
+        values = kernel_field(X, Y, cfg)
+        assert len(calls) == expected_calls
+        r_sq = X * X + Y * Y
+        radius = np.sqrt(r_sq)
+        alpha_o, alpha_e = coincidence._twin_alphas(cfg)
+        two_calls = np.asarray(airy_amp(alpha_o * radius) * airy_amp(alpha_e * radius),
+                               dtype=complex)
+        if cfg.pump_gaussian:
+            eta = eta0_inv_sq(cfg)
+            two_calls = two_calls * np.exp(-0.5 * r_sq * complex(4.0 * eta.real, eta.imag))
+        assert values.tobytes() == two_calls.tobytes()
 
 
 def test_two_point_closed_form():

@@ -16,7 +16,8 @@ from twinfocal.errors import ConfigError, NumericalError, ScanRangeError
 from twinfocal.optics import MicroscopeConfig, airy_radius
 from twinfocal.psf import fwhm, psf_confocal, psf_twin, psf_widefield
 from twinfocal import coincidence, scansim
-from twinfocal.coincidence import Delta, DispersionModel, Slit, TwoPoint, Raster, amplitude
+from twinfocal.coincidence import (Delta, DispersionModel, QuadratureSpec, Raster, Slit,
+                                    TwoPoint, amplitude)
 from twinfocal.scansim import (
     Grid,
     Instrument,
@@ -198,15 +199,18 @@ def test_thread_count_determinism(monkeypatch):
     cases = [
         (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33), Slit(width=2e-7), {}),
         (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33), TwoPoint(2.5e-7), {}),
+        (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33),
+         Raster(pitch=1.5e-7, grid=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5j, 0.0, 1.0]])),
+         {"quad": QuadratureSpec(radial_nodes=16)}),
         (twin_grid, TwoPoint(2.5e-7), {"t12": 0.5 * OPEN_WINDOW, "disp": OPEN_DISP}),
         (line_plan(Instrument.CONFOCAL, half_range=6e-7, samples=33), TwoPoint(2.5e-7), {}),
     ]
-    for plan, sample, gating in cases:
+    for plan, sample, options in cases:
         monkeypatch.delenv("TWINFOCAL_THREADS", raising=False)
-        baseline = scan(plan, CFG8, sample, **gating)
+        baseline = scan(plan, CFG8, sample, **options)
         for setting in ("2", "5", "0"):
             monkeypatch.setenv("TWINFOCAL_THREADS", setting)
-            image = scan(plan, CFG8, sample, **gating)
+            image = scan(plan, CFG8, sample, **options)
             assert np.array_equal(image.values, baseline.values)
             assert image.peak_value_raw == baseline.peak_value_raw
 

@@ -1,12 +1,15 @@
 """Bessel and Airy-amplitude evaluation accuracy and identities."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import reference_j0, reference_j1, reference_jn
 
+from twinfocal import specfun
 from twinfocal.specfun import airy_amp, bessel_j0, bessel_j1
 
 # Classic frozen values (series-verified to 50 digits by the reference
@@ -33,16 +36,21 @@ def test_first_zeros():
 
 def test_accuracy_against_reference_series_both_branches():
     """Absolute error <= 1e-12 across [0, 50], covering the series branch,
-    the asymptotic branch, and the switchover at |x| = 12."""
+    the asymptotic branch, and the switchover at |x| = 12 with the doubles
+    on either side of it."""
     xs = np.concatenate([
-        np.linspace(0.0, 50.0, 401),
-        np.array([11.999999999, 12.0, 12.000000001, 11.5, 12.5]),
+        np.linspace(0.0, 50.0, 2001),
+        np.array([11.999999999, np.nextafter(12.0, 0.0), 12.0,
+                  np.nextafter(12.0, 13.0), 12.000000001, 11.5, 12.5]),
     ])
     j0 = bessel_j0(xs)
     j1 = bessel_j1(xs)
-    for x, v0, v1 in zip(xs, j0, j1):
+    amp = airy_amp(xs)
+    for x, v0, v1, a in zip(xs, j0, j1, amp):
+        r1 = reference_j1(float(x))
         assert abs(v0 - reference_j0(float(x))) <= 1e-12
-        assert abs(v1 - reference_j1(float(x))) <= 1e-12
+        assert abs(v1 - r1) <= 1e-12
+        assert abs(a - (2.0 * r1 / x if x else 1.0)) <= 1e-12
 
 
 def test_recurrence_identity():
@@ -74,6 +82,8 @@ def test_parity():
 
 def test_airy_amp_basics():
     assert airy_amp(0.0) == 1.0
+    for tiny in (5e-324, 1e-300, 1e-8, 1e-4):
+        assert airy_amp(tiny) <= 1.0 and airy_amp(-tiny) <= 1.0
     vs = np.linspace(0.0, 100.0, 4001)
     vals = airy_amp(vs)
     assert np.all(np.abs(vals) <= 1.0)
@@ -81,6 +91,29 @@ def test_airy_amp_basics():
     inner = vs[1:]
     assert np.allclose(airy_amp(inner), 2.0 * bessel_j1(inner) / inner,
                        rtol=0.0, atol=1e-15)
+
+
+def test_values_do_not_depend_on_the_array_around_them():
+    """Fixed-degree evaluation: scalar, whole-array and chunked evaluation
+    give identical bits, so scans are bit-identical for any chunking."""
+    xs = np.linspace(0.0, 50.0, 20001)
+    for fn in (airy_amp, bessel_j0, bessel_j1):
+        whole = fn(xs)
+        chunked = np.concatenate([fn(xs[:7919]), fn(xs[7919:])])
+        scalars = np.array([fn(float(x)) for x in xs])
+        assert whole.tobytes() == chunked.tobytes()
+        assert whole.tobytes() == scalars.tobytes()
+
+
+def test_tables_match_their_generator():
+    """The committed coefficient tables are exactly what
+    scripts/make_specfun_tables.py builds."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_specfun_tables.py"
+    spec = importlib.util.spec_from_file_location("make_specfun_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name, table in module.build_tables().items():
+        assert getattr(specfun, name) == table, name
 
 
 def test_scalar_and_array_return_types():
