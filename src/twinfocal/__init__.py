@@ -25,7 +25,6 @@ from .optics import (
     sigma_p_sq,
 )
 from .psf import (
-    RadialProfile,
     fwhm,
     psf_confocal,
     psf_twin,
@@ -79,7 +78,6 @@ __all__ = [
     "pump_focus",
     "r0",
     "sigma_p_sq",
-    "RadialProfile",
     "fwhm",
     "psf_confocal",
     "psf_twin",

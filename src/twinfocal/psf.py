@@ -22,18 +22,16 @@ renormalization is applied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ScanRangeError
+from .errors import ScanRangeError
 from .coincidence import kernel_field
 from .optics import MicroscopeConfig
 from .specfun import airy_amp
 
 __all__ = [
-    "RadialProfile",
     "psf_widefield",
     "psf_confocal",
     "psf_twin",
@@ -69,7 +67,8 @@ def psf_confocal(y, cfg: MicroscopeConfig):
     """Confocal intensity response: the widefield amplitude to the fourth power."""
     arr = _check_offsets(y)
     amp = airy_amp(2.0 * math.pi * cfg.a * arr / (cfg.lambda_o * cfg.f))
-    out = amp**4
+    intensity = amp * amp
+    out = intensity * intensity
     return float(out) if np.ndim(y) == 0 else out
 
 
@@ -95,46 +94,21 @@ def psf_twin(y, cfg: MicroscopeConfig):
 # width metrics
 # ============================================================================
 
-@dataclass(frozen=True, eq=False)
-class RadialProfile:
-    """Peak-normalized intensity samples along non-negative scan offsets."""
-
-    offsets: np.ndarray
-    intensity: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        offs = np.asarray(self.offsets, dtype=float)
-        vals = np.asarray(self.intensity, dtype=float)
-        object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "intensity", vals)
-        if offs.ndim != 1 or offs.shape != vals.shape:
-            raise ConfigError("profile needs two equal-length 1D arrays")
-        if offs[0] != 0.0 or np.any(np.diff(offs) <= 0.0):
-            raise ConfigError("profile offsets must increase strictly from 0")
-        if abs(vals[0] - 1.0) > 1e-12:
-            raise ConfigError("profile must be peak-normalized: intensity[0] = 1")
-        if np.any(~np.isfinite(vals)) or np.any(vals < 0.0) or np.any(vals > 1.0 + 1e-12):
-            raise ConfigError("profile intensities must be finite and within [0, 1]")
-
-
-def fwhm(profile: RadialProfile | Callable[[float], float], scan_range: float | None = None) -> float:
+def fwhm(profile: Callable[[float], float], scan_range: float | None = None) -> float:
     """Full width at half maximum of a peak-normalized radial intensity.
 
     Returns ``2 * y_half`` where ``y_half`` is the smallest positive
     offset at which the intensity crosses 0.5, found by bracketing on a
-    coarse grid (>= 2048 points over the range) and bisecting to 1e-8
+    coarse grid (2048 points over the range) and bisecting to 1e-8
     relative.  Re-crossings from sidelobes beyond the first crossing are
     ignored.
 
     Parameters
     ----------
-    profile : RadialProfile or callable
-        Either a sampled profile (its own offset range is used) or a
-        callable intensity of a non-negative offset, in which case
-        ``scan_range`` is required.
-    scan_range : float, optional
-        Upper end of the search interval [0, scan_range] for callables.
+    profile : callable
+        Intensity of a non-negative offset.
+    scan_range : float
+        Upper end of the search interval [0, scan_range]; required.
 
     Raises
     ------
@@ -142,30 +116,22 @@ def fwhm(profile: RadialProfile | Callable[[float], float], scan_range: float | 
         If the intensity never reaches 0.5 inside the range; widen the
         scan range.
     """
-    if isinstance(profile, RadialProfile):
-        offsets, values = profile.offsets, profile.intensity
-        span = float(offsets[-1])
-        func = lambda t: float(np.interp(t, offsets, values))  # noqa: E731
-        grid_n = max(_FWHM_GRID, 4 * offsets.size)
-    elif callable(profile):
-        if scan_range is None:
-            raise ValueError("scan_range is required for callable intensities")
-        if not (scan_range > 0.0) or not math.isfinite(scan_range):
-            raise ValueError("scan_range must be positive and finite")
-        span = float(scan_range)
-        func = profile
-        grid_n = _FWHM_GRID
-    else:
-        raise TypeError("profile must be a RadialProfile or a callable")
+    if not callable(profile):
+        raise TypeError("profile must be a callable")
+    if scan_range is None:
+        raise ValueError("scan_range is required")
+    if not (scan_range > 0.0) or not math.isfinite(scan_range):
+        raise ValueError("scan_range must be positive and finite")
+    span = float(scan_range)
 
-    if abs(func(0.0) - 1.0) > 1e-9:
+    if abs(profile(0.0) - 1.0) > 1e-9:
         raise ValueError("intensity must be peak-normalized to 1 at y = 0")
 
-    grid = np.linspace(0.0, span, grid_n)
+    grid = np.linspace(0.0, span, _FWHM_GRID)
     lo = 0.0
     hi = None
     for t in grid[1:]:
-        value = func(float(t))
+        value = profile(float(t))
         if value < 0.5:
             hi = float(t)
             break
@@ -176,7 +142,7 @@ def fwhm(profile: RadialProfile | Callable[[float], float], scan_range: float | 
         )
     while (hi - lo) > _FWHM_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if func(mid) < 0.5:
+        if profile(mid) < 0.5:
             hi = mid
         else:
             lo = mid

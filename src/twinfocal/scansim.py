@@ -12,8 +12,10 @@ Every scan goes through ``coincidence.sample_amplitudes``.  Point samples
 (``Delta``, ``TwoPoint``) are evaluated as arrays, one kernel call per
 point over a chunk of offsets: the twin rate is ``|sum_k K(p_k - y)|^2``,
 the classical image ``sum_k PSF(|p_k - y|)``.  Extended samples (slit,
-grating, raster) are integrated offset by offset.  A twin chunk whose
-gate is closed does no kernel work.
+grating, raster) are integrated for a chunk of offsets at once, each
+quadrature pass in kernel calls of a bounded number of points
+(``coincidence.integrate_sample``).  A twin chunk whose gate is closed
+does no kernel work.
 Scans are limited to 2**20 offsets; larger plans are rejected with a
 ``ConfigError`` when the ``Line`` or ``Grid`` is built.
 
@@ -21,10 +23,10 @@ Parallelism: the offsets are cut into contiguous chunks, one per thread,
 and rejoined in index order.  The thread count comes from the
 TWINFOCAL_THREADS environment variable (unset or empty means 1; 0 means
 one per CPU) and is clamped to the CPU count and to the number of
-offsets.  Results are bit-identical for every thread count: extended
-samples are computed offset by offset, point samples a chunk at a time,
-and the special functions evaluate every element at a fixed degree, so
-no value depends on the other elements of its array.
+offsets.  Results are bit-identical for every thread count: the special
+functions evaluate every element at a fixed degree, so no value depends
+on the other elements of its array, and an extended sample's panel sums
+for one offset do not depend on which kernel call evaluated them.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
         kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
     else:
         response = _instrument_psf(plan.instrument)
-        kern = lambda vx, vy: response(np.hypot(vx, vy), cfg)  # noqa: E731
+        kern = lambda vx, vy: response(np.sqrt(vx * vx + vy * vy), cfg)  # noqa: E731
 
     def evaluate(chunk: np.ndarray) -> np.ndarray:
         if not twin:

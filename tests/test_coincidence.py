@@ -414,6 +414,51 @@ def test_far_tail_offset_converges_with_one_more_doubling(monkeypatch):
         amplitude(offset, CFG8, sample, spec)
 
 
+def test_kernel_calls_stay_within_point_budget():
+    """Every pass evaluates the kernel for many panels of many offsets per
+    call, and no call exceeds the point budget unless it holds one panel.
+    The points add up to the per-offset count: nothing is padded."""
+    budget = coincidence._KERNEL_POINT_BUDGET
+    kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
+    offsets = np.column_stack([np.linspace(-6e-7, 6e-7, 9), np.full(9, 1e-7)])
+    grid = np.zeros((4, 4))
+    grid[1, 3] = grid[2, 0] = 1.0
+    cases = [
+        (Slit(2e-7), QuadratureSpec(radial_nodes=16)),
+        (Raster(pitch=2e-7, grid=grid), QuadratureSpec(radial_nodes=12)),
+        (Grating(period=2e-6), QuadratureSpec(angular_nodes=64)),
+        # one fine-pass panel of the slit exceeds the budget
+        (Slit(2e-7), QuadratureSpec(radial_nodes=math.isqrt(budget) // 2 + 1)),
+    ]
+    oversized = []
+    for sample, spec in cases:
+        calls = []
+
+        def recording(vx, vy):
+            calls.append((vx.shape[0], np.broadcast(vx, vy).size))
+            return kern(vx, vy)
+
+        batched = coincidence.integrate_sample(sample, offsets, CFG8, spec, recording)
+        assert all(points <= budget or panels == 1 for panels, points in calls)
+        batched_points = sum(points for _, points in calls)
+        oversized += [points for _, points in calls if points > budget]
+        one_by_one = []
+        per_offset_points = 0
+        for row in offsets:
+            calls.clear()
+            one_by_one.append(coincidence.integrate_sample(sample, row[None, :], CFG8,
+                                                           spec, recording)[0])
+            per_offset_points += sum(points for _, points in calls)
+        assert np.array_equal(batched, np.array(one_by_one))
+        assert batched_points == per_offset_points
+    assert oversized
+    # the slit's coarse pass of all 9 offsets is one call
+    calls.clear()
+    coincidence.integrate_sample(Slit(2e-7), offsets, CFG8,
+                                 QuadratureSpec(radial_nodes=16), recording)
+    assert calls[0] == (9, 9 * 16 * 16)
+
+
 def test_default_truncation_radius_paths():
     # large pump spot (1 mm waist): Airy cut would leave Gaussian mass
     # outside, so the 6 r0 radius wins

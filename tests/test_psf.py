@@ -16,10 +16,9 @@ import pytest
 
 from conftest import reference_airy_intensity, reference_half_crossing
 
-from twinfocal.errors import ConfigError, ScanRangeError
+from twinfocal.errors import ScanRangeError
 from twinfocal.optics import MicroscopeConfig, airy_radius, r0
 from twinfocal.psf import (
-    RadialProfile,
     fwhm,
     psf_confocal,
     psf_twin,
@@ -153,13 +152,6 @@ def test_fwhm_first_crossing_ignores_sidelobes():
     assert width == pytest.approx(2e-7 * math.sqrt(math.log(2.0)), rel=1e-6)
 
 
-def test_fwhm_profile_route_matches_callable_route():
-    ys = np.linspace(0.0, RANGE, 4097)
-    profile = RadialProfile(offsets=ys, intensity=psf_confocal(ys, CFG),
-                            label="confocal")
-    assert fwhm(profile) == pytest.approx(FWHM_CONFOCAL, rel=1e-5)
-
-
 def test_fwhm_errors():
     with pytest.raises(ScanRangeError, match="widen"):
         fwhm(lambda y: 1.0, scan_range=1e-6)
@@ -172,18 +164,6 @@ def test_fwhm_errors():
         fwhm(lambda y: 0.5 * math.exp(-y * y), scan_range=1.0)  # not normalized
     with pytest.raises(TypeError):
         fwhm(3.14)
-
-
-def test_radial_profile_validation():
-    good = np.linspace(0.0, 1e-6, 32)
-    vals = np.exp(-(good / 3e-7) ** 2)
-    RadialProfile(offsets=good, intensity=vals)
-    with pytest.raises(ConfigError):
-        RadialProfile(offsets=good + 1e-9, intensity=vals)
-    with pytest.raises(ConfigError):
-        RadialProfile(offsets=good, intensity=0.5 * vals)
-    with pytest.raises(ConfigError):
-        RadialProfile(offsets=good, intensity=vals[:-1])
 
 
 def test_width_reduction():

@@ -12,12 +12,12 @@ Frozen two-point resolution limits (meters) for a 12 mm pump waist at a
 import numpy as np
 import pytest
 
-from twinfocal.errors import ConfigError, NumericalError, ScanRangeError
+from twinfocal.errors import ConfigError, NumericalError, QuadratureError, ScanRangeError
 from twinfocal.optics import MicroscopeConfig, airy_radius
 from twinfocal.psf import fwhm, psf_confocal, psf_twin, psf_widefield
 from twinfocal import coincidence, scansim
-from twinfocal.coincidence import (Delta, DispersionModel, QuadratureSpec, Raster, Slit,
-                                    TwoPoint, amplitude)
+from twinfocal.coincidence import (Delta, DispersionModel, Grating, QuadratureSpec, Raster,
+                                    Slit, TwoPoint, amplitude, kernel_field)
 from twinfocal.scansim import (
     Grid,
     Instrument,
@@ -188,6 +188,40 @@ def test_batched_two_point_scan_matches_per_offset_amplitude():
         assert np.allclose(batched, per_offset, rtol=1e-14, atol=0)
 
 
+def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
+    """A twin grid of the far-tail raster of the coincidence tests: the
+    offset (-0.9, -1.5) um needs the second node doubling while the
+    offsets evaluated beside it pass the first.  Each offset still gets
+    the value of its own one-offset integral, and the scan evaluates the
+    same kernel points: only the failing offsets are refined again."""
+    grid = np.zeros((4, 4))
+    grid[1, 3] = grid[2, 0] = 1.0
+    sample = Raster(pitch=2e-7, grid=grid)
+    spec = QuadratureSpec(radial_nodes=12)
+    geometry = Grid(half_range_x=1.5e-6, half_range_y=1.5e-6, nx=16, ny=16)
+    offsets = geometry.offsets()
+    assert np.any(np.all(np.abs(offsets - (-9e-7, -1.5e-6)) < 1e-15, axis=1))
+    points = []
+
+    def counting(vx, vy, cfg):
+        points.append(np.broadcast(vx, vy).size)
+        return kernel_field(vx, vy, cfg)
+
+    monkeypatch.setattr(scansim, "kernel_field", counting)
+    monkeypatch.setattr(coincidence, "kernel_field", counting)
+    plan = ScanPlan(geometry=geometry, instrument=Instrument.TWIN_PHOTON)
+    image = scan(plan, CFG8, sample, spec)
+    batched = image.values.ravel() * image.peak_value_raw
+    scan_points = sum(points)
+    points.clear()
+    per_offset = np.array([abs(amplitude(pt, CFG8, sample, spec)) ** 2 for pt in offsets])
+    assert np.allclose(batched, per_offset, rtol=1e-14, atol=0)
+    assert scan_points == sum(points)
+    monkeypatch.setattr(coincidence, "_DOUBLING_CHECKS", 1)
+    with pytest.raises(QuadratureError, match="node"):
+        scan(plan, CFG8, sample, spec)
+
+
 # ----------------------------------------------------------------------------
 # parallelism
 # ----------------------------------------------------------------------------
@@ -196,12 +230,25 @@ def test_thread_count_determinism(monkeypatch):
     twin_grid = ScanPlan(geometry=Grid(half_range_x=6e-7, half_range_y=6e-7,
                                        nx=17, ny=16),
                          instrument=Instrument.TWIN_PHOTON)
+    # shaped like the benchmark's grid job: several kernel calls per
+    # thread chunk, with boundaries that move with the thread count
+    raster_grid = ScanPlan(geometry=Grid(half_range_x=1.5e-6, half_range_y=1.5e-6,
+                                         nx=16, ny=16),
+                           instrument=Instrument.TWIN_PHOTON)
+    border = np.zeros((4, 4))
+    border[0, 1] = border[3, 2] = 1.0
+    complex_raster = Raster(pitch=1.5e-7, grid=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0],
+                                                         [0.5j, 0.0, 1.0]]))
     cases = [
         (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33), Slit(width=2e-7), {}),
         (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33), TwoPoint(2.5e-7), {}),
-        (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33),
-         Raster(pitch=1.5e-7, grid=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5j, 0.0, 1.0]])),
+        (line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33), complex_raster,
          {"quad": QuadratureSpec(radial_nodes=16)}),
+        (raster_grid, Raster(pitch=2e-7, grid=border), {"quad": QuadratureSpec(radial_nodes=12)}),
+        (line_plan(Instrument.CONFOCAL, half_range=6e-7, samples=33), complex_raster,
+         {"quad": QuadratureSpec(radial_nodes=16)}),
+        (line_plan(Instrument.TWIN_PHOTON, half_range=1e-6, samples=33), Grating(period=2e-6),
+         {"quad": QuadratureSpec(angular_nodes=64)}),
         (twin_grid, TwoPoint(2.5e-7), {"t12": 0.5 * OPEN_WINDOW, "disp": OPEN_DISP}),
         (line_plan(Instrument.CONFOCAL, half_range=6e-7, samples=33), TwoPoint(2.5e-7), {}),
     ]
