@@ -80,16 +80,36 @@ square for a slit, one panel per stripe for a grating, one per pixel for
 a raster).  Every amplitude evaluation is repeated with doubled node
 counts; the coarse/fine disagreement is the convergence estimate.  When
 it exceeds the requested tolerance the counts are doubled once more, and
-a ``QuadratureError`` reports the estimate if that pass fails too.  Each
-pass evaluates the kernel over the panels of many scan offsets per call,
-up to a fixed number of kernel points, and judges every offset on its
-own.
+a ``QuadratureError`` reports the estimate if that pass fails too.
+
+Displacement table: every panel of a sample has the same size and nodes,
+so its integral ``Pi(d) = integral over the panel of kern(d + g) dg``
+depends only on the displacement ``d`` of its centre from the offset.
+Both kernels are radial (the twin ``K`` and the classical ``PSF(|v|)``)
+and the Gauss-Legendre nodes are symmetric, so ``Pi`` depends only on
+``(|dx|, |dy|)``, sorted for square panels.  ``integrate_sample`` builds
+one table of these canonical displacements for all offsets of a scan,
+evaluates each quadrature pass once per table row, and assembles each
+offset's sum ``sum_p w_p Pi[row_p]`` in the panel order of that offset.
+Node doubling is still judged per offset, and only the rows of the
+offsets that fail are refined again.  The keys are the displacements
+rounded to multiples of a quantum, ``2**-48`` of the larger panel
+half-side, a few ulps, and each row is evaluated at its rounded value:
+offsets that lie on the lattice of a raster only up to an ulp or two
+then share rows, and values move by about 1e-14 of the peak against
+integrating every panel at its exact displacement.  What stays exact: a
+value depends on its key alone, so a scan is bit-identical for any
+number of threads or split of the rows and equal bit for bit to
+one-offset ``amplitude`` calls; the convergence rule and the
+``QuadratureError`` (first failing offset, in the order given) are the
+same as for one offset at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
@@ -133,6 +153,17 @@ _DOUBLING_CHECKS = 2
 # one-offset-at-a-time evaluation (8 pixels at 96 x 96 nodes), it was the
 # fastest of 9 216 to 73 728 points on the twin-photon benchmark study.
 _KERNEL_POINT_BUDGET = 4 * 96 ** 2
+
+# Most kernel points one panel may hold at the last node doubling, about
+# 192 MiB of kernel arrays, like the largest scan; the default grating
+# stripe needs 192 x 1536 = 294 912.  Peak memory per point is the
+# tracemalloc peak of one 512 x 512 panel of the twin kernel.
+_MAX_PANEL_POINTS = 1 << 21
+_BYTES_PER_KERNEL_POINT = 96
+
+# Panel displacements are keyed in multiples of this fraction of the larger
+# panel half-side, a few ulps (see "Displacement table" above).
+_KEY_QUANTUM = 2.0 ** -48
 
 
 # ============================================================================
@@ -369,10 +400,21 @@ class QuadratureSpec:
     target_rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.radial_nodes < 8 or self.angular_nodes < 8:
+        counts = (self.radial_nodes, self.angular_nodes)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts):
+            raise ConfigError("quadrature node counts must be integers")
+        if min(counts) < 8:
             raise ConfigError("quadrature node counts must be at least 8")
-        if self.truncation_radius is not None and not (self.truncation_radius > 0.0):
-            raise ConfigError("truncation radius must be positive")
+        # the largest panel (a grating stripe, or a square) at the last doubling
+        points = (2 ** _DOUBLING_CHECKS) ** 2 * self.radial_nodes * max(counts)
+        if points > _MAX_PANEL_POINTS:
+            raise ConfigError(
+                f"quadrature of {points} kernel points per panel at the last node doubling "
+                f"exceeds the limit of {_MAX_PANEL_POINTS}; evaluating one panel would need "
+                f"about {points * _BYTES_PER_KERNEL_POINT / 2**20:,.0f} MiB")
+        if self.truncation_radius is not None and not (
+                self.truncation_radius > 0.0 and math.isfinite(self.truncation_radius)):
+            raise ConfigError("truncation radius must be positive and finite")
         if not (self.target_rel_tol > 0.0):
             raise ConfigError("target relative tolerance must be positive")
 
@@ -381,12 +423,6 @@ class QuadratureSpec:
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
     return np.polynomial.legendre.leggauss(n)
-
-
-def _gl_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    base, weights = _gl_nodes(n)
-    half = 0.5 * (b - a)
-    return a + half * (base + 1.0), half * weights
 
 
 def _twin_alphas(cfg: MicroscopeConfig) -> tuple[float, float]:
@@ -453,34 +489,52 @@ class _Panels:
     n_x: int
     n_y: int
 
-    def select(self, keep: np.ndarray) -> "_Panels":
-        """The panels of the offsets where ``keep`` is true."""
-        rows = np.repeat(keep, self.counts)
-        return replace(self, x=self.x[rows], y=self.y[rows], weight=self.weight[rows],
-                       counts=self.counts[keep])
 
-
-def _panel_sum(panels: _Panels, weight: np.ndarray, offsets: np.ndarray,
+def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
                n_x: int, n_y: int, kern) -> np.ndarray:
-    """Integral of ``weight * kern(u - y)`` over each offset's panels, at
-    every scan offset ``y`` (rows of ``offsets``).
+    """Integral of ``kern(d + g)`` over the centred panel ``|g_x| <= half_x``,
+    ``|g_y| <= half_y``, at every displacement ``d`` (rows of ``points``).
 
-    One ``kern`` call covers as many consecutive panels, of any offsets,
-    as fit in ``_KERNEL_POINT_BUDGET`` points, and at least one panel.
-    An offset's sum does not depend on how its panels were grouped.
+    One ``kern`` call covers as many consecutive rows as fit in
+    ``_KERNEL_POINT_BUDGET`` points, and at least one.  A row's value does
+    not depend on how the rows were grouped.
     """
-    gx, gwx = _gl_on(-panels.half_x, panels.half_x, n_x)
-    gy, gwy = _gl_on(-panels.half_y, panels.half_y, n_y)
-    shift = np.repeat(offsets, panels.counts, axis=0)
+    base_x, wx = _gl_nodes(n_x)
+    base_y, wy = _gl_nodes(n_y)
+    gx, gy = half_x * base_x, half_y * base_y
     step = max(1, _KERNEL_POINT_BUDGET // (n_x * n_y))
-    per_panel = np.concatenate([
-        np.einsum("i,j,kij->k", gwx, gwy, kern(
-            panels.x[lo:lo + step, None, None] + gx[None, :, None] - shift[lo:lo + step, 0, None, None],
-            panels.y[lo:lo + step, None, None] + gy[None, None, :] - shift[lo:lo + step, 1, None, None]))
-        for lo in range(0, panels.x.size, step)])
-    ends = np.cumsum(panels.counts)
+    return np.concatenate([
+        np.einsum("i,j,kij->k", half_x * wx, half_y * wy, kern(
+            points[lo:lo + step, 0, None, None] + gx[None, :, None],
+            points[lo:lo + step, 1, None, None] + gy[None, None, :]))
+        for lo in range(0, points.shape[0], step)])
+
+
+def _displacement_table(panels: _Panels, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct canonical displacements ``(|dx|, |dy|)`` of a scan's
+    panels from their offsets, one per row, and the row of every panel.
+
+    The pair is sorted for square panels.  Both are rounded to multiples
+    of ``_KEY_QUANTUM`` times the larger half-side, and a row holds those
+    multiples, so the value of a row depends on its key alone.
+    """
+    shift = np.repeat(offsets, panels.counts, axis=0)
+    ax, ay = np.abs(panels.x - shift[:, 0]), np.abs(panels.y - shift[:, 1])
+    if panels.half_x == panels.half_y and panels.n_x == panels.n_y:
+        ax, ay = np.minimum(ax, ay), np.maximum(ax, ay)
+    quantum = _KEY_QUANTUM * max(panels.half_x, panels.half_y)
+    keys, rows = np.unique(np.rint(ax / quantum) + 1j * np.rint(ay / quantum),
+                           return_inverse=True)
+    return np.column_stack([keys.real, keys.imag]) * quantum, rows.reshape(-1)
+
+
+def _offset_sums(values: np.ndarray, weight: np.ndarray, rows: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """``sum_p weight_p values[rows_p]`` over the panels of each offset."""
+    per_panel = values[rows]
+    ends = np.cumsum(counts)
     return np.array([np.dot(weight[a:b], per_panel[a:b])
-                     for a, b in zip(ends - panels.counts, ends)], dtype=complex)
+                     for a, b in zip(ends - counts, ends)], dtype=complex)
 
 
 def _sample_panels(sample: SampleTransmittance, offsets: np.ndarray,
@@ -527,16 +581,22 @@ def _sample_panels(sample: SampleTransmittance, offsets: np.ndarray,
 
 def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
                      cfg: MicroscopeConfig, quad: QuadratureSpec, kern,
-                     coherent: bool = True) -> np.ndarray:
+                     coherent: bool = True, map_rows=None) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` over the sample plane at every
     scan offset ``y`` (rows of ``offsets``).
 
-    Each pass evaluates the kernel over the panels of many offsets per
-    call (``_panel_sum``), and convergence is judged per offset.  The
-    integral is evaluated once with the requested node counts and once
-    with both counts doubled; the doubled result is kept where the
-    disagreement between the passes stays within ``10 * target_rel_tol``
-    of the result scale.  The offsets that miss it are refined again: the
+    Each pass integrates the kernel over one panel at every distinct
+    displacement of the scan (``_displacement_table``), and each offset's
+    sum is assembled from those panel integrals.  ``map_rows(func, points)``
+    may apply ``func`` to chunks of the displacement rows, in order, and
+    concatenate the results (threads in ``scansim.scan``); by default one
+    call covers them all.
+
+    Convergence is judged per offset.  The integral is evaluated once with
+    the requested node counts and once with both counts doubled; the
+    doubled result is kept where the disagreement between the passes stays
+    within ``10 * target_rel_tol`` of the result scale.  The offsets that
+    miss it are refined again, through the rows of their own panels: the
     doubled pass becomes the coarse one and the counts are doubled once
     more, up to ``_DOUBLING_CHECKS`` checks, after which a
     ``QuadratureError`` is raised for the first offset, in the order
@@ -548,14 +608,26 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
     result = np.zeros(offsets.shape[0], dtype=complex)
     if panels.x.size == 0:
         return result
+    points, rows = _displacement_table(panels, offsets)
+    map_rows = map_rows or (lambda func, items: func(items))
+
+    def table(kernel, n_x: int, n_y: int, needed: np.ndarray) -> np.ndarray:
+        values = map_rows(lambda chunk: _panel_sum(chunk, panels.half_x, panels.half_y,
+                                                   n_x, n_y, kernel), points[needed])
+        full = np.zeros(points.shape[0], dtype=values.dtype)
+        full[needed] = values
+        return full
+
+    weight, counts = panels.weight, panels.counts
     n_x, n_y = panels.n_x, panels.n_y
-    coarse = _panel_sum(panels, panels.weight, offsets, n_x, n_y, kern)
+    needed = np.ones(points.shape[0], dtype=bool)
+    coarse = _offset_sums(table(kern, n_x, n_y, needed), weight, rows, counts)
     abs_kern = lambda vx, vy: np.abs(kern(vx, vy))  # noqa: E731
-    mass = _panel_sum(panels, np.abs(panels.weight), offsets, n_x, n_y, abs_kern).real
+    mass = _offset_sums(table(abs_kern, n_x, n_y, needed), np.abs(weight), rows, counts).real
     pending = np.arange(offsets.shape[0])
     for _ in range(_DOUBLING_CHECKS):
         n_x, n_y = 2 * n_x, 2 * n_y
-        fine = _panel_sum(panels, panels.weight, offsets, n_x, n_y, kern)
+        fine = _offset_sums(table(kern, n_x, n_y, needed), weight, rows, counts)
         scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
         error = np.abs(fine - coarse)
         done = (scale == 0.0) | (error <= 10.0 * quad.target_rel_tol * scale)
@@ -564,8 +636,11 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
             return result
         keep = ~done
         moved = error[keep] / scale[keep]
-        panels, offsets, pending = panels.select(keep), offsets[keep], pending[keep]
-        coarse, mass = fine[keep], mass[keep]
+        kept_panels = np.repeat(keep, counts)
+        weight, rows, counts = weight[kept_panels], rows[kept_panels], counts[keep]
+        needed = np.zeros(points.shape[0], dtype=bool)
+        needed[rows] = True
+        pending, coarse, mass = pending[keep], fine[keep], mass[keep]
     raise QuadratureError(
         "amplitude quadrature did not converge: node doubling moved the "
         f"result by {moved[0]:.3e} relative "
@@ -614,20 +689,21 @@ def point_sum(points: np.ndarray, offsets: np.ndarray, kern) -> np.ndarray:
 
 def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
                       cfg: MicroscopeConfig, quad: QuadratureSpec, kern,
-                      coherent: bool = True) -> np.ndarray:
+                      coherent: bool = True, map_rows=None) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` at every scan offset ``y`` (rows
     of ``offsets``).
 
     Point samples are summed over all offsets at once (``point_sum``);
     extended ones are integrated over all offsets together
-    (``integrate_sample``).  With the twin kernel the result is the
+    (``integrate_sample``, which hands ``map_rows`` its displacement
+    rows).  With the twin kernel the result is the
     coherent amplitude ``A(y)``; with a classical intensity response and
     ``coherent=False`` it is the incoherent image.
     """
     points = sample_points(sample)
     if points is not None:
         return point_sum(points, offsets, kern)
-    return integrate_sample(sample, offsets, cfg, quad, kern, coherent)
+    return integrate_sample(sample, offsets, cfg, quad, kern, coherent, map_rows)
 
 
 def _twin_amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,

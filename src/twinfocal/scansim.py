@@ -12,21 +12,26 @@ Every scan goes through ``coincidence.sample_amplitudes``.  Point samples
 (``Delta``, ``TwoPoint``) are evaluated as arrays, one kernel call per
 point over a chunk of offsets: the twin rate is ``|sum_k K(p_k - y)|^2``,
 the classical image ``sum_k PSF(|p_k - y|)``.  Extended samples (slit,
-grating, raster) are integrated for a chunk of offsets at once, each
-quadrature pass in kernel calls of a bounded number of points
-(``coincidence.integrate_sample``).  A twin chunk whose gate is closed
-does no kernel work.
+grating, raster) are integrated for all offsets of the scan at once
+(``coincidence.integrate_sample``): each quadrature pass integrates one
+panel at every distinct canonical displacement of the scan, in kernel
+calls of a bounded number of points, and each offset's sum is assembled
+from those.  A twin scan whose gate is closed does no kernel work.
 Scans are limited to 2**20 offsets; larger plans are rejected with a
 ``ConfigError`` when the ``Line`` or ``Grid`` is built.
 
-Parallelism: the offsets are cut into contiguous chunks, one per thread,
-and rejoined in index order.  The thread count comes from the
-TWINFOCAL_THREADS environment variable (unset or empty means 1; 0 means
-one per CPU) and is clamped to the CPU count and to the number of
-offsets.  Results are bit-identical for every thread count: the special
-functions evaluate every element at a fixed degree, so no value depends
-on the other elements of its array, and an extended sample's panel sums
-for one offset do not depend on which kernel call evaluated them.
+Parallelism: the thread count comes from the TWINFOCAL_THREADS
+environment variable (unset or empty means 1; 0 means one per CPU) and
+is clamped to the CPU count and to the number of offsets.  A scan with
+more than one thread starts one pool and uses it for all its work; with
+one thread it starts none.  Point-sample offsets are cut into contiguous
+chunks, one per thread; for extended samples the threads split the rows
+of the displacement table, the unique panel integrals.  Results are
+rejoined in index order and are bit-identical for every thread count:
+the special functions evaluate every element at a fixed degree, so no
+value depends on the other elements of its array, and a table row's
+value depends on its key alone, not on the thread or kernel call that
+evaluated it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
@@ -51,6 +57,7 @@ from .coincidence import (
     gate,
     kernel_field,
     sample_amplitudes,
+    sample_points,
 )
 
 __all__ = [
@@ -96,8 +103,8 @@ class Line:
     samples: int = 129
 
     def __post_init__(self) -> None:
-        norm = math.hypot(*self.direction)
-        if abs(norm - 1.0) > 1e-9:
+        if not all(math.isfinite(c) for c in self.direction) or \
+                abs(math.hypot(*self.direction) - 1.0) > 1e-9:
             raise ConfigError("scan direction must be a unit 2-vector")
         if not (self.half_range > 0.0) or not math.isfinite(self.half_range):
             raise ConfigError("scan half range must be positive and finite")
@@ -187,17 +194,6 @@ def _worker_count(requested: int, cpus: int, tasks: int) -> int:
     return max(1, min(requested, cpus, tasks))
 
 
-def _map_chunked(func: Callable[[np.ndarray], np.ndarray], offsets: np.ndarray) -> np.ndarray:
-    """Apply ``func`` to index-ordered chunks of scan offsets and rejoin."""
-    workers = _worker_count(_thread_count(), os.cpu_count() or 1, offsets.shape[0])
-    if workers == 1:
-        return func(offsets)
-    chunks = np.array_split(offsets, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(func, chunks))
-    return np.concatenate(parts)
-
-
 def _instrument_psf(instrument: Instrument):
     if instrument is Instrument.WIDEFIELD:
         return psf_widefield
@@ -225,19 +221,32 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
         response = _instrument_psf(plan.instrument)
         kern = lambda vx, vy: response(np.sqrt(vx * vx + vy * vy), cfg)  # noqa: E731
 
-    def evaluate(chunk: np.ndarray) -> np.ndarray:
+    def evaluate(chunk: np.ndarray, map_rows=None) -> np.ndarray:
         if not twin:
-            return np.abs(sample_amplitudes(sample, chunk, cfg, quad, kern, coherent=False))
+            return np.abs(sample_amplitudes(sample, chunk, cfg, quad, kern, False, map_rows))
         # The gate is the same at every offset but is evaluated per
         # offset; the benchmark's traced self-check counts these calls.
         gates = 1.0 if disp is None else np.array(
             [gate(t12, disp, cfg.omega_o, cfg.omega_e) for _ in chunk])
         if not np.any(gates):
             return np.zeros(chunk.shape[0])
-        amps = sample_amplitudes(sample, chunk, cfg, quad, kern)
+        amps = sample_amplitudes(sample, chunk, cfg, quad, kern, map_rows=map_rows)
         return gates * (amps.real * amps.real + amps.imag * amps.imag)
 
-    values = _map_chunked(evaluate, offsets)
+    workers = _worker_count(_thread_count(), os.cpu_count() or 1, offsets.shape[0])
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        def map_chunked(func: Callable[[np.ndarray], np.ndarray], items: np.ndarray) -> np.ndarray:
+            """Apply ``func`` to index-ordered chunks of the rows of ``items``,
+            one per thread, and rejoin."""
+            if pool is None:
+                return func(items)
+            chunks = np.array_split(items, min(workers, items.shape[0]))
+            return np.concatenate(list(pool.map(func, chunks)))
+
+        if sample_points(sample) is None:
+            values = evaluate(offsets, map_chunked)
+        else:
+            values = map_chunked(evaluate, offsets)
     peak = float(values.max()) if values.size else 0.0
     if peak > 0.0:
         values = values / peak

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,21 @@ def test_exit_code_config_error(tmp_path):
     code, _, err = run_cli("params", "--config", cfg)
     assert code == 2
     assert "error:" in err
+
+
+def test_scan_rejects_non_finite_truncation_radius(tmp_path):
+    """An infinite radius is refused as a config error, before numpy sees it."""
+    cfg = write_config(tmp_path, "\n".join([
+        "sample.kind = slit",
+        "sample.width = 0.5um",
+        "quadrature.truncation_radius = inf",
+        "scan.samples = 16",
+    ]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli("scan", "--config", cfg)
+    assert code == 2
+    assert "truncation radius must be positive and finite" in err
 
 
 # ----------------------------------------------------------------------------

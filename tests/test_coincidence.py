@@ -119,6 +119,35 @@ def test_quadrature_spec_validation():
         QuadratureSpec(truncation_radius=-1e-6)
     with pytest.raises(ConfigError):
         QuadratureSpec(target_rel_tol=0.0)
+    for radius in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            QuadratureSpec(truncation_radius=radius)
+    with pytest.raises(ConfigError, match="integers"):
+        QuadratureSpec(radial_nodes=48.5)
+    with pytest.raises(ConfigError, match="integers"):
+        QuadratureSpec(angular_nodes=384.0)
+
+
+def test_quadrature_spec_caps_panel_points():
+    """A node count whose last doubling would put more than the cap into
+    one panel is refused when the spec is built, before any kernel is
+    evaluated; the message gives the count and the memory."""
+    cap = coincidence._MAX_PANEL_POINTS
+    with pytest.raises(ConfigError, match=r"16000000000000 kernel points.*MiB"):
+        QuadratureSpec(radial_nodes=10**6)
+    # a grating stripe at the last doubling: 4 radial by 4 angular counts
+    with pytest.raises(ConfigError, match=r"kernel points per panel"):
+        QuadratureSpec(angular_nodes=cap // (16 * 48) + 1)
+    QuadratureSpec(angular_nodes=cap // (16 * 48))
+    with pytest.raises(ConfigError, match=r"kernel points per panel"):
+        QuadratureSpec(radial_nodes=cap // (16 * 384) + 1)
+    QuadratureSpec(radial_nodes=cap // (16 * 384))
+    # a square panel at the last doubling: 4 radial counts squared
+    with pytest.raises(ConfigError, match=r"kernel points per panel"):
+        QuadratureSpec(radial_nodes=math.isqrt(cap // 16) + 1, angular_nodes=8)
+    QuadratureSpec(radial_nodes=math.isqrt(cap // 16), angular_nodes=8)
+    # the largest shipped spec, a default grating stripe: 192 x 1536 points
+    assert 16 * 48 * 384 == 294_912 < cap // 4
 
 
 # ----------------------------------------------------------------------------
@@ -414,24 +443,32 @@ def test_far_tail_offset_converges_with_one_more_doubling(monkeypatch):
         amplitude(offset, CFG8, sample, spec)
 
 
+def table_rows(sample, offsets, spec):
+    """Distinct canonical panel displacements of a scan of ``sample``."""
+    panels = coincidence._sample_panels(sample, offsets, CFG8, spec, True)
+    return coincidence._displacement_table(panels, offsets)[0].shape[0]
+
+
 def test_kernel_calls_stay_within_point_budget():
-    """Every pass evaluates the kernel for many panels of many offsets per
+    """Every pass evaluates the kernel for many panel displacements per
     call, and no call exceeds the point budget unless it holds one panel.
-    The points add up to the per-offset count: nothing is padded."""
+    Each pass covers every distinct displacement of the scan once, and
+    every offset keeps the value of its own one-offset integral."""
     budget = coincidence._KERNEL_POINT_BUDGET
     kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
     offsets = np.column_stack([np.linspace(-6e-7, 6e-7, 9), np.full(9, 1e-7)])
     grid = np.zeros((4, 4))
     grid[1, 3] = grid[2, 0] = 1.0
     cases = [
-        (Slit(2e-7), QuadratureSpec(radial_nodes=16)),
-        (Raster(pitch=2e-7, grid=grid), QuadratureSpec(radial_nodes=12)),
-        (Grating(period=2e-6), QuadratureSpec(angular_nodes=64)),
+        (Slit(2e-7), QuadratureSpec(radial_nodes=16), 16 * 16),
+        (Raster(pitch=2e-7, grid=grid), QuadratureSpec(radial_nodes=12), 12 * 12),
+        (Grating(period=2e-6), QuadratureSpec(angular_nodes=64), 48 * 64),
         # one fine-pass panel of the slit exceeds the budget
-        (Slit(2e-7), QuadratureSpec(radial_nodes=math.isqrt(budget) // 2 + 1)),
+        (Slit(2e-7), QuadratureSpec(radial_nodes=math.isqrt(budget) // 2 + 1),
+         (math.isqrt(budget) // 2 + 1) ** 2),
     ]
     oversized = []
-    for sample, spec in cases:
+    for sample, spec, panel_points in cases:
         calls = []
 
         def recording(vx, vy):
@@ -440,23 +477,53 @@ def test_kernel_calls_stay_within_point_budget():
 
         batched = coincidence.integrate_sample(sample, offsets, CFG8, spec, recording)
         assert all(points <= budget or panels == 1 for panels, points in calls)
-        batched_points = sum(points for _, points in calls)
+        # coarse, mass and fine passes (1 + 1 + 4 panel sizes) over every
+        # table row; no offset needs a second doubling here
+        assert sum(points for _, points in calls) == 6 * table_rows(sample, offsets, spec) * panel_points
         oversized += [points for _, points in calls if points > budget]
         one_by_one = []
-        per_offset_points = 0
         for row in offsets:
-            calls.clear()
             one_by_one.append(coincidence.integrate_sample(sample, row[None, :], CFG8,
                                                            spec, recording)[0])
-            per_offset_points += sum(points for _, points in calls)
         assert np.array_equal(batched, np.array(one_by_one))
-        assert batched_points == per_offset_points
     assert oversized
-    # the slit's coarse pass of all 9 offsets is one call
+    # the slit's coarse pass of all 9 offsets is one call over the 5
+    # distances |x| of the mirror-symmetric offsets
     calls.clear()
     coincidence.integrate_sample(Slit(2e-7), offsets, CFG8,
                                  QuadratureSpec(radial_nodes=16), recording)
-    assert calls[0] == (9, 9 * 16 * 16)
+    assert calls[0] == (5, 5 * 16 * 16)
+
+
+def test_table_values_match_direct_panel_sums():
+    """Keying panels by rounded canonical displacements moves no panel
+    integral by more than 1e-13 relative to a direct sum at its true
+    displacement, on an on-lattice grid where mathematically equal
+    displacements differ by an ulp or two.  Far out on the Gaussian tail
+    a rounding of a few ulps moves a value by more than that relative to
+    itself (5e-13 on a stripe integral of 2e-118 here), so values there
+    are held to 1e-13 of the largest panel integral instead."""
+    kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
+    xs = np.linspace(-1.5e-6, 1.5e-6, 16)
+    lattice = np.column_stack([np.tile(xs, 16), np.repeat(xs, 16)])
+    line = np.column_stack([np.linspace(-1e-6, 1e-6, 17), np.zeros(17)])
+    grid = np.zeros((4, 4))
+    grid[1, 3] = grid[2, 0] = grid[0, 1] = grid[3, 2] = 1.0
+    cases = [
+        (Raster(pitch=2e-7, grid=grid), lattice, QuadratureSpec(radial_nodes=12)),
+        (Slit(3e-7), line, QuadratureSpec(radial_nodes=16)),
+        (Grating(period=2e-6, duty=0.4), line, QuadratureSpec(angular_nodes=64)),
+    ]
+    for sample, offsets, spec in cases:
+        panels = coincidence._sample_panels(sample, offsets, CFG8, spec, True)
+        points, rows = coincidence._displacement_table(panels, offsets)
+        assert points.shape[0] < rows.size
+        shift = np.repeat(offsets, panels.counts, axis=0)
+        true = np.column_stack([panels.x - shift[:, 0], panels.y - shift[:, 1]])
+        size = (panels.half_x, panels.half_y, panels.n_x, panels.n_y)
+        direct = coincidence._panel_sum(true, *size, kern)
+        table = coincidence._panel_sum(points, *size, kern)[rows]
+        assert np.allclose(table, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())
 
 
 def test_default_truncation_radius_paths():

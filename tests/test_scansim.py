@@ -9,6 +9,8 @@ Frozen two-point resolution limits (meters) for a 12 mm pump waist at a
     widefield  3.657400919612452e-07
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,9 @@ def test_geometry_validation():
         Line(samples=15)
     with pytest.raises(ConfigError):
         Line(direction=(1.0, 1.0))
+    for bad in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ConfigError, match="unit 2-vector"):
+            Line(direction=bad)
     with pytest.raises(ConfigError):
         Line(half_range=0.0)
     with pytest.raises(ConfigError):
@@ -192,8 +197,9 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
     """A twin grid of the far-tail raster of the coincidence tests: the
     offset (-0.9, -1.5) um needs the second node doubling while the
     offsets evaluated beside it pass the first.  Each offset still gets
-    the value of its own one-offset integral, and the scan evaluates the
-    same kernel points: only the failing offsets are refined again."""
+    the value of its own one-offset integral.  The scan evaluates every
+    distinct panel displacement once per pass, and refines only the
+    displacements of the offsets that fail the first check."""
     grid = np.zeros((4, 4))
     grid[1, 3] = grid[2, 0] = 1.0
     sample = Raster(pitch=2e-7, grid=grid)
@@ -213,13 +219,57 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
     image = scan(plan, CFG8, sample, spec)
     batched = image.values.ravel() * image.peak_value_raw
     scan_points = sum(points)
-    points.clear()
-    per_offset = np.array([abs(amplitude(pt, CFG8, sample, spec)) ** 2 for pt in offsets])
-    assert np.allclose(batched, per_offset, rtol=1e-14, atol=0)
-    assert scan_points == sum(points)
+    per_offset, refined = [], []
+    for pt in offsets:
+        points.clear()
+        per_offset.append(abs(amplitude(pt, CFG8, sample, spec)) ** 2)
+        # one kernel call per pass: coarse, mass, fine, and 48 nodes if refined
+        refined.append(len(points) == 4)
+    assert np.allclose(batched, np.array(per_offset), rtol=1e-14, atol=0)
+    panels = coincidence._sample_panels(sample, offsets, CFG8, spec, True)
+    table, rows = coincidence._displacement_table(panels, offsets)
+    refined_rows = np.unique(rows.reshape(-1, 2)[np.array(refined)])
+    assert 0 < refined_rows.size < table.shape[0] < rows.size
+    assert scan_points == 6 * 144 * table.shape[0] + 16 * 144 * refined_rows.size
     monkeypatch.setattr(coincidence, "_DOUBLING_CHECKS", 1)
     with pytest.raises(QuadratureError, match="node"):
         scan(plan, CFG8, sample, spec)
+
+
+def test_mirror_symmetric_scan_evaluates_each_displacement_once(monkeypatch):
+    """A line scan with mirror-symmetric offsets over a point-symmetric
+    raster meets each canonical displacement ``sorted(|dx|, |dy|)`` at
+    several offsets and panels.  Every pass integrates each of them once,
+    across the rows split between threads.  Pitch and offsets are binary
+    fractions, so equal displacements are equal to the last bit."""
+    pitch = 2.0 ** -22
+    grid = np.zeros((4, 4))
+    grid[0, 1] = grid[3, 2] = grid[1, 3] = grid[2, 0] = 1.0
+    sample = Raster(pitch=pitch, grid=grid)
+    geometry = Line(half_range=2.0 ** -20, samples=17)
+    offsets = geometry.offsets()
+    assert np.array_equal(offsets, -offsets[::-1])
+    lit = np.argwhere(grid != 0)
+    centres = np.column_stack([(lit[:, 1] - 1.5) * pitch, (lit[:, 0] - 1.5) * pitch])
+    canonical = {tuple(sorted((abs(cx - ox), abs(cy - oy))))
+                 for ox, oy in offsets for cx, cy in centres}
+    assert len(canonical) < offsets.shape[0] * lit.shape[0] // 2
+    passes = []
+    original = coincidence._panel_sum
+
+    def recording(points, half_x, half_y, n_x, n_y, kern):
+        passes.append((n_x, points))
+        return original(points, half_x, half_y, n_x, n_y, kern)
+
+    monkeypatch.setattr(coincidence, "_panel_sum", recording)
+    monkeypatch.setenv("TWINFOCAL_THREADS", "2")
+    monkeypatch.setattr(scansim.os, "cpu_count", lambda: 2)
+    scan(ScanPlan(geometry=geometry, instrument=Instrument.TWIN_PHOTON), CFG8, sample,
+         QuadratureSpec(radial_nodes=12))
+    assert len(passes) == 6  # coarse and mass at 12 nodes, fine at 24, one chunk per thread
+    for n_x, count in ((12, 2), (24, 1)):
+        rows = [tuple(p) for nodes, points in passes if nodes == n_x for p in points]
+        assert sorted(rows) == sorted(list(canonical) * count)
 
 
 # ----------------------------------------------------------------------------
