@@ -15,6 +15,14 @@ deg rad; times: fs ps s); bare numbers are SI base units.  Unset keys
 fall back to the reference instrument geometry (351 nm pump, degenerate
 702 nm down-conversion, 2 cm apertures and focal lengths, 1 mm waist).
 
+The keys of a section are the fields of the class it builds
+(``sample.rows`` fills the raster's ``grid``), and an unset key takes
+its field's default.  Flags override single keys: ``--out`` sets
+``output.csv``, ``--svg`` ``output.svg``, ``--no-pump-gaussian``
+``microscope.pump_gaussian = false`` and ``--t12`` ``dispersion.t12``;
+each ``scan.*`` key has a same-named flag (``scan.half_range_x`` is
+``--half-range-x``).
+
 Exit codes: 0 success, 2 configuration or validation error, 3 numerical
 failure, 4 I/O error.
 """
@@ -26,7 +34,7 @@ import dataclasses
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,10 +45,8 @@ from .optics import (
     MicroscopeConfig,
     airy_radius,
     crossover_waist,
-    eta0_inv_sq,
     pump_focus,
     r0,
-    sigma_p_sq,
 )
 from .psf import fwhm, psf_confocal, psf_twin, psf_widefield, width_reduction
 from .coincidence import (
@@ -54,7 +60,7 @@ from .coincidence import (
     TwoPoint,
     delay_window,
 )
-from .scansim import Grid, Instrument, Line, ScanPlan, dip_contrast, scan
+from .scansim import _MAX_OFFSETS, Grid, Instrument, Line, ScanPlan, dip_contrast, scan
 
 __all__ = ["RunConfig", "parse_run_config", "main"]
 
@@ -137,7 +143,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(item) for item in items)
 
 
-def _parse_rows(text: str) -> tuple[str, ...]:
+def _parse_rows(text: str) -> np.ndarray:
     rows = [row.strip() for row in text.split(";") if row.strip()]
     if not rows:
         raise ValueError("expected semicolon-separated rows of 0/1 digits")
@@ -145,63 +151,76 @@ def _parse_rows(text: str) -> tuple[str, ...]:
     for row in rows:
         if len(row) != width or any(ch not in "01" for ch in row):
             raise ValueError("raster rows must be equal-length strings of 0/1")
-    return tuple(rows)
+    return np.array([[float(ch) for ch in row] for row in rows])
 
 
-_SCHEMA: dict[str, Callable[[str], object]] = {
-    "microscope.lambda_p": _parse_length,
-    "microscope.lambda_o": _parse_length,
-    "microscope.lambda_e": _parse_length,
-    "microscope.a": _parse_length,
-    "microscope.f": _parse_length,
-    "microscope.f_p": _parse_length,
-    "microscope.w0": _parse_length,
-    "microscope.s0": _parse_length,
-    "microscope.s1": _parse_length,
-    "microscope.d": _parse_length,
-    "microscope.pump_gaussian": _parse_bool,
-    "sample.kind": _parse_str,
-    "sample.separation": _parse_length,
-    "sample.width": _parse_length,
-    "sample.period": _parse_length,
-    "sample.duty": _parse_float,
-    "sample.pitch": _parse_length,
-    "sample.rows": _parse_rows,
-    "dispersion.n_o": _parse_float_list,
-    "dispersion.n_e": _parse_float_list,
-    "dispersion.psi": _parse_angle,
-    "dispersion.theta_o": _parse_angle,
-    "dispersion.theta_e": _parse_angle,
-    "dispersion.length": _parse_length,
-    "dispersion.t12": _parse_time,
-    "quadrature.radial_nodes": _parse_int,
-    "quadrature.angular_nodes": _parse_int,
-    "quadrature.truncation_radius": _parse_length,
-    "quadrature.target_rel_tol": _parse_float,
-    "scan.instrument": _parse_str,
-    "scan.geometry": _parse_str,
-    "scan.direction": _parse_str,
-    "scan.half_range": _parse_length,
-    "scan.samples": _parse_int,
-    "scan.half_range_x": _parse_length,
-    "scan.half_range_y": _parse_length,
-    "scan.nx": _parse_int,
-    "scan.ny": _parse_int,
-    "scan.threshold": _parse_float,
-    "output.csv": _parse_str,
-    "output.svg": _parse_str,
-    "output.precision": _parse_int,
+def _format_value(value) -> str:
+    """Config text of a typed value; ``_SCHEMA``'s parsers read it back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(repr(float(v)) for v in value)
+    if isinstance(value, np.ndarray):
+        if np.any(value.imag != 0.0) or np.any(~np.isin(value.real, (0.0, 1.0))):
+            raise ConfigError("only binary rasters are representable in config text")
+        return ";".join("".join(str(int(v)) for v in row) for row in value.real)
+    return str(value)
+
+
+# Every config key: its value parser, and the flag that overrides it.
+_SCHEMA: dict[str, tuple[Callable[[str], object], str | None]] = {
+    "microscope.lambda_p": (_parse_length, None),
+    "microscope.lambda_o": (_parse_length, None),
+    "microscope.lambda_e": (_parse_length, None),
+    "microscope.a": (_parse_length, None),
+    "microscope.f": (_parse_length, None),
+    "microscope.f_p": (_parse_length, None),
+    "microscope.w0": (_parse_length, None),
+    "microscope.s0": (_parse_length, None),
+    "microscope.s1": (_parse_length, None),
+    "microscope.d": (_parse_length, None),
+    "microscope.pump_gaussian": (_parse_bool, "--no-pump-gaussian"),
+    "sample.kind": (_parse_str, None),
+    "sample.separation": (_parse_length, None),
+    "sample.width": (_parse_length, None),
+    "sample.period": (_parse_length, None),
+    "sample.duty": (_parse_float, None),
+    "sample.pitch": (_parse_length, None),
+    "sample.rows": (_parse_rows, None),
+    "dispersion.n_o": (_parse_float_list, None),
+    "dispersion.n_e": (_parse_float_list, None),
+    "dispersion.psi": (_parse_angle, None),
+    "dispersion.theta_e": (_parse_angle, None),
+    "dispersion.length": (_parse_length, None),
+    "dispersion.t12": (_parse_time, "--t12"),
+    "quadrature.radial_nodes": (_parse_int, None),
+    "quadrature.angular_nodes": (_parse_int, None),
+    "quadrature.truncation_radius": (_parse_length, None),
+    "quadrature.target_rel_tol": (_parse_float, None),
+    "scan.instrument": (_parse_str, "--instrument"),
+    "scan.geometry": (_parse_str, "--geometry"),
+    "scan.direction": (_parse_str, "--direction"),
+    "scan.half_range": (_parse_length, "--half-range"),
+    "scan.samples": (_parse_int, "--samples"),
+    "scan.half_range_x": (_parse_length, "--half-range-x"),
+    "scan.half_range_y": (_parse_length, "--half-range-y"),
+    "scan.nx": (_parse_int, "--nx"),
+    "scan.ny": (_parse_int, "--ny"),
+    "scan.threshold": (_parse_float, "--threshold"),
+    "output.csv": (_parse_str, "--out"),
+    "output.svg": (_parse_str, "--svg"),
+    "output.precision": (_parse_int, None),
 }
 
-_SAMPLE_REQUIRED = {
-    "delta": (),
-    "two_point": ("sample.separation",),
-    "slit": ("sample.width",),
-    "grating": ("sample.period",),
-    "raster": ("sample.pitch", "sample.rows"),
-}
+_SAMPLE_KINDS = {"delta": Delta, "two_point": TwoPoint, "slit": Slit,
+                 "grating": Grating, "raster": Raster}
 
-_DISPERSION_REQUIRED = ("dispersion.n_o", "dispersion.n_e", "dispersion.psi")
+
+def _key(section: str, name: str) -> str:
+    """Config key of a field; the raster's ``grid`` is ``sample.rows``."""
+    return f"{section}.{'rows' if name == 'grid' else name}"
 
 
 # ============================================================================
@@ -217,7 +236,6 @@ class DispersionSpec:
     n_o: tuple[float, ...]
     n_e: tuple[float, ...]
     psi: float
-    theta_o: float = 0.0
     theta_e: float = 0.0
     length: float = 1e-3
     t12: float | None = None
@@ -232,8 +250,7 @@ class DispersionSpec:
         n_o = lambda w: horner(self.n_o, w)  # noqa: E731
         n_e = lambda w, psi: horner(self.n_e, w)  # noqa: E731
         return DispersionModel(n_o=n_o, n_e=n_e, psi=self.psi,
-                               theta_o=self.theta_o, theta_e=self.theta_e,
-                               L=self.length)
+                               theta_e=self.theta_e, L=self.length)
 
 
 @dataclass(frozen=True)
@@ -249,20 +266,18 @@ class ScanSpec:
     ny: int = 33
     threshold: float = 0.05
 
+    def __post_init__(self) -> None:
+        if not (0.0 < self.threshold < 1.0):
+            raise ConfigError("threshold must lie in (0, 1)")
+
     def build_plan(self) -> ScanPlan:
-        instruments = {
-            "widefield": Instrument.WIDEFIELD,
-            "confocal": Instrument.CONFOCAL,
-            "twin": Instrument.TWIN_PHOTON,
-        }
-        if self.instrument not in instruments:
-            raise ConfigError(f"unknown instrument '{self.instrument}'")
+        try:
+            instrument = Instrument(self.instrument)
+        except ValueError:
+            raise ConfigError(f"unknown instrument '{self.instrument}'") from None
         if self.geometry == "line":
-            if self.direction == "x":
-                direction = (1.0, 0.0)
-            elif self.direction == "y":
-                direction = (0.0, 1.0)
-            else:
+            direction = {"x": (1.0, 0.0), "y": (0.0, 1.0)}.get(self.direction)
+            if direction is None:
                 raise ConfigError(f"unknown scan direction '{self.direction}'")
             geometry: Line | Grid = Line(direction=direction,
                                          half_range=self.half_range,
@@ -273,7 +288,7 @@ class ScanSpec:
                             nx=self.nx, ny=self.ny)
         else:
             raise ConfigError(f"unknown scan geometry '{self.geometry}'")
-        return ScanPlan(geometry=geometry, instrument=instruments[self.instrument])
+        return ScanPlan(geometry=geometry, instrument=instrument)
 
 
 @dataclass(frozen=True)
@@ -285,6 +300,13 @@ class OutputSpec:
     def __post_init__(self) -> None:
         if not (1 <= self.precision <= 17):
             raise ConfigError("output precision must lie in [1, 17]")
+
+
+# The class each config section builds, in config-text order; the sample
+# class is the one ``sample.kind`` names.
+_SECTIONS = {"microscope": MicroscopeConfig, "sample": None,
+             "dispersion": DispersionSpec, "quadrature": QuadratureSpec,
+             "scan": ScanSpec, "output": OutputSpec}
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,129 +322,41 @@ class RunConfig:
         """Canonical config text in SI base units; parsing it back yields
         the same typed values."""
         lines: list[str] = []
-
-        def put(key: str, value) -> None:
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = repr(value)
-            elif isinstance(value, tuple):
-                text = ", ".join(repr(float(v)) for v in value)
-            else:
-                text = str(value)
-            lines.append(f"{key} = {text}")
-
-        m = self.microscope
-        for key in ("lambda_p", "lambda_o", "lambda_e", "a", "f", "f_p",
-                    "w0", "s0", "s1", "d"):
-            put(f"microscope.{key}", getattr(m, key))
-        put("microscope.pump_gaussian", m.pump_gaussian)
-
-        s = self.sample
-        if isinstance(s, Delta):
-            put("sample.kind", "delta")
-        elif isinstance(s, TwoPoint):
-            put("sample.kind", "two_point")
-            put("sample.separation", s.separation)
-        elif isinstance(s, Slit):
-            put("sample.kind", "slit")
-            put("sample.width", s.width)
-        elif isinstance(s, Grating):
-            put("sample.kind", "grating")
-            put("sample.period", s.period)
-            put("sample.duty", s.duty)
-        elif isinstance(s, Raster):
-            grid = s.grid
-            if np.any(grid.imag != 0.0) or np.any(~np.isin(grid.real, (0.0, 1.0))):
-                raise ConfigError("only binary rasters are representable in config text")
-            rows = ";".join("".join(str(int(v)) for v in row) for row in grid.real)
-            put("sample.kind", "raster")
-            put("sample.pitch", s.pitch)
-            put("sample.rows", rows)
-
-        if self.dispersion is not None:
-            d = self.dispersion
-            put("dispersion.n_o", d.n_o)
-            put("dispersion.n_e", d.n_e)
-            put("dispersion.psi", d.psi)
-            put("dispersion.theta_o", d.theta_o)
-            put("dispersion.theta_e", d.theta_e)
-            put("dispersion.length", d.length)
-            if d.t12 is not None:
-                put("dispersion.t12", d.t12)
-
-        q = self.quadrature
-        put("quadrature.radial_nodes", q.radial_nodes)
-        put("quadrature.angular_nodes", q.angular_nodes)
-        if q.truncation_radius is not None:
-            put("quadrature.truncation_radius", q.truncation_radius)
-        put("quadrature.target_rel_tol", q.target_rel_tol)
-
-        sc = self.scan
-        put("scan.instrument", sc.instrument)
-        put("scan.geometry", sc.geometry)
-        put("scan.direction", sc.direction)
-        put("scan.half_range", sc.half_range)
-        put("scan.samples", sc.samples)
-        put("scan.half_range_x", sc.half_range_x)
-        put("scan.half_range_y", sc.half_range_y)
-        put("scan.nx", sc.nx)
-        put("scan.ny", sc.ny)
-        put("scan.threshold", sc.threshold)
-
-        o = self.output
-        if o.csv is not None:
-            put("output.csv", o.csv)
-        if o.svg is not None:
-            put("output.svg", o.svg)
-        put("output.precision", o.precision)
+        for section in _SECTIONS:
+            part = getattr(self, section)
+            if part is None:
+                continue
+            if section == "sample":
+                kind = next(k for k, cls in _SAMPLE_KINDS.items() if type(part) is cls)
+                lines.append(f"{_key(section, 'kind')} = {kind}")
+            for f in dataclasses.fields(part):
+                value = getattr(part, f.name)
+                if value is not None:
+                    lines.append(f"{_key(section, f.name)} = {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
 
-def _collect(raw: dict[str, object], prefix: str) -> dict[str, object]:
-    return {key.split(".", 1)[1]: value
-            for key, value in raw.items() if key.startswith(prefix + ".")}
-
-
-def _build_sample(raw: dict[str, object]) -> SampleTransmittance:
-    kind = str(raw.get("sample.kind", "delta"))
-    if kind not in _SAMPLE_REQUIRED:
-        raise ConfigError(f"unknown sample.kind '{kind}'")
-    for required in _SAMPLE_REQUIRED[kind]:
-        if required not in raw:
-            raise ConfigError(
-                f"missing required key '{required}' for sample.kind={kind}")
-    if kind == "delta":
-        return Delta()
-    if kind == "two_point":
-        return TwoPoint(separation=raw["sample.separation"])
-    if kind == "slit":
-        return Slit(width=raw["sample.width"])
-    if kind == "grating":
-        return Grating(period=raw["sample.period"],
-                       duty=raw.get("sample.duty", 0.5))
-    rows = raw["sample.rows"]
-    grid = np.array([[float(ch) for ch in row] for row in rows])
-    return Raster(pitch=raw["sample.pitch"], grid=grid)
-
-
-def _build_dispersion(raw: dict[str, object]) -> DispersionSpec | None:
-    present = [key for key in raw if key.startswith("dispersion.")]
-    if not present:
-        return None
-    for required in _DISPERSION_REQUIRED:
-        if required not in raw:
-            raise ConfigError(f"missing required key '{required}' "
-                              "when dispersion is configured")
-    return DispersionSpec(
-        n_o=raw["dispersion.n_o"],
-        n_e=raw["dispersion.n_e"],
-        psi=raw["dispersion.psi"],
-        theta_o=raw.get("dispersion.theta_o", 0.0),
-        theta_e=raw.get("dispersion.theta_e", 0.0),
-        length=raw.get("dispersion.length", 1e-3),
-        t12=raw.get("dispersion.t12"),
-    )
+def _build_section(section: str, values: dict[str, object]):
+    """The object a config section builds from the values of its keys;
+    unset fields keep their defaults.  A dispersion section without keys
+    is None."""
+    if section == "sample":
+        kind = values.get(_key(section, "kind"), "delta")
+        if kind not in _SAMPLE_KINDS:
+            raise ConfigError(f"unknown sample.kind '{kind}'")
+        cls, context = _SAMPLE_KINDS[kind], f"for sample.kind={kind}"
+    else:
+        cls, context = _SECTIONS[section], f"when {section} is configured"
+        if section == "dispersion" and not values:
+            return None
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = _key(section, f.name)
+        if key in values:
+            kwargs[f.name] = values[key]
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required key '{key}' {context}")
+    return cls(**kwargs)
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -442,31 +376,15 @@ def parse_run_config(text: str) -> RunConfig:
         if key in raw:
             raise ConfigError(f"config line {line_no}: duplicate key '{key}'")
         try:
-            raw[key] = _SCHEMA[key](value)
+            raw[key] = _SCHEMA[key][0](value)
         except ConfigError:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"config line {line_no}: key '{key}': {exc}") from exc
-
-    microscope = MicroscopeConfig(**_collect(
-        {k: v for k, v in raw.items() if k.startswith("microscope.")}, "microscope"))
-    sample = _build_sample(raw)
-    dispersion = _build_dispersion(raw)
-    quadrature = QuadratureSpec(
-        radial_nodes=raw.get("quadrature.radial_nodes", 48),
-        angular_nodes=raw.get("quadrature.angular_nodes", 384),
-        truncation_radius=raw.get("quadrature.truncation_radius"),
-        target_rel_tol=raw.get("quadrature.target_rel_tol", 1e-8),
-    )
-    scan_spec = ScanSpec(**_collect(
-        {k: v for k, v in raw.items() if k.startswith("scan.")}, "scan"))
-    output = OutputSpec(
-        csv=raw.get("output.csv"),
-        svg=raw.get("output.svg"),
-        precision=raw.get("output.precision", 9),
-    )
-    return RunConfig(microscope=microscope, sample=sample, quadrature=quadrature,
-                     dispersion=dispersion, scan=scan_spec, output=output)
+    return RunConfig(**{
+        section: _build_section(section, {key: value for key, value in raw.items()
+                                          if key.startswith(section + ".")})
+        for section in _SECTIONS})
 
 
 # ============================================================================
@@ -622,10 +540,10 @@ def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
         # Stay inside the first twin sidelobe: beyond ~0.9 Airy radii the
         # sidelobe of the twin response rises over the confocal zero.
         ymax = 0.8 * radius
-    if not (ymax > 0.0):
-        raise ConfigError("ymax must be positive")
-    if points < 2:
-        raise ConfigError("compare needs at least 2 points")
+    if not (0.0 < ymax < math.inf):
+        raise ConfigError("ymax must be positive and finite")
+    if not (2 <= points <= _MAX_OFFSETS):
+        raise ConfigError(f"compare needs 2 to {_MAX_OFFSETS} points, got {points}")
     for w in waists:
         if not (0.0 < w <= cfg.a):
             raise ConfigError("waists must lie in (0, a]")
@@ -767,19 +685,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Twin-photon confocal microscope simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, sections: Sequence[str]) -> None:
+        """--config, and the flag of each key in ``sections`` that has one."""
         p.add_argument("--config", help="path to a key=value config file")
-        p.add_argument("--out", help="write CSV here instead of stdout")
-        p.add_argument("--svg", help="also render an SVG plot to this path")
-        p.add_argument("--no-pump-gaussian", action="store_true",
-                       help="drop the pump-spot Gaussian envelope")
+        for key, (_, flag) in _SCHEMA.items():
+            if flag is None or key.split(".", 1)[0] not in sections:
+                continue
+            if flag.startswith("--no-"):
+                p.add_argument(flag, dest=key, action="store_const", const="false",
+                               help=f"set {key} = false")
+            else:
+                p.add_argument(flag, dest=key, metavar="VALUE", help=f"set {key}")
 
+    # params, compare and sweep read only these sections
+    studied = ("microscope", "output")
     p_params = sub.add_parser("params", help="print derived optical quantities")
-    common(p_params)
+    common(p_params, studied)
 
     p_compare = sub.add_parser("compare",
                                help="tabulate confocal vs twin responses")
-    common(p_compare)
+    common(p_compare, studied)
     p_compare.add_argument("--waists", default="1mm,8mm,12mm",
                            help="comma-separated pump waists (default 1mm,8mm,12mm)")
     p_compare.add_argument("--ymax", default=None,
@@ -787,64 +712,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--points", type=int, default=401)
 
     p_sweep = sub.add_parser("sweep", help="sweep the pump waist")
-    common(p_sweep)
+    common(p_sweep, studied)
     p_sweep.add_argument("--w0-min", default="1mm")
     p_sweep.add_argument("--w0-max", default="2cm")
     p_sweep.add_argument("--steps", type=int, default=20)
 
     p_scan = sub.add_parser("scan", help="scan a sample past an instrument")
-    common(p_scan)
-    p_scan.add_argument("--instrument",
-                        choices=("widefield", "confocal", "twin"))
-    p_scan.add_argument("--geometry", choices=("line", "grid"))
-    p_scan.add_argument("--direction", choices=("x", "y"))
-    p_scan.add_argument("--half-range", dest="half_range")
-    p_scan.add_argument("--samples", type=int)
-    p_scan.add_argument("--half-range-x", dest="half_range_x")
-    p_scan.add_argument("--half-range-y", dest="half_range_y")
-    p_scan.add_argument("--nx", type=int)
-    p_scan.add_argument("--ny", type=int)
-    p_scan.add_argument("--threshold", type=float)
-    p_scan.add_argument("--t12", help="arrival-time offset (e.g. '120 fs')")
+    common(p_scan, tuple(_SECTIONS))
     return parser
 
 
 def _load_run_config(args) -> RunConfig:
-    if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-    else:
-        text = ""
+    """The config file's RunConfig with each given flag's key overridden."""
+    overrides: dict[str, object] = {}
+    for key, (parse, flag) in _SCHEMA.items():
+        given = getattr(args, key, None)
+        if given is not None:
+            try:
+                overrides[key] = parse(given)
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from exc
+    text = Path(args.config).read_text(encoding="utf-8") if args.config is not None else ""
     run = parse_run_config(text)
-    if args.no_pump_gaussian:
-        run = dataclasses.replace(
-            run, microscope=dataclasses.replace(run.microscope,
-                                                pump_gaussian=False))
-    output = run.output
-    if args.out is not None:
-        output = dataclasses.replace(output, csv=args.out)
-    if args.svg is not None:
-        output = dataclasses.replace(output, svg=args.svg)
-    return dataclasses.replace(run, output=output)
-
-
-def _apply_scan_flags(run: RunConfig, args) -> RunConfig:
-    updates: dict[str, object] = {}
-    for name in ("instrument", "geometry", "direction", "samples",
-                 "nx", "ny", "threshold"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    for name in ("half_range", "half_range_x", "half_range_y"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = _parse_length(value)
-    scan_spec = dataclasses.replace(run.scan, **updates) if updates else run.scan
-    dispersion = run.dispersion
-    if args.t12 is not None:
-        if dispersion is None:
-            raise ConfigError("--t12 needs a dispersion section in the config")
-        dispersion = dataclasses.replace(dispersion, t12=_parse_time(args.t12))
-    return dataclasses.replace(run, scan=scan_spec, dispersion=dispersion)
+    for key, value in overrides.items():
+        section, name = key.split(".", 1)
+        part = getattr(run, section)
+        if part is None:
+            raise ConfigError(f"{_SCHEMA[key][1]} needs a {section} section in the config")
+        run = dataclasses.replace(run, **{section: dataclasses.replace(part, **{name: value})})
+    return run
 
 
 def _dispatch(args, stdout, stderr) -> int:
@@ -860,7 +756,7 @@ def _dispatch(args, stdout, stderr) -> int:
         return cmd_sweep(run, _parse_length(args.w0_min),
                          _parse_length(args.w0_max), args.steps, stdout, stderr)
     if args.command == "scan":
-        return cmd_scan(_apply_scan_flags(run, args), stdout, stderr)
+        return cmd_scan(run, stdout, stderr)
     raise ConfigError(f"unknown command {args.command!r}")
 
 

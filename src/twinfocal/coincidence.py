@@ -248,16 +248,15 @@ class DispersionModel:
 
     ``n_o(omega)`` is the ordinary index; ``n_e(omega, psi)`` the
     extraordinary index at propagation angle ``psi`` [rad] from the optic
-    axis.  ``theta_o``/``theta_e`` are the internal emission angles of the
-    ordinary/extraordinary beams from the pump axis and ``L`` the crystal
-    length [m].  No material coefficients ship with the package; callers
+    axis.  ``theta_e`` is the internal emission angle of the
+    extraordinary beam from the pump axis and ``L`` the crystal length
+    [m].  No material coefficients ship with the package; callers
     supply the index functions (e.g. Sellmeier fits).
     """
 
     n_o: Callable[[float], float]
     n_e: Callable[[float, float], float]
     psi: float
-    theta_o: float = 0.0
     theta_e: float = 0.0
     L: float = 1e-3
 
@@ -415,8 +414,10 @@ class QuadratureSpec:
         if self.truncation_radius is not None and not (
                 self.truncation_radius > 0.0 and math.isfinite(self.truncation_radius)):
             raise ConfigError("truncation radius must be positive and finite")
-        if not (self.target_rel_tol > 0.0):
-            raise ConfigError("target relative tolerance must be positive")
+        # Node doubling accepts a discrepancy of 10 * target_rel_tol of the
+        # result scale; at 1 or more it would accept any result.
+        if not (0.0 < 10.0 * self.target_rel_tol < 1.0):
+            raise ConfigError("target relative tolerance must lie in (0, 0.1)")
 
 
 @lru_cache(maxsize=64)

@@ -1,5 +1,6 @@
 """CLI parsing, config round-trips, subcommand output, and exit codes."""
 
+import dataclasses
 import io
 import math
 import random
@@ -12,14 +13,19 @@ import pytest
 
 from twinfocal.errors import ConfigError
 from twinfocal.optics import MicroscopeConfig
-from twinfocal.coincidence import Grating, Raster, Slit, TwoPoint
+from twinfocal.coincidence import Delta, Grating, QuadratureSpec, Raster, Slit, TwoPoint
 from twinfocal.cli import (
+    _SCHEMA,
+    DispersionSpec,
+    OutputSpec,
+    ScanSpec,
     _parse_angle,
     _parse_length,
     _parse_time,
     main,
     parse_run_config,
 )
+from twinfocal.scansim import _MAX_OFFSETS
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -72,6 +78,8 @@ def test_config_parse_errors_name_the_line():
         parse_run_config("microscope.w0 = 1mm\njust words\n")
     with pytest.raises(ConfigError, match="line 1.*unknown key"):
         parse_run_config("microscope.waist = 1mm\n")
+    with pytest.raises(ConfigError, match="line 1: unknown key 'dispersion.theta_o'"):
+        parse_run_config("dispersion.theta_o = 0.1\n")
     with pytest.raises(ConfigError, match="line 3.*duplicate"):
         parse_run_config("microscope.w0 = 1mm\n# fine\nmicroscope.w0 = 2mm\n")
     with pytest.raises(ConfigError, match="line 1"):
@@ -207,9 +215,8 @@ def _random_config(rng: random.Random) -> tuple[str, dict[str, object]]:
                 rng.uniform(-1e-17, 1e-17) for _ in range(rng.randint(0, 2)))
             put(key, coeffs, ", ".join(repr(c) for c in coeffs))
         quantity("dispersion.psi", rng.uniform(0.1, 1.4), angles)
-        for key in ("dispersion.theta_o", "dispersion.theta_e"):
-            if rng.random() < 0.5:
-                quantity(key, rng.uniform(0.0, 0.1), angles)
+        if rng.random() < 0.5:
+            quantity("dispersion.theta_e", rng.uniform(0.0, 0.1), angles)
         if rng.random() < 0.5:
             quantity("dispersion.length", rng.uniform(1e-4, 1e-2), lengths)
         if rng.random() < 0.5:
@@ -276,6 +283,21 @@ def test_round_trip_fuzz():
         with_dispersion += run.dispersion is not None
     assert kinds == {"delta", "two_point", "slit", "grating", "raster"}
     assert 50 < with_dispersion < 150
+
+
+def test_schema_keys_are_the_config_fields():
+    """Each section's keys are the fields of the class it builds."""
+    built = {"microscope": [MicroscopeConfig],
+             "sample": [Delta, TwoPoint, Slit, Grating, Raster],
+             "dispersion": [DispersionSpec], "quadrature": [QuadratureSpec],
+             "scan": [ScanSpec], "output": [OutputSpec]}
+    assert {key.split(".")[0] for key in _SCHEMA} == set(built)
+    for section, classes in built.items():
+        fields = {f.name for cls in classes for f in dataclasses.fields(cls)}
+        if section == "sample":
+            fields = fields - {"grid"} | {"kind", "rows"}
+        keys = {key.split(".", 1)[1] for key in _SCHEMA if key.startswith(section + ".")}
+        assert keys == fields, section
 
 
 # ----------------------------------------------------------------------------
@@ -379,6 +401,25 @@ def test_compare_svg(tmp_path):
     assert "<polyline" in text and text.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ymax", "inf", "ymax must be positive and finite"),
+    ("--points", str(_MAX_OFFSETS + 1), f"got {_MAX_OFFSETS + 1}"),
+])
+def test_compare_rejects_unbounded_range(monkeypatch, flag, value, message):
+    """A non-finite ymax or too many points is refused before any response
+    is evaluated, and before numpy sees the value."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated a response")
+    for name in ("psf_confocal", "psf_twin", "fwhm"):
+        monkeypatch.setattr(f"twinfocal.cli.{name}", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("compare", flag, value)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 # ----------------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------------
@@ -469,6 +510,59 @@ def test_scan_t12_flag_requires_dispersion():
     assert "dispersion" in err
 
 
+_FLAG_VALUES = {"instrument": "confocal", "geometry": "grid", "direction": "y",
+                "half_range": "0.5um", "samples": "40", "half_range_x": "0.3um",
+                "half_range_y": "0.2um", "nx": "20", "ny": "18", "threshold": "0.9"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScanSpec)])
+def test_scan_flag_equals_config_key(tmp_path, name):
+    """``scan --<name> v`` gives the bytes of ``scan.<name> = v`` in the
+    config, and they differ from the run without either."""
+    base = "sample.kind = two_point\nsample.separation = 0.5um\n"
+    if name in ("half_range_x", "half_range_y", "nx", "ny"):
+        base += "scan.geometry = grid\n"
+    value = _FLAG_VALUES[name]
+    plain = write_config(tmp_path, base)
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(base + f"scan.{name} = {value}\n", encoding="utf-8")
+    flag = "--" + name.replace("_", "-")
+    by_flag = run_cli("scan", "--config", plain, flag, value)
+    by_key = run_cli("scan", "--config", str(keyed))
+    assert by_flag[0] == 0
+    assert by_flag == by_key
+    assert by_flag != run_cli("scan", "--config", plain)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threshold", "nan", "threshold must lie in (0, 1)"),
+    ("--threshold", "0", "threshold must lie in (0, 1)"),
+    ("--threshold", "1", "threshold must lie in (0, 1)"),
+    ("--threshold", "-0.5", "threshold must lie in (0, 1)"),
+    ("--instrument", "laser", "unknown instrument 'laser'"),
+    ("--geometry", "ring", "unknown scan geometry 'ring'"),
+    ("--direction", "z", "unknown scan direction 'z'"),
+    ("--samples", "many", "--samples: invalid literal"),
+])
+def test_scan_rejects_bad_flag_values(flag, value, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("scan", flag, value)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_scan_rejects_nan_threshold_key(tmp_path):
+    cfg = write_config(tmp_path, "sample.kind = two_point\nsample.separation = 1um\n"
+                                 "scan.threshold = nan\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli("scan", "--config", cfg)
+    assert code == 2
+    assert "threshold must lie in (0, 1)" in err
+
+
 def test_scan_byte_determinism_across_threads(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "\n".join([
         "sample.kind = slit",
@@ -506,18 +600,33 @@ def test_scan_svg_outputs(tmp_path):
 # exit codes
 # ----------------------------------------------------------------------------
 
+# A grating at 8x8 nodes: node doubling moves it by 0.87 of the result.
+_UNCONVERGED = "\n".join([
+    "sample.kind = grating",
+    "sample.period = 0.5um",
+    "quadrature.radial_nodes = 8",
+    "quadrature.angular_nodes = 8",
+    "scan.samples = 16",
+    "scan.half_range = 0.5um",
+]) + "\n"
+
+
 def test_exit_code_numerical_failure(tmp_path):
-    cfg = write_config(tmp_path, "\n".join([
-        "sample.kind = grating",
-        "sample.period = 0.5um",
-        "quadrature.radial_nodes = 8",
-        "quadrature.angular_nodes = 8",
-        "scan.samples = 16",
-        "scan.half_range = 0.5um",
-    ]) + "\n")
+    cfg = write_config(tmp_path, _UNCONVERGED)
     code, _, err = run_cli("scan", "--config", cfg)
     assert code == 3
     assert "numerical error:" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "0.5"])
+def test_loose_target_tolerance_is_a_config_error(tmp_path, tol):
+    """A tolerance at which node doubling would accept any result is
+    refused, not used to write the unconverged image."""
+    cfg = write_config(tmp_path, _UNCONVERGED + f"quadrature.target_rel_tol = {tol}\n")
+    code, out, err = run_cli("scan", "--config", cfg)
+    assert code == 2
+    assert "target relative tolerance must lie in (0, 0.1)" in err
+    assert out == ""
 
 
 def test_exit_code_io_failure(tmp_path):

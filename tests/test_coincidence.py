@@ -117,8 +117,9 @@ def test_quadrature_spec_validation():
         QuadratureSpec(angular_nodes=0)
     with pytest.raises(ConfigError):
         QuadratureSpec(truncation_radius=-1e-6)
-    with pytest.raises(ConfigError):
-        QuadratureSpec(target_rel_tol=0.0)
+    for tol in (0.0, 0.1, 0.5, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="tolerance"):
+            QuadratureSpec(target_rel_tol=tol)
     for radius in (math.inf, math.nan):
         with pytest.raises(ConfigError, match="finite"):
             QuadratureSpec(truncation_radius=radius)
