@@ -339,7 +339,8 @@ class RunConfig:
 def _build_section(section: str, values: dict[str, object]):
     """The object a config section builds from the values of its keys;
     unset fields keep their defaults.  A dispersion section without keys
-    is None."""
+    is None.  A sample key that the chosen kind does not read is an
+    error."""
     if section == "sample":
         kind = values.get(_key(section, "kind"), "delta")
         if kind not in _SAMPLE_KINDS:
@@ -356,6 +357,10 @@ def _build_section(section: str, values: dict[str, object]):
             kwargs[f.name] = values[key]
         elif f.default is dataclasses.MISSING:
             raise ConfigError(f"missing required key '{key}' {context}")
+    read = {_key(section, name) for name in (*kwargs, "kind")}
+    stray = [key for key in values if key not in read]
+    if stray:
+        raise ConfigError(f"key '{stray[0]}' is not read {context}")
     return cls(**kwargs)
 
 
@@ -501,6 +506,8 @@ def _is_reference_geometry(cfg: MicroscopeConfig) -> bool:
 def cmd_params(run: RunConfig, stdout, stderr) -> int:
     cfg = run.microscope
     precision = run.output.precision
+    if run.output.svg is not None:
+        raise ConfigError("params draws no figure; output.svg (--svg) must not be set")
     focus = pump_focus(cfg)
     radius = airy_radius(cfg)
     range_hint = 4.0 * radius
@@ -508,13 +515,15 @@ def cmd_params(run: RunConfig, stdout, stderr) -> int:
     width_cf = fwhm(lambda y: psf_confocal(y, cfg), scan_range=range_hint)
     width_tw = fwhm(lambda y: psf_twin(y, cfg), scan_range=range_hint)
 
+    lines: list[str] = []
+
     def emit(key: str, value: float) -> None:
-        stdout.write(f"{key} = {_fmt(value, precision)}\n")
+        lines.append(f"{key} = {_fmt(value, precision)}\n")
 
     for name in ("lambda_p", "lambda_o", "lambda_e", "a", "f", "f_p",
                  "w0", "s0", "s1", "d"):
         emit(f"{name}_m", getattr(cfg, name))
-    stdout.write(f"pump_gaussian = {'true' if cfg.pump_gaussian else 'false'}\n")
+    lines.append(f"pump_gaussian = {'true' if cfg.pump_gaussian else 'false'}\n")
     emit("numerical_aperture", cfg.numerical_aperture)
     emit("sigma_p_sq_re_m2", focus.sigma_p_sq.real)
     emit("sigma_p_sq_im_m2", focus.sigma_p_sq.imag)
@@ -528,6 +537,7 @@ def cmd_params(run: RunConfig, stdout, stderr) -> int:
     emit("fwhm_twin_m", width_tw)
     emit("reduction_twin_vs_widefield_pct", width_reduction(width_wf, width_tw))
     emit("reduction_twin_vs_confocal_pct", width_reduction(width_cf, width_tw))
+    _write_text(run.output.csv, "".join(lines), stdout)
     return 0
 
 
@@ -544,6 +554,8 @@ def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
         raise ConfigError("ymax must be positive and finite")
     if not (2 <= points <= _MAX_OFFSETS):
         raise ConfigError(f"compare needs 2 to {_MAX_OFFSETS} points, got {points}")
+    if len(waists) > _MAX_OFFSETS:
+        raise ConfigError(f"compare takes at most {_MAX_OFFSETS} waists, got {len(waists)}")
     for w in waists:
         if not (0.0 < w <= cfg.a):
             raise ConfigError("waists must lie in (0, a]")
@@ -595,8 +607,8 @@ def cmd_sweep(run: RunConfig, w0_min: float, w0_max: float, steps: int,
     precision = run.output.precision
     if not (0.0 < w0_min < w0_max <= cfg.a):
         raise ConfigError("sweep requires 0 < w0-min < w0-max <= a")
-    if steps < 2:
-        raise ConfigError("sweep needs at least 2 steps")
+    if not (2 <= steps <= _MAX_OFFSETS):
+        raise ConfigError(f"sweep needs 2 to {_MAX_OFFSETS} steps, got {steps}")
     range_hint = 4.0 * airy_radius(cfg)
     width_cf = fwhm(lambda y: psf_confocal(y, cfg), scan_range=range_hint)
     rows = []

@@ -13,7 +13,9 @@ focal spot with the free propagation to the crystal.  Both down-converted
 photons traverse the sample at the same transverse point, so distinct
 sample points add coherently in ``A`` before squaring.  For a point-like
 sample ``|K(v)|^2`` is exactly the twin-photon point spread function,
-``exp(-4 |v|^2 / r0^2)`` times the two Airy intensities.
+``exp(-4 |v|^2 / r0^2)`` times the two Airy intensities.  The pump
+envelope of ``K`` is separable in ``v_x`` and ``v_y``, and
+``kernel_field`` evaluates it one component at a time.
 
 Derivation of K
 ---------------
@@ -432,11 +434,21 @@ def _twin_alphas(cfg: MicroscopeConfig) -> tuple[float, float]:
 
 
 def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
-    """Complex coincidence kernel ``K`` at displacement components [m]."""
+    """Complex coincidence kernel ``K`` at displacement components [m].
+
+    The components broadcast against each other.  The pump envelope
+    ``exp(-|v|^2 c / 2)``, ``c = 4 Re(eta0_inv_sq) + i Im(eta0_inv_sq)``,
+    is the product of ``exp(-v_x^2 c / 2)`` and ``exp(-v_y^2 c / 2)``,
+    each evaluated at its own component's shape: a panel grid of
+    ``(k, n, 1)`` by ``(k, 1, n)`` nodes takes ``2 n`` complex
+    exponentials per row, not ``n^2``.  Every value still depends on its
+    own ``(v_x, v_y)`` alone, and on the axis (``v_y = 0``) the second
+    factor is exactly 1.
+    """
     vx = np.asarray(v_x, dtype=float)
     vy = np.asarray(v_y, dtype=float)
-    r_sq = vx * vx + vy * vy
-    radius = np.sqrt(r_sq)
+    xx, yy = vx * vx, vy * vy
+    radius = np.sqrt(xx + yy)
     alpha_o, alpha_e = _twin_alphas(cfg)
     amp_o = airy_amp(alpha_o * radius)
     # a degenerate pair has two equal Airy factors: evaluate it once
@@ -444,7 +456,8 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
     if cfg.pump_gaussian:
         # pump amplitude at the doubled coordinate, undoubled Fresnel phase
         eta = eta0_inv_sq(cfg)
-        return amp * np.exp(-0.5 * r_sq * complex(4.0 * eta.real, eta.imag))
+        c = complex(4.0 * eta.real, eta.imag)
+        return amp * (np.exp(-0.5 * xx * c) * np.exp(-0.5 * yy * c))
     return np.asarray(amp, dtype=complex)
 
 

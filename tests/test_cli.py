@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -93,6 +94,26 @@ def test_config_requires_sample_parameters():
         parse_run_config("sample.kind = hologram\n")
     with pytest.raises(ConfigError, match="dispersion.psi"):
         parse_run_config("dispersion.n_o = 1.6\ndispersion.n_e = 1.55\n")
+
+
+@pytest.mark.parametrize("text, key, kind", [
+    ("sample.kind = slit\nsample.width = 0.2um\nsample.duty = 0.3\n", "sample.duty", "slit"),
+    ("sample.kind = grating\nsample.period = 1um\nsample.width = 0.2um\n",
+     "sample.width", "grating"),
+    ("sample.separation = 1um\n", "sample.separation", "delta"),
+    ("sample.kind = two_point\nsample.separation = 1um\nsample.rows = 01\n",
+     "sample.rows", "two_point"),
+])
+def test_sample_key_the_kind_does_not_read_is_an_error(tmp_path, text, key, kind):
+    """A leftover or misplaced sample key is refused, naming the key and
+    the kind, instead of being dropped."""
+    message = f"key '{key}' is not read for sample.kind={kind}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_run_config(text)
+    code, out, err = run_cli("scan", "--config", write_config(tmp_path, text))
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 def test_config_round_trip_is_typed_identity():
@@ -321,6 +342,32 @@ def test_params_waist_doubling_halves_r0(tmp_path):
     assert "r0_m = 7.900275674e-07" in out
 
 
+def test_params_out_writes_the_report_to_the_file(tmp_path):
+    """``--out`` routes the params report to the file, as for compare and
+    sweep, and leaves stdout empty."""
+    code, expected, _ = run_cli("params")
+    assert code == 0
+    path = tmp_path / "p.csv"
+    code, out, err = run_cli("params", "--out", str(path))
+    assert code == 0
+    assert out == "" and err == ""
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_params_svg_is_a_config_error(tmp_path, monkeypatch):
+    """params draws no figure: a set ``output.svg`` is refused before any
+    width is searched, and no file is written."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched a width")
+    monkeypatch.setattr("twinfocal.cli.fwhm", refuse)
+    code, out, err = run_cli("params", "--out", str(tmp_path / "p.csv"),
+                             "--svg", str(tmp_path / "p.svg"))
+    assert code == 2
+    assert "output.svg" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_params_no_pump_gaussian_flag():
     code, out, _ = run_cli("params", "--no-pump-gaussian")
     assert code == 0
@@ -435,6 +482,22 @@ def test_sweep_reduction_grows_with_waist():
     assert np.all(np.diff(rows[:, 0]) > 0)       # waist ascends
     assert np.all(np.diff(rows[:, 1]) < 0)       # r0 shrinks
     assert np.all(np.diff(rows[:, 3]) > 0)       # reduction grows
+
+
+@pytest.mark.parametrize("command, args", [
+    ("sweep", ("--steps", str(_MAX_OFFSETS + 1))),
+    ("compare", ("--waists", ",".join(["8mm"] * (_MAX_OFFSETS + 1)), "--points", "5")),
+])
+def test_width_searches_are_bounded(monkeypatch, command, args):
+    """More than 2^20 sweep steps or compare waists, one ``fwhm`` each, are
+    refused with the count before any width is searched."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched a width")
+    monkeypatch.setattr("twinfocal.cli.fwhm", refuse)
+    code, out, err = run_cli(command, *args)
+    assert code == 2
+    assert f"got {_MAX_OFFSETS + 1}" in err
+    assert out == ""
 
 
 def test_sweep_rejects_bad_range():

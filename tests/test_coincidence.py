@@ -303,15 +303,51 @@ def test_degenerate_kernel_evaluates_one_airy_factor(monkeypatch):
         calls.clear()
         values = kernel_field(X, Y, cfg)
         assert len(calls) == expected_calls
-        r_sq = X * X + Y * Y
-        radius = np.sqrt(r_sq)
+        radius = np.sqrt(X * X + Y * Y)
         alpha_o, alpha_e = coincidence._twin_alphas(cfg)
         two_calls = np.asarray(airy_amp(alpha_o * radius) * airy_amp(alpha_e * radius),
                                dtype=complex)
         if cfg.pump_gaussian:
-            eta = eta0_inv_sq(cfg)
-            two_calls = two_calls * np.exp(-0.5 * r_sq * complex(4.0 * eta.real, eta.imag))
+            c = _envelope_rate(cfg)
+            two_calls = two_calls * (np.exp(-0.5 * (X * X) * c) * np.exp(-0.5 * (Y * Y) * c))
         assert values.tobytes() == two_calls.tobytes()
+
+
+def _envelope_rate(cfg):
+    """``c`` of the pump envelope ``exp(-|v|^2 c / 2)``: the Gaussian term
+    of ``eta0_inv_sq`` at the doubled coordinate, its phase undoubled."""
+    eta = eta0_inv_sq(cfg)
+    return complex(4.0 * eta.real, eta.imag)
+
+
+def test_kernel_on_panel_grid_equals_flat_call():
+    """The separable envelope keeps every value a function of its own
+    point: a broadcast ``(k, n, 1)`` by ``(k, 1, n)`` panel grid gives the
+    bytes of one flat call at the same points."""
+    rng = np.random.default_rng(20240611)
+    centres = rng.uniform(-2e-6, 2e-6, size=(5, 2))
+    nodes = 0.4e-6 * np.polynomial.legendre.leggauss(24)[0]
+    grid_x = centres[:, 0, None, None] + nodes[None, :, None]
+    grid_y = centres[:, 1, None, None] + nodes[None, None, :]
+    flat_x, flat_y = (a.ravel() for a in np.broadcast_arrays(grid_x, grid_y))
+    for cfg in (CFG8, MicroscopeConfig(w0=1e-3), MicroscopeConfig(w0=8e-3, pump_gaussian=False)):
+        grid = kernel_field(grid_x, grid_y, cfg)
+        assert grid.shape == (5, 24, 24)
+        assert grid.tobytes() == kernel_field(flat_x, flat_y, cfg).tobytes()
+
+
+def test_on_axis_kernel_is_the_unseparated_envelope():
+    """With ``v_y = 0`` the y factor of the envelope is exactly 1, so the
+    kernel is ``amp * exp(-r^2 c / 2)`` byte for byte, and ``psf_twin``
+    (the kernel on the axis) is unchanged by the separation."""
+    ys = np.linspace(-3e-6, 3e-6, 1201)
+    for cfg in (CFG8, MicroscopeConfig(w0=1e-3), MicroscopeConfig(w0=2e-2)):
+        alpha_o, alpha_e = coincidence._twin_alphas(cfg)
+        radius = np.sqrt(ys * ys)
+        amp = airy_amp(alpha_o * radius) * airy_amp(alpha_e * radius)
+        expected = amp * np.exp(-0.5 * (ys * ys) * _envelope_rate(cfg))
+        assert kernel_field(ys, 0.0, cfg).tobytes() == expected.tobytes()
+        assert kernel_field(ys, np.zeros_like(ys), cfg).tobytes() == expected.tobytes()
 
 
 def test_two_point_closed_form():

@@ -53,6 +53,29 @@ def test_accuracy_against_reference_series_both_branches():
         assert abs(a - (2.0 * r1 / x if x else 1.0)) <= 1e-12
 
 
+def test_accuracy_at_the_half_angle_poles():
+    """The Hankel branch forms cos(w) and sin(w) from ``t = tan(w/2)``,
+    which is infinite where ``w = (2m + 1) pi``: at ``x = (2m + 1) pi +
+    pi/4`` for J0 and ``+ 3 pi/4`` for J1.  Every such ``x`` in (12, 50],
+    with the 3 doubles on either side, stays finite and within 1e-12."""
+    for fn, reference, shift in ((bessel_j0, reference_j0, 0.25 * math.pi),
+                                 (bessel_j1, reference_j1, 0.75 * math.pi)):
+        poles = [x for x in (k * math.pi + shift for k in range(1, 17, 2)) if 12.0 < x <= 50.0]
+        assert len(poles) == 6
+        for pole in poles:
+            xs = [pole]
+            for direction in (0.0, 100.0):
+                x = pole
+                for _ in range(3):
+                    x = float(np.nextafter(x, direction))
+                    xs.append(x)
+            values = fn(np.array(xs))
+            assert np.all(np.isfinite(values))
+            for x, value in zip(xs, values):
+                assert abs(value - reference(x)) <= 1e-12
+                assert fn(x) == value
+
+
 def test_recurrence_identity():
     """J0(x) + J2(x) = (2/x) J1(x) on a dense grid."""
     xs = np.linspace(0.1, 30.0, 500)
