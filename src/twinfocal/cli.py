@@ -48,7 +48,7 @@ from .optics import (
     pump_focus,
     r0,
 )
-from .psf import fwhm, psf_confocal, psf_twin, psf_widefield, width_reduction
+from .psf import psf_confocal, psf_twin, psf_widefield, response_fwhm, width_reduction
 from .coincidence import (
     Delta,
     DispersionModel,
@@ -400,11 +400,28 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}e}"
 
 
-def _write_text(path: str | None, text: str, stdout) -> None:
-    if path is None:
-        stdout.write(text)
+# What a subcommand makes: its CSV text, its report lines, and a thunk
+# that renders its figure.
+Results = tuple[str, list[str], Callable[[], str] | None]
+
+
+def _finish(output: OutputSpec, table: str, report: Sequence[str],
+            figure: Callable[[], str] | None, stdout, stderr) -> int:
+    """Write a subcommand's ``Results``, the same way for every subcommand.
+
+    The CSV text goes to ``output.csv``, or to stdout if that is unset.
+    The report lines go to stdout when the CSV went to a file, and to
+    stderr otherwise.  The figure is rendered only when ``output.svg`` is
+    set.
+    """
+    if output.csv is None:
+        stdout.write(table)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(output.csv).write_text(table, encoding="utf-8")
+    (stderr if output.csv is None else stdout).write("".join(line + "\n" for line in report))
+    if output.svg is not None:
+        Path(output.svg).write_text(figure(), encoding="utf-8")
+    return 0
 
 
 def _csv_table(header: Sequence[str], rows: Sequence[Sequence[float]],
@@ -503,17 +520,15 @@ def _is_reference_geometry(cfg: MicroscopeConfig) -> bool:
                for name, value in reference.items())
 
 
-def cmd_params(run: RunConfig, stdout, stderr) -> int:
+def cmd_params(run: RunConfig) -> Results:
     cfg = run.microscope
     precision = run.output.precision
     if run.output.svg is not None:
         raise ConfigError("params draws no figure; output.svg (--svg) must not be set")
     focus = pump_focus(cfg)
-    radius = airy_radius(cfg)
-    range_hint = 4.0 * radius
-    width_wf = fwhm(lambda y: psf_widefield(y, cfg), scan_range=range_hint)
-    width_cf = fwhm(lambda y: psf_confocal(y, cfg), scan_range=range_hint)
-    width_tw = fwhm(lambda y: psf_twin(y, cfg), scan_range=range_hint)
+    width_wf = response_fwhm(psf_widefield, cfg)
+    width_cf = response_fwhm(psf_confocal, cfg)
+    width_tw = response_fwhm(psf_twin, cfg)
 
     lines: list[str] = []
 
@@ -530,26 +545,24 @@ def cmd_params(run: RunConfig, stdout, stderr) -> int:
     emit("r0_m", focus.r0)
     emit("eta0_inv_sq_re_m-2", focus.eta0_inv_sq.real)
     emit("eta0_inv_sq_im_m-2", focus.eta0_inv_sq.imag)
-    emit("airy_radius_m", radius)
+    emit("airy_radius_m", airy_radius(cfg))
     emit("crossover_waist_m", crossover_waist(cfg))
     emit("fwhm_widefield_m", width_wf)
     emit("fwhm_confocal_m", width_cf)
     emit("fwhm_twin_m", width_tw)
     emit("reduction_twin_vs_widefield_pct", width_reduction(width_wf, width_tw))
     emit("reduction_twin_vs_confocal_pct", width_reduction(width_cf, width_tw))
-    _write_text(run.output.csv, "".join(lines), stdout)
-    return 0
+    return "".join(lines), [], None
 
 
 def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
-                points: int, stdout, stderr) -> int:
+                points: int) -> Results:
     cfg = run.microscope
     precision = run.output.precision
-    radius = airy_radius(cfg)
     if ymax is None:
         # Stay inside the first twin sidelobe: beyond ~0.9 Airy radii the
         # sidelobe of the twin response rises over the confocal zero.
-        ymax = 0.8 * radius
+        ymax = 0.8 * airy_radius(cfg)
     if not (0.0 < ymax < math.inf):
         raise ConfigError("ymax must be positive and finite")
     if not (2 <= points <= _MAX_OFFSETS):
@@ -567,18 +580,14 @@ def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
     for w, twin_cfg in zip(waists, twin_cfgs):
         header.append(f"twin_w0_{w:.3e}")
         columns.append(psf_twin(ys, twin_cfg))
-    rows = np.stack(columns, axis=1)
-    _write_text(run.output.csv, _csv_table(header, rows, precision), stdout)
+    table = _csv_table(header, np.stack(columns, axis=1), precision)
 
-    # Reductions go to stdout unless that already carries the CSV.
-    report = stdout if run.output.csv is not None else stderr
-    range_hint = 4.0 * radius
-    width_cf = fwhm(lambda y: psf_confocal(y, cfg), scan_range=range_hint)
-    report.write(f"fwhm_confocal_m = {_fmt(width_cf, precision)}\n")
+    width_cf = response_fwhm(psf_confocal, cfg)
+    report = [f"fwhm_confocal_m = {_fmt(width_cf, precision)}"]
     at_reference = _is_reference_geometry(cfg) and cfg.pump_gaussian
     any_reference = False
     for w, twin_cfg in zip(waists, twin_cfgs):
-        width_tw = fwhm(lambda y: psf_twin(y, twin_cfg), scan_range=range_hint)
+        width_tw = response_fwhm(psf_twin, twin_cfg)
         reduction = width_reduction(width_cf, width_tw)
         line = (f"reduction_pct w0={_fmt(w, 3)} "
                 f"fwhm_twin_m={_fmt(width_tw, precision)} "
@@ -588,55 +597,45 @@ def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
                 if math.isclose(w, ref_w, rel_tol=1e-12):
                     line += f" reference={ref_val:.1f}"
                     any_reference = True
-        report.write(line + "\n")
+        report.append(line)
     if any_reference:
-        report.write(_REFERENCE_NOTE + "\n")
+        report.append(_REFERENCE_NOTE)
 
-    if run.output.svg is not None:
-        labels = ["confocal"] + [f"twin w0={w:.3e} m" for w in waists]
-        svg = render_line_svg(ys, [np.asarray(c) for c in columns[1:]], labels,
-                              "confocal vs twin-photon response",
-                              "scan offset [m]", "normalized intensity")
-        Path(run.output.svg).write_text(svg, encoding="utf-8")
-    return 0
+    labels = ["confocal"] + [f"twin w0={w:.3e} m" for w in waists]
+    return table, report, lambda: render_line_svg(
+        ys, [np.asarray(c) for c in columns[1:]], labels,
+        "confocal vs twin-photon response", "scan offset [m]", "normalized intensity")
 
 
-def cmd_sweep(run: RunConfig, w0_min: float, w0_max: float, steps: int,
-              stdout, stderr) -> int:
+def cmd_sweep(run: RunConfig, w0_min: float, w0_max: float, steps: int) -> Results:
     cfg = run.microscope
     precision = run.output.precision
     if not (0.0 < w0_min < w0_max <= cfg.a):
         raise ConfigError("sweep requires 0 < w0-min < w0-max <= a")
     if not (2 <= steps <= _MAX_OFFSETS):
         raise ConfigError(f"sweep needs 2 to {_MAX_OFFSETS} steps, got {steps}")
-    range_hint = 4.0 * airy_radius(cfg)
-    width_cf = fwhm(lambda y: psf_confocal(y, cfg), scan_range=range_hint)
+    width_cf = response_fwhm(psf_confocal, cfg)
     rows = []
     for w in np.linspace(w0_min, w0_max, steps):
         twin_cfg = dataclasses.replace(cfg, w0=float(w))
-        width_tw = fwhm(lambda y: psf_twin(y, twin_cfg), scan_range=range_hint)
+        width_tw = response_fwhm(psf_twin, twin_cfg)
         rows.append((float(w), r0(twin_cfg), width_tw,
                      width_reduction(width_cf, width_tw)))
     header = ["w0_m", "r0_m", "fwhm_twin_m", "reduction_pct"]
-    _write_text(run.output.csv, _csv_table(header, rows, precision), stdout)
-    if run.output.svg is not None:
-        w0s = np.array([row[0] for row in rows])
-        reductions = np.array([row[3] for row in rows])
-        svg = render_line_svg(w0s, [reductions / max(1.0, reductions.max())],
-                              ["reduction (scaled)"],
-                              "twin-photon width reduction vs pump waist",
-                              "pump waist [m]", "scaled reduction")
-        Path(run.output.svg).write_text(svg, encoding="utf-8")
-    return 0
+    w0s, reductions = np.array(rows)[:, 0], np.array(rows)[:, 3]
+    return _csv_table(header, rows, precision), [], lambda: render_line_svg(
+        w0s, [reductions / max(1.0, reductions.max())], ["reduction (scaled)"],
+        "twin-photon width reduction vs pump waist", "pump waist [m]", "scaled reduction")
 
 
-def cmd_scan(run: RunConfig, stdout, stderr) -> int:
+def cmd_scan(run: RunConfig, stderr) -> Results:
     cfg = run.microscope
     precision = run.output.precision
     plan = run.scan.build_plan()
 
     disp = None
     t12 = None
+    report: list[str] = []
     if run.dispersion is not None:
         disp = run.dispersion.build()
         window = delay_window(disp, cfg.omega_o, cfg.omega_e)
@@ -648,43 +647,29 @@ def cmd_scan(run: RunConfig, stdout, stderr) -> int:
         if t12 is None:
             # Center the arrival-time offset in the open window.
             t12 = 0.5 * window if window > 0.0 else 0.0
-        stderr.write(f"gate: window_s={_fmt(window, 3)} t12_s={_fmt(t12, 3)}\n")
+        report.append(f"gate: window_s={_fmt(window, 3)} t12_s={_fmt(t12, 3)}")
 
     image = scan(plan, cfg, run.sample, quad=run.quadrature, t12=t12, disp=disp)
 
-    if isinstance(plan.geometry, Line):
-        geometry = plan.geometry
+    geometry = plan.geometry
+    if isinstance(geometry, Line):
         offsets = np.linspace(-geometry.half_range, geometry.half_range,
                               geometry.samples)
         rows = np.stack([offsets, image.values], axis=1)
-        _write_text(run.output.csv, _csv_table(["y_m", "rate"], rows, precision),
-                    stdout)
         if isinstance(run.sample, TwoPoint):
             contrast = dip_contrast(image)
             resolved = "yes" if contrast >= run.scan.threshold else "no"
-            stderr.write(f"dip_contrast={contrast:.4f} "
-                         f"threshold={run.scan.threshold:.4f} resolved={resolved}\n")
-        if run.output.svg is not None:
-            svg = render_line_svg(offsets, [image.values],
-                                  [plan.instrument.value],
-                                  f"{plan.instrument.value} line scan",
-                                  "scan offset [m]", "normalized rate")
-            Path(run.output.svg).write_text(svg, encoding="utf-8")
-    else:
-        geometry = plan.geometry
-        pitch_x = 2.0 * geometry.half_range_x / (geometry.nx - 1)
-        pitch_y = 2.0 * geometry.half_range_y / (geometry.ny - 1)
-        lines = [f"# nx={geometry.nx} ny={geometry.ny} "
-                 f"pitch_x={_fmt(pitch_x, precision)} "
-                 f"pitch_y={_fmt(pitch_y, precision)}"]
-        for row in image.values:
-            lines.append(",".join(_fmt(v, precision) for v in row))
-        _write_text(run.output.csv, "\n".join(lines) + "\n", stdout)
-        if run.output.svg is not None:
-            svg = render_heatmap_svg(image.values,
-                                     f"{plan.instrument.value} grid scan")
-            Path(run.output.svg).write_text(svg, encoding="utf-8")
-    return 0
+            report.append(f"dip_contrast={contrast:.4f} "
+                          f"threshold={run.scan.threshold:.4f} resolved={resolved}")
+        return _csv_table(["y_m", "rate"], rows, precision), report, lambda: render_line_svg(
+            offsets, [image.values], [plan.instrument.value],
+            f"{plan.instrument.value} line scan", "scan offset [m]", "normalized rate")
+    pitch_x = 2.0 * geometry.half_range_x / (geometry.nx - 1)
+    pitch_y = 2.0 * geometry.half_range_y / (geometry.ny - 1)
+    header = (f"# nx={geometry.nx} ny={geometry.ny} "
+              f"pitch_x={_fmt(pitch_x, precision)} pitch_y={_fmt(pitch_y, precision)}")
+    return _csv_table([header], image.values, precision), report, lambda: render_heatmap_svg(
+        image.values, f"{plan.instrument.value} grid scan")
 
 
 # ============================================================================
@@ -758,18 +743,20 @@ def _load_run_config(args) -> RunConfig:
 def _dispatch(args, stdout, stderr) -> int:
     run = _load_run_config(args)
     if args.command == "params":
-        return cmd_params(run, stdout, stderr)
-    if args.command == "compare":
+        results = cmd_params(run)
+    elif args.command == "compare":
         waists = tuple(_parse_length(part)
                        for part in str(args.waists).split(",") if part.strip())
         ymax = _parse_length(args.ymax) if args.ymax is not None else None
-        return cmd_compare(run, waists, ymax, args.points, stdout, stderr)
-    if args.command == "sweep":
-        return cmd_sweep(run, _parse_length(args.w0_min),
-                         _parse_length(args.w0_max), args.steps, stdout, stderr)
-    if args.command == "scan":
-        return cmd_scan(run, stdout, stderr)
-    raise ConfigError(f"unknown command {args.command!r}")
+        results = cmd_compare(run, waists, ymax, args.points)
+    elif args.command == "sweep":
+        results = cmd_sweep(run, _parse_length(args.w0_min),
+                            _parse_length(args.w0_max), args.steps)
+    elif args.command == "scan":
+        results = cmd_scan(run, stderr)
+    else:
+        raise ConfigError(f"unknown command {args.command!r}")
+    return _finish(run.output, *results, stdout, stderr)
 
 
 def main(argv: Sequence[str] | None = None,

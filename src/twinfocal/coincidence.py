@@ -70,10 +70,11 @@ signal/idler arrival-time offset falls inside the group-delay window
 ``D * L`` opened by the crystal dispersion, and 0 otherwise.
 
 ``sample_amplitudes`` evaluates ``A`` for any sample at any number of
-offsets, and every amplitude and rate goes through it.  Point samples
-(``Delta``, ``TwoPoint``) need no quadrature: they lower to unit-weight
-points ``p_k`` and ``A(y) = sum_k K(p_k - y)`` (``point_sum``, which
-evaluates the kernel once per point over all offsets).
+offsets, decides how that work is split, and every amplitude and rate
+goes through it; ``twin_rates`` alone forms the rate ``gate * |A|^2``.
+Point samples (``Delta``, ``TwoPoint``) need no quadrature: they lower to
+unit-weight points ``p_k`` and ``A(y) = sum_k K(p_k - y)`` (``point_sum``,
+which evaluates the kernel once per point over all offsets).
 
 Integration strategy: the integrand is smooth on the transmitting region
 of every schematic sample shipped here, so each region is covered by
@@ -95,11 +96,12 @@ evaluates each quadrature pass once per table row, and assembles each
 offset's sum ``sum_p w_p Pi[row_p]`` in the panel order of that offset.
 Node doubling is still judged per offset, and only the rows of the
 offsets that fail are refined again.  The keys are the displacements
-rounded to multiples of a quantum, ``2**-48`` of the larger panel
+rounded to multiples of a quantum, ``2**-46`` of the smaller panel
 half-side, a few ulps, and each row is evaluated at its rounded value:
 offsets that lie on the lattice of a raster only up to an ulp or two
-then share rows, and values move by about 1e-14 of the peak against
-integrating every panel at its exact displacement.  What stays exact: a
+then share rows, one per distinct lattice displacement, and values move
+by about 1e-14 of the peak against integrating every panel at its exact
+displacement.  A scan may list at most 2**22 panels.  What stays exact: a
 value depends on its key alone, so a scan is bit-identical for any
 number of threads or split of the rows and equal bit for bit to
 one-offset ``amplitude`` calls; the convergence rule and the
@@ -163,9 +165,15 @@ _KERNEL_POINT_BUDGET = 4 * 96 ** 2
 _MAX_PANEL_POINTS = 1 << 21
 _BYTES_PER_KERNEL_POINT = 96
 
-# Panel displacements are keyed in multiples of this fraction of the larger
+# Panel displacements are keyed in multiples of this fraction of the smaller
 # panel half-side, a few ulps (see "Displacement table" above).
-_KEY_QUANTUM = 2.0 ** -48
+_KEY_QUANTUM = 2.0 ** -46
+
+# Most panels one scan may list, a fully lit 64 x 64 raster on a line of
+# 1024 offsets, and the memory each listed panel takes before any kernel
+# work: the tracemalloc peak of listing and keying 2.6e5 to 4.2e6 panels.
+_MAX_PANELS = 1 << 22
+_BYTES_PER_PANEL = 141
 
 
 # ============================================================================
@@ -529,14 +537,14 @@ def _displacement_table(panels: _Panels, offsets: np.ndarray) -> tuple[np.ndarra
     panels from their offsets, one per row, and the row of every panel.
 
     The pair is sorted for square panels.  Both are rounded to multiples
-    of ``_KEY_QUANTUM`` times the larger half-side, and a row holds those
+    of ``_KEY_QUANTUM`` times the smaller half-side, and a row holds those
     multiples, so the value of a row depends on its key alone.
     """
     shift = np.repeat(offsets, panels.counts, axis=0)
     ax, ay = np.abs(panels.x - shift[:, 0]), np.abs(panels.y - shift[:, 1])
     if panels.half_x == panels.half_y and panels.n_x == panels.n_y:
         ax, ay = np.minimum(ax, ay), np.maximum(ax, ay)
-    quantum = _KEY_QUANTUM * max(panels.half_x, panels.half_y)
+    quantum = _KEY_QUANTUM * min(panels.half_x, panels.half_y)
     keys, rows = np.unique(np.rint(ax / quantum) + 1j * np.rint(ay / quantum),
                            return_inverse=True)
     return np.column_stack([keys.real, keys.imag]) * quantum, rows.reshape(-1)
@@ -551,6 +559,13 @@ def _offset_sums(values: np.ndarray, weight: np.ndarray, rows: np.ndarray,
                      for a, b in zip(ends - counts, ends)], dtype=complex)
 
 
+def _check_panel_count(count: int) -> None:
+    if count > _MAX_PANELS:
+        raise ConfigError(
+            f"scan of {count} quadrature panels exceeds the limit of {_MAX_PANELS}; "
+            f"listing them would need about {count * _BYTES_PER_PANEL / 2**20:,.0f} MiB")
+
+
 def _sample_panels(sample: SampleTransmittance, offsets: np.ndarray,
                    cfg: MicroscopeConfig, quad: QuadratureSpec,
                    coherent: bool) -> _Panels:
@@ -560,7 +575,8 @@ def _sample_panels(sample: SampleTransmittance, offsets: np.ndarray,
     every offset.  A grating is one stripe per period within the
     truncation radius of the offset, centred on it along y.  Coherent
     integrals weight raster pixels by ``t``; incoherent ones (classical
-    instruments) by ``|t|^2``.
+    instruments) by ``|t|^2``.  More than ``_MAX_PANELS`` panels are
+    refused before any is listed.
     """
     count = offsets.shape[0]
     n = quad.radial_nodes
@@ -573,6 +589,7 @@ def _sample_panels(sample: SampleTransmittance, offsets: np.ndarray,
         lo = np.floor((offsets[:, 0] - radius) / sample.period)
         hi = np.ceil((offsets[:, 0] + radius) / sample.period)
         counts = (hi - lo).astype(int) + 1
+        _check_panel_count(int(counts.sum()))
         starts = np.cumsum(counts) - counts
         orders = np.repeat(lo - starts, counts) + np.arange(counts.sum())
         return _Panels(orders * sample.period, np.repeat(offsets[:, 1], counts),
@@ -586,6 +603,7 @@ def _sample_panels(sample: SampleTransmittance, offsets: np.ndarray,
         centers_y = (ii.ravel() - 0.5 * (rows - 1)) * sample.pitch
         weights = grid.ravel() if coherent else np.abs(grid.ravel()) ** 2
         keep = weights != 0.0
+        _check_panel_count(count * int(np.count_nonzero(keep)))
         half = 0.5 * sample.pitch
         return _Panels(np.tile(centers_x[keep], count), np.tile(centers_y[keep], count),
                        np.tile(weights[keep], count),
@@ -603,7 +621,7 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
     displacement of the scan (``_displacement_table``), and each offset's
     sum is assembled from those panel integrals.  ``map_rows(func, points)``
     may apply ``func`` to chunks of the displacement rows, in order, and
-    concatenate the results (threads in ``scansim.scan``); by default one
+    concatenate the results (see ``sample_amplitudes``); by default one
     call covers them all.
 
     Convergence is judged per offset.  The integral is evaluated once with
@@ -666,17 +684,14 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
 # amplitude and rate
 # ============================================================================
 
-def _offset_pair(y) -> tuple[float, float]:
+def _one_offset(y) -> np.ndarray:
+    """A scan offset, a scalar (along x) or a 2-vector [m], as one row."""
     arr = np.asarray(y, dtype=float).reshape(-1)
-    if arr.size == 1:
-        pair = (float(arr[0]), 0.0)
-    elif arr.size == 2:
-        pair = (float(arr[0]), float(arr[1]))
-    else:
+    if arr.size not in (1, 2):
         raise ValueError("scan offset must be a scalar or a 2-vector")
-    if not all(math.isfinite(c) for c in pair):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("scan offset must be finite")
-    return pair
+    return np.array([[arr[0], arr[1] if arr.size == 2 else 0.0]])
 
 
 def sample_points(sample: SampleTransmittance) -> np.ndarray | None:
@@ -702,30 +717,44 @@ def point_sum(points: np.ndarray, offsets: np.ndarray, kern) -> np.ndarray:
 
 
 def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
-                      cfg: MicroscopeConfig, quad: QuadratureSpec, kern,
+                      cfg: MicroscopeConfig, quad: QuadratureSpec | None, kern=None,
                       coherent: bool = True, map_rows=None) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` at every scan offset ``y`` (rows
     of ``offsets``).
 
-    Point samples are summed over all offsets at once (``point_sum``);
-    extended ones are integrated over all offsets together
-    (``integrate_sample``, which hands ``map_rows`` its displacement
-    rows).  With the twin kernel the result is the
-    coherent amplitude ``A(y)``; with a classical intensity response and
-    ``coherent=False`` it is the incoherent image.
+    With the twin kernel ``K`` (``kern`` None) the result is the coherent
+    amplitude ``A(y)``; with a classical intensity response and
+    ``coherent=False`` it is the incoherent image.  ``map_rows(func,
+    items)`` may apply ``func`` to index-ordered chunks of the rows of
+    ``items`` and concatenate the results (threads in ``scansim.scan``).
+    Point samples hand it their offsets (``point_sum``), extended ones
+    the rows of their displacement table (``integrate_sample``).
     """
+    if kern is None:
+        kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
     points = sample_points(sample)
-    if points is not None:
-        return point_sum(points, offsets, kern)
-    return integrate_sample(sample, offsets, cfg, quad, kern, coherent, map_rows)
+    if points is None:
+        quad = quad if quad is not None else QuadratureSpec()
+        return integrate_sample(sample, offsets, cfg, quad, kern, coherent, map_rows)
+    summed = lambda chunk: point_sum(points, chunk, kern)  # noqa: E731
+    return map_rows(summed, offsets) if map_rows else summed(offsets)
 
 
-def _twin_amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
-                    quad: QuadratureSpec | None) -> complex:
-    kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
-    offsets = np.array([_offset_pair(y)])
-    quad = quad if quad is not None else QuadratureSpec()
-    return complex(sample_amplitudes(sample, offsets, cfg, quad, kern)[0])
+def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
+               cfg: MicroscopeConfig, quad: QuadratureSpec | None,
+               t12: float | None = None, disp: DispersionModel | None = None,
+               map_rows=None) -> np.ndarray:
+    """Unnormalized coincidence rates ``gate * |A(y)|^2`` at every scan
+    offset ``y`` (rows of ``offsets``).  Without a dispersion model the
+    gate is 1; a closed gate returns zeros without any kernel work."""
+    # The gate is the same at every offset but is evaluated per offset;
+    # the benchmark's traced self-check counts these calls.
+    gates = 1.0 if disp is None else np.array(
+        [gate(t12, disp, cfg.omega_o, cfg.omega_e) for _ in offsets])
+    if not np.any(gates):
+        return np.zeros(offsets.shape[0])
+    amps = sample_amplitudes(sample, offsets, cfg, quad, map_rows=map_rows)
+    return gates * (amps.real * amps.real + amps.imag * amps.imag)
 
 
 def amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
@@ -741,22 +770,14 @@ def amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
     if isinstance(sample, Delta):
         raise ConfigError("amplitude is for structured samples; "
                           "use coincidence_rate for a point sample")
-    return _twin_amplitude(y, cfg, sample, quad)
+    return complex(sample_amplitudes(sample, _one_offset(y), cfg, quad)[0])
 
 
 def coincidence_rate(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
                      quad: QuadratureSpec | None = None,
                      t12: float | None = None,
                      disp: DispersionModel | None = None) -> float:
-    """Gated coincidence rate at scan offset ``y`` (unnormalized).
-
-    Without a dispersion model the gate factor is 1 (ungated counting).
-    With one, ``t12`` is required and the rate is multiplied by the 0/1
-    gate.  A point sample bypasses quadrature: its rate is ``|K(-y)|^2``,
-    the twin-photon response.
-    """
-    factor = 1.0 if disp is None else gate(t12, disp, cfg.omega_o, cfg.omega_e)
-    if factor == 0.0:
-        return 0.0
-    value = _twin_amplitude(y, cfg, sample, quad)
-    return factor * (value.real * value.real + value.imag * value.imag)
+    """``twin_rates`` at the one scan offset ``y``, a scalar or a 2-vector
+    [m], which is checked before the gate.  A point sample's rate is
+    ``|K(-y)|^2``, the twin-photon response."""
+    return float(twin_rates(sample, _one_offset(y), cfg, quad, t12, disp)[0])

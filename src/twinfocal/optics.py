@@ -13,7 +13,7 @@ rad/s.  SPEED_OF_LIGHT is exact by definition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, NumericalError
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ScanRangeError
 from .coincidence import kernel_field
-from .optics import MicroscopeConfig
+from .optics import MicroscopeConfig, airy_radius
 from .specfun import airy_amp
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "psf_confocal",
     "psf_twin",
     "fwhm",
+    "response_fwhm",
     "width_reduction",
 ]
 
@@ -147,6 +148,12 @@ def fwhm(profile: Callable[[float], float], scan_range: float | None = None) -> 
         else:
             lo = mid
     return lo + hi  # 2 * y_half
+
+
+def response_fwhm(response: Callable, cfg: MicroscopeConfig) -> float:
+    """FWHM of an instrument response ``response(y, cfg)`` (one of the
+    ``psf_*`` functions), searched over four Airy radii of ``cfg``."""
+    return fwhm(lambda y: response(y, cfg), scan_range=4.0 * airy_radius(cfg))
 
 
 def width_reduction(reference: float, narrower: float) -> float:

@@ -8,10 +8,11 @@ widefield and confocal instruments image incoherently, integrating
 ``|t|^2`` against their intensity responses.  Images are peak-normalized,
 with the raw peak kept for reference.
 
-Every scan goes through ``coincidence.sample_amplitudes``.  Point samples
-(``Delta``, ``TwoPoint``) are evaluated as arrays, one kernel call per
-point over a chunk of offsets: the twin rate is ``|sum_k K(p_k - y)|^2``,
-the classical image ``sum_k PSF(|p_k - y|)``.  Extended samples (slit,
+Every scan goes through ``coincidence.sample_amplitudes``, a twin scan by
+way of ``coincidence.twin_rates``.  Point samples (``Delta``,
+``TwoPoint``) are evaluated as arrays, one kernel call per point over a
+chunk of offsets: the twin rate is ``|sum_k K(p_k - y)|^2``, the
+classical image ``sum_k PSF(|p_k - y|)``.  Extended samples (slit,
 grating, raster) are integrated for all offsets of the scan at once
 (``coincidence.integrate_sample``): each quadrature pass integrates one
 panel at every distinct canonical displacement of the scan, in kernel
@@ -24,10 +25,11 @@ Parallelism: the thread count comes from the TWINFOCAL_THREADS
 environment variable (unset or empty means 1; 0 means one per CPU) and
 is clamped to the CPU count and to the number of offsets.  A scan with
 more than one thread starts one pool and uses it for all its work; with
-one thread it starts none.  Point-sample offsets are cut into contiguous
-chunks, one per thread; for extended samples the threads split the rows
-of the displacement table, the unique panel integrals.  Results are
-rejoined in index order and are bit-identical for every thread count:
+one thread it starts none.  ``sample_amplitudes`` alone decides what the
+threads split: point-sample offsets are cut into contiguous chunks, one
+per thread; for extended samples the threads split the rows of the
+displacement table, the unique panel integrals.  Results are rejoined in
+index order and are bit-identical for every thread count:
 the special functions evaluate every element at a fixed degree, so no
 value depends on the other elements of its array, and a table row's
 value depends on its key alone, not on the thread or kernel call that
@@ -47,17 +49,15 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ScanRangeError
-from .optics import MicroscopeConfig, airy_radius
-from .psf import fwhm, psf_confocal, psf_twin, psf_widefield
+from .optics import MicroscopeConfig
+from .psf import psf_confocal, psf_twin, psf_widefield, response_fwhm
 from .coincidence import (
     DispersionModel,
     QuadratureSpec,
     SampleTransmittance,
     TwoPoint,
-    gate,
-    kernel_field,
     sample_amplitudes,
-    sample_points,
+    twin_rates,
 )
 
 __all__ = [
@@ -212,27 +212,7 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
     timing.  A gated-out twin scan returns an all-zero image with
     ``peak_value_raw = 0``.
     """
-    quad = quad if quad is not None else QuadratureSpec()
     offsets = plan.geometry.offsets()
-    twin = plan.instrument is Instrument.TWIN_PHOTON
-    if twin:
-        kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
-    else:
-        response = _instrument_psf(plan.instrument)
-        kern = lambda vx, vy: response(np.sqrt(vx * vx + vy * vy), cfg)  # noqa: E731
-
-    def evaluate(chunk: np.ndarray, map_rows=None) -> np.ndarray:
-        if not twin:
-            return np.abs(sample_amplitudes(sample, chunk, cfg, quad, kern, False, map_rows))
-        # The gate is the same at every offset but is evaluated per
-        # offset; the benchmark's traced self-check counts these calls.
-        gates = 1.0 if disp is None else np.array(
-            [gate(t12, disp, cfg.omega_o, cfg.omega_e) for _ in chunk])
-        if not np.any(gates):
-            return np.zeros(chunk.shape[0])
-        amps = sample_amplitudes(sample, chunk, cfg, quad, kern, map_rows=map_rows)
-        return gates * (amps.real * amps.real + amps.imag * amps.imag)
-
     workers = _worker_count(_thread_count(), os.cpu_count() or 1, offsets.shape[0])
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         def map_chunked(func: Callable[[np.ndarray], np.ndarray], items: np.ndarray) -> np.ndarray:
@@ -243,10 +223,13 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
             chunks = np.array_split(items, min(workers, items.shape[0]))
             return np.concatenate(list(pool.map(func, chunks)))
 
-        if sample_points(sample) is None:
-            values = evaluate(offsets, map_chunked)
+        if plan.instrument is Instrument.TWIN_PHOTON:
+            values = twin_rates(sample, offsets, cfg, quad, t12, disp, map_chunked)
         else:
-            values = map_chunked(evaluate, offsets)
+            response = _instrument_psf(plan.instrument)
+            kern = lambda vx, vy: response(np.sqrt(vx * vx + vy * vy), cfg)  # noqa: E731
+            values = np.abs(sample_amplitudes(sample, offsets, cfg, quad, kern, False,
+                                              map_chunked))
     peak = float(values.max()) if values.size else 0.0
     if peak > 0.0:
         values = values / peak
@@ -288,8 +271,7 @@ def min_resolvable_separation(cfg: MicroscopeConfig, instrument: Instrument,
     """
     if not (0.0 < threshold < 1.0):
         raise ConfigError("threshold must lie in (0, 1)")
-    response = _instrument_psf(instrument)
-    width = fwhm(lambda y: response(y, cfg), scan_range=4.0 * airy_radius(cfg))
+    width = response_fwhm(_instrument_psf(instrument), cfg)
 
     def dip_at(separation: float) -> float:
         plan = ScanPlan(

@@ -359,7 +359,7 @@ def test_params_svg_is_a_config_error(tmp_path, monkeypatch):
     width is searched, and no file is written."""
     def refuse(*args, **kwargs):
         raise AssertionError("searched a width")
-    monkeypatch.setattr("twinfocal.cli.fwhm", refuse)
+    monkeypatch.setattr("twinfocal.cli.response_fwhm", refuse)
     code, out, err = run_cli("params", "--out", str(tmp_path / "p.csv"),
                              "--svg", str(tmp_path / "p.svg"))
     assert code == 2
@@ -457,7 +457,7 @@ def test_compare_rejects_unbounded_range(monkeypatch, flag, value, message):
     is evaluated, and before numpy sees the value."""
     def refuse(*args, **kwargs):
         raise AssertionError("evaluated a response")
-    for name in ("psf_confocal", "psf_twin", "fwhm"):
+    for name in ("psf_confocal", "psf_twin", "response_fwhm"):
         monkeypatch.setattr(f"twinfocal.cli.{name}", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -493,7 +493,7 @@ def test_width_searches_are_bounded(monkeypatch, command, args):
     refused with the count before any width is searched."""
     def refuse(*args, **kwargs):
         raise AssertionError("searched a width")
-    monkeypatch.setattr("twinfocal.cli.fwhm", refuse)
+    monkeypatch.setattr("twinfocal.cli.response_fwhm", refuse)
     code, out, err = run_cli(command, *args)
     assert code == 2
     assert f"got {_MAX_OFFSETS + 1}" in err
@@ -565,6 +565,33 @@ def test_scan_gate_open_window(tmp_path):
     assert "gate: window_s=" in err
     rates = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
     assert max(rates) == 1.0
+
+
+@pytest.mark.parametrize("n_o, n_e", [("1.60", "1.55"), ("1.55", "1.60")])
+def test_scan_out_file_moves_report_to_stdout(tmp_path, n_o, n_e):
+    """With ``--out`` the gate and dip lines go to stdout, as compare's
+    report does, and only the warning of a closed gate stays on stderr.
+    Without it they follow the warning on stderr, in that order."""
+    cfg = write_config(tmp_path, "\n".join([
+        f"dispersion.n_o = {n_o}",
+        f"dispersion.n_e = {n_e}",
+        "dispersion.psi = 49 deg",
+        "sample.kind = two_point",
+        "sample.separation = 0.3um",
+        "scan.samples = 17",
+    ]) + "\n")
+    code, table, err = run_cli("scan", "--config", cfg)
+    assert code == 0
+    out_path = tmp_path / "scan.csv"
+    code, out, err_out = run_cli("scan", "--config", cfg, "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text(encoding="utf-8") == table
+    warning = ("warning: group-delay window D*L <= 0; the coincidence gate "
+               "never opens and the twin-photon image is all zero\n")
+    assert err_out == (warning if n_o == "1.55" else "")
+    assert re.fullmatch(r"gate: window_s=\S+ t12_s=\S+\n"
+                        r"dip_contrast=\S+ threshold=0\.0500 resolved=(yes|no)\n", out)
+    assert err == err_out + out
 
 
 def test_scan_t12_flag_requires_dispersion():

@@ -17,6 +17,7 @@ from conftest import riemann_amplitude
 from twinfocal.errors import ConfigError, QuadratureError
 from twinfocal.optics import SPEED_OF_LIGHT, MicroscopeConfig, airy_radius, eta0_inv_sq, r0
 from twinfocal.psf import psf_twin
+from twinfocal.scansim import Grid
 from twinfocal.specfun import airy_amp
 from twinfocal import coincidence
 from twinfocal.coincidence import (
@@ -532,6 +533,36 @@ def test_kernel_calls_stay_within_point_budget():
     assert calls[0] == (5, 5 * 16 * 16)
 
 
+def lattice_displacement_count(grid: np.ndarray, side: int) -> int:
+    """Distinct canonical displacements of the lit pixels of ``grid`` from
+    the offsets of a ``side`` x ``side`` grid scan whose step is the pixel
+    pitch, counted exactly in integer half-pitches."""
+    nrows, ncols = grid.shape
+    ii, jj = np.nonzero(grid)
+    kx, ky = np.tile(np.arange(side), side), np.repeat(np.arange(side), side)
+    dx = np.abs(2 * jj[None, :] - 2 * kx[:, None] + side - ncols).ravel()
+    dy = np.abs(2 * ii[None, :] - 2 * ky[:, None] + side - nrows).ravel()
+    return len(set(zip(np.minimum(dx, dy).tolist(), np.maximum(dx, dy).tolist())))
+
+
+@pytest.mark.parametrize("shape, lit, pitch, side", [
+    # the benchmark's twin grid: a 4x4 raster with one half-turn pixel pair
+    ((4, 4), [(0, 1), (3, 2)], 2e-7, 16),
+    ((5, 5), [(0, 0), (0, 3), (1, 2), (2, 4), (3, 1), (4, 4)], 3.7e-7, 33),
+])
+def test_on_lattice_grid_has_one_row_per_lattice_displacement(shape, lit, pitch, side):
+    """``Grid.offsets`` leaves lattice offsets an ulp or two off the
+    lattice; the key quantum still merges every pair of equal lattice
+    displacements, and merges no others."""
+    grid = np.zeros(shape)
+    for i, j in lit:
+        grid[i, j] = 1.0
+    half = 0.5 * (side - 1) * pitch
+    offsets = Grid(half_range_x=half, half_range_y=half, nx=side, ny=side).offsets()
+    rows = table_rows(Raster(pitch=pitch, grid=grid), offsets, QuadratureSpec())
+    assert rows == lattice_displacement_count(grid, side)
+
+
 def test_table_values_match_direct_panel_sums():
     """Keying panels by rounded canonical displacements moves no panel
     integral by more than 1e-13 relative to a direct sum at its true
@@ -614,3 +645,14 @@ def test_rate_gating():
                             t12=-1e-15, disp=disp) == 0.0
     with pytest.raises(ConfigError):
         coincidence_rate((0.0, 0.0), CFG8, sample, disp=disp)  # t12 missing
+
+
+@pytest.mark.parametrize("offset", [float("nan"), (1e-7, 0.0, 0.0)])
+def test_closed_gate_still_rejects_a_bad_offset(offset):
+    """The offset is checked before the gate, so a closed gate does not
+    turn a non-finite or 3-vector offset into a rate of 0."""
+    closed = DispersionModel(n_o=lambda w: 1.55, n_e=lambda w, psi: 1.60,
+                             psi=0.5, L=1e-3)
+    assert gate(1e-13, closed, CFG8.omega_o, CFG8.omega_e) == 0.0
+    with pytest.raises(ValueError, match="scan offset"):
+        coincidence_rate(offset, CFG8, Slit(1e-7), t12=1e-13, disp=closed)

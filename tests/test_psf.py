@@ -23,6 +23,7 @@ from twinfocal.psf import (
     psf_confocal,
     psf_twin,
     psf_widefield,
+    response_fwhm,
     width_reduction,
 )
 from twinfocal.specfun import airy_amp
@@ -94,6 +95,13 @@ def test_envelope_strictly_narrows():
 # ----------------------------------------------------------------------------
 # FWHM
 # ----------------------------------------------------------------------------
+
+def test_response_fwhm_is_the_four_airy_radius_search():
+    for cfg in (CFG, MicroscopeConfig(w0=8e-3)):
+        for response in (psf_widefield, psf_confocal, psf_twin):
+            assert response_fwhm(response, cfg) == fwhm(
+                lambda y: response(y, cfg), scan_range=4.0 * airy_radius(cfg))
+
 
 def test_fwhm_frozen_values_and_independent_oracle():
     width_wf = fwhm(lambda y: psf_widefield(y, CFG), scan_range=RANGE)

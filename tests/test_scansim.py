@@ -10,6 +10,7 @@ Frozen two-point resolution limits (meters) for a 12 mm pump waist at a
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,27 @@ def test_scan_size_limit_names_count_and_memory():
         Grid(nx=1024, ny=1025)
     Line(samples=scansim._MAX_OFFSETS)
     Grid(nx=1024, ny=1024)
+
+
+@pytest.mark.parametrize("plan, sample, count", [
+    # 2**30 panels, about 140 GiB listed
+    (ScanPlan(Grid(nx=1024, ny=1024)), Raster(pitch=1e-7, grid=np.ones((32, 32))), 1 << 30),
+    # about 1e4 stripes per offset
+    (line_plan(Instrument.CONFOCAL, samples=1024), Grating(period=1e-10), None),
+])
+def test_scan_panel_limit_names_count_and_memory(plan, sample, count):
+    """An extended scan of more than 2**22 panels is refused with the
+    count and the memory, before any per-panel array exists."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"quadrature panels exceeds .* MiB") as info:
+            scan(plan, CFG8, sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    if count is not None:
+        assert f"scan of {count} quadrature panels" in str(info.value)
 
 
 def test_line_offsets_layout():
@@ -213,7 +235,6 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
         points.append(np.broadcast(vx, vy).size)
         return kernel_field(vx, vy, cfg)
 
-    monkeypatch.setattr(scansim, "kernel_field", counting)
     monkeypatch.setattr(coincidence, "kernel_field", counting)
     plan = ScanPlan(geometry=geometry, instrument=Instrument.TWIN_PHOTON)
     image = scan(plan, CFG8, sample, spec)
@@ -344,7 +365,6 @@ def test_gated_out_scan_is_all_zero(monkeypatch):
 
     # the kernel is never reached, so no quadrature is done either
     monkeypatch.setattr(coincidence, "kernel_field", no_kernel)
-    monkeypatch.setattr(scansim, "kernel_field", no_kernel)
     for sample in (Delta(), Slit(width=2e-7)):
         image = scan(line_plan(Instrument.TWIN_PHOTON, samples=17), CFG8, sample,
                      t12=1e-13, disp=slow_e)
