@@ -76,37 +76,25 @@ Point samples (``Delta``, ``TwoPoint``) need no quadrature: they lower to
 unit-weight points ``p_k`` and ``A(y) = sum_k K(p_k - y)`` (``point_sum``,
 which evaluates the kernel once per point over all offsets).
 
-Integration strategy: the integrand is smooth on the transmitting region
-of every schematic sample shipped here, so each region is covered by
-tensor-product Gauss-Legendre panels placed on the sample support (single
-square for a slit, one panel per stripe for a grating, one per pixel for
-a raster).  Every amplitude evaluation is repeated with doubled node
-counts; the coarse/fine disagreement is the convergence estimate.  When
-it exceeds the requested tolerance the counts are doubled once more, and
-a ``QuadratureError`` reports the estimate if that pass fails too.
-
-Displacement table: every panel of a sample has the same size and nodes,
-so its integral ``Pi(d) = integral over the panel of kern(d + g) dg``
-depends only on the displacement ``d`` of its centre from the offset.
-Both kernels are radial (the twin ``K`` and the classical ``PSF(|v|)``)
-and the Gauss-Legendre nodes are symmetric, so ``Pi`` depends only on
-``(|dx|, |dy|)``, sorted for square panels.  ``integrate_sample`` builds
-one table of these canonical displacements for all offsets of a scan,
-evaluates each quadrature pass once per table row, and assembles each
-offset's sum ``sum_p w_p Pi[row_p]`` in the panel order of that offset.
-Node doubling is still judged per offset, and only the rows of the
-offsets that fail are refined again.  The keys are the displacements
-rounded to multiples of a quantum, ``2**-46`` of the smaller panel
-half-side, a few ulps, and each row is evaluated at its rounded value:
-offsets that lie on the lattice of a raster only up to an ulp or two
-then share rows, one per distinct lattice displacement, and values move
-by about 1e-14 of the peak against integrating every panel at its exact
-displacement.  A scan may list at most 2**22 panels.  What stays exact: a
-value depends on its key alone, so a scan is bit-identical for any
-number of threads or split of the rows and equal bit for bit to
-one-offset ``amplitude`` calls; the convergence rule and the
-``QuadratureError`` (first failing offset, in the order given) are the
-same as for one offset at a time.
+Integration: the integrand is smooth on the transmitting region of every
+schematic sample shipped here.  A slit, grating or raster lowers to
+weighted cells of one square lattice (``_sample_lattice``): a slit is one
+cell of pitch ``width``, a raster its pixels, a grating stripes of pitch
+``period`` along x that follow the offset in y.  A cell's Gauss-Legendre
+integral depends only on ``(|dx|, |dy|)`` of the cell from the offset,
+sorted for square cells, as the kernels are radial and the nodes
+symmetric.  Its key is the integer cell difference, exact in lattice
+units, minus the offset's residual: ``offset / pitch`` rounded to a
+multiple of ``2**-44``, less its integer shift.  The offsets of one
+residual class share a dense box of keys, and ``_lattice_table`` folds
+the boxes to one row per distinct key, so each pass integrates every
+displacement once.  What stays exact: a value depends on its key alone,
+and an offset's sum, one ``np.dot`` over its lit cells in pixel order, on
+its own cells alone, so a scan is bit-identical for any number of
+threads or split of the rows and equal bit for bit to one-offset
+``amplitude`` calls; the convergence rule and the ``QuadratureError``
+(first failing offset, in the order given) are the same as for one
+offset at a time.
 """
 
 from __future__ import annotations
@@ -165,15 +153,18 @@ _KERNEL_POINT_BUDGET = 4 * 96 ** 2
 _MAX_PANEL_POINTS = 1 << 21
 _BYTES_PER_KERNEL_POINT = 96
 
-# Panel displacements are keyed in multiples of this fraction of the smaller
-# panel half-side, a few ulps (see "Displacement table" above).
-_KEY_QUANTUM = 2.0 ** -46
+# ``offset / pitch``, the only term with float error (cell centres are
+# exact in lattice units), is rounded to a multiple of 2**-_KEY_BITS.  That
+# absorbs errors below 2**-45: on 4000 random on-lattice lines of half-range
+# H pitches, ``Line`` and ``Grid`` offsets missed by at most 4.8 H 2**-53, so
+# one residual up to H = 53.  At 2**-42 a slit integral moves 0.85e-13 of peak.
+_KEY_BITS = 44
 
-# Most panels one scan may list, a fully lit 64 x 64 raster on a line of
-# 1024 offsets, and the memory each listed panel takes before any kernel
-# work: the tracemalloc peak of listing and keying 2.6e5 to 4.2e6 panels.
-_MAX_PANELS = 1 << 22
-_BYTES_PER_PANEL = 141
+# Most cells the class boxes of one scan may hold (about a fully lit 64 x 64
+# raster on an off-lattice line of 1024 offsets), and the largest tracemalloc
+# peak per cell of building tables of 4.1e6 to 4.2e6 cells (117 to 160 B).
+_MAX_TABLE_CELLS = 1 << 22
+_BYTES_PER_TABLE_CELL = 160
 
 
 # ============================================================================
@@ -496,20 +487,18 @@ def default_truncation_radius(cfg: MicroscopeConfig, target_rel_tol: float = 1e-
 
 
 @dataclass(frozen=True)
-class _Panels:
-    """Constant-transmittance rectangles ``[x_k - half_x, x_k + half_x] x
-    [y_k - half_y, y_k + half_y]`` of weight ``weight[k]``, listed offset
-    by offset (``counts[i]`` belong to offset ``i``), with the requested
-    Gauss-Legendre node counts ``n_x`` by ``n_y`` per panel."""
+class _Lattice:
+    """Weighted cells ``pitch`` [m] apart (see ``_sample_lattice``)."""
 
-    x: np.ndarray
-    y: np.ndarray
+    pitch: float
+    x0: float
+    y0: float
     weight: np.ndarray
-    counts: np.ndarray
     half_x: float
     half_y: float
     n_x: int
     n_y: int
+    reach: float = math.inf
 
 
 def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
@@ -532,83 +521,92 @@ def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
         for lo in range(0, points.shape[0], step)])
 
 
-def _displacement_table(panels: _Panels, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct canonical displacements ``(|dx|, |dy|)`` of a scan's
-    panels from their offsets, one per row, and the row of every panel.
-
-    The pair is sorted for square panels.  Both are rounded to multiples
-    of ``_KEY_QUANTUM`` times the smaller half-side, and a row holds those
-    multiples, so the value of a row depends on its key alone.
-    """
-    shift = np.repeat(offsets, panels.counts, axis=0)
-    ax, ay = np.abs(panels.x - shift[:, 0]), np.abs(panels.y - shift[:, 1])
-    if panels.half_x == panels.half_y and panels.n_x == panels.n_y:
-        ax, ay = np.minimum(ax, ay), np.maximum(ax, ay)
-    quantum = _KEY_QUANTUM * min(panels.half_x, panels.half_y)
-    keys, rows = np.unique(np.rint(ax / quantum) + 1j * np.rint(ay / quantum),
-                           return_inverse=True)
-    return np.column_stack([keys.real, keys.imag]) * quantum, rows.reshape(-1)
-
-
-def _offset_sums(values: np.ndarray, weight: np.ndarray, rows: np.ndarray,
-                 counts: np.ndarray) -> np.ndarray:
-    """``sum_p weight_p values[rows_p]`` over the panels of each offset."""
-    per_panel = values[rows]
-    ends = np.cumsum(counts)
-    return np.array([np.dot(weight[a:b], per_panel[a:b])
-                     for a, b in zip(ends - counts, ends)], dtype=complex)
-
-
-def _check_panel_count(count: int) -> None:
-    if count > _MAX_PANELS:
-        raise ConfigError(
-            f"scan of {count} quadrature panels exceeds the limit of {_MAX_PANELS}; "
-            f"listing them would need about {count * _BYTES_PER_PANEL / 2**20:,.0f} MiB")
-
-
-def _sample_panels(sample: SampleTransmittance, offsets: np.ndarray,
-                   cfg: MicroscopeConfig, quad: QuadratureSpec,
-                   coherent: bool) -> _Panels:
-    """Panels of a slit, grating or raster at every scan offset.
-
-    A slit is one square and a raster one square per pixel, the same at
-    every offset.  A grating is one stripe per period within the
-    truncation radius of the offset, centred on it along y.  Coherent
-    integrals weight raster pixels by ``t``; incoherent ones (classical
-    instruments) by ``|t|^2``.  More than ``_MAX_PANELS`` panels are
-    refused before any is listed.
-    """
-    count = offsets.shape[0]
+def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
+                    quad: QuadratureSpec, coherent: bool) -> _Lattice:
+    """A slit, raster or grating as a grid of weighted cells: cell ``[i, j]``
+    is the panel ``|g_x| <= half_x``, ``|g_y| <= half_y`` [m] with ``n_x``
+    by ``n_y`` nodes, centred ``(x0 + j, y0 + i)`` pitches from the origin.
+    Raster pixels weigh ``t``, or ``|t|^2`` for incoherent integrals.  A
+    grating (finite ``reach``) folds every offset to its residual, which
+    keeps the stripes from ``floor`` to ``ceil`` of ``R / period`` away."""
     n = quad.radial_nodes
     if isinstance(sample, Slit):
         half = 0.5 * sample.width
-        return _Panels(np.zeros(count), np.zeros(count), np.ones(count),
-                       np.ones(count, dtype=int), half, half, n, n)
+        return _Lattice(sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n)
     if isinstance(sample, Grating):
         radius = quad.truncation_radius or default_truncation_radius(cfg, quad.target_rel_tol)
-        lo = np.floor((offsets[:, 0] - radius) / sample.period)
-        hi = np.ceil((offsets[:, 0] + radius) / sample.period)
-        counts = (hi - lo).astype(int) + 1
-        _check_panel_count(int(counts.sum()))
-        starts = np.cumsum(counts) - counts
-        orders = np.repeat(lo - starts, counts) + np.arange(counts.sum())
-        return _Panels(orders * sample.period, np.repeat(offsets[:, 1], counts),
-                       np.ones(orders.size), counts,
-                       0.5 * sample.duty * sample.period, radius, n, quad.angular_nodes)
+        reach, half = radius / sample.period, 0.5 * sample.duty * sample.period
+        return _Lattice(sample.period, -math.ceil(reach), 0.0,
+                        np.broadcast_to(1.0, (1, 2 * math.ceil(reach) + 2)),
+                        half, radius, n, quad.angular_nodes, reach + 1.0)
     if isinstance(sample, Raster):
-        grid = sample.grid
-        rows, cols = grid.shape
-        jj, ii = np.meshgrid(np.arange(cols), np.arange(rows))
-        centers_x = (jj.ravel() - 0.5 * (cols - 1)) * sample.pitch
-        centers_y = (ii.ravel() - 0.5 * (rows - 1)) * sample.pitch
-        weights = grid.ravel() if coherent else np.abs(grid.ravel()) ** 2
-        keep = weights != 0.0
-        _check_panel_count(count * int(np.count_nonzero(keep)))
+        rows, cols = sample.grid.shape
         half = 0.5 * sample.pitch
-        return _Panels(np.tile(centers_x[keep], count), np.tile(centers_y[keep], count),
-                       np.tile(weights[keep], count),
-                       np.full(count, np.count_nonzero(keep)), half, half, n, n)
+        return _Lattice(sample.pitch, -0.5 * (cols - 1), -0.5 * (rows - 1),
+                        sample.grid if coherent else np.abs(sample.grid) ** 2, half, half, n, n)
     raise ConfigError(f"unsupported sample for panel integration: {sample!r}")
+
+
+def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
+    """The distinct canonical displacements [m] of a scan, one per row, the
+    row of each cell of the class boxes, end to end, and ``windows(cells,
+    members)``, which yields bounded blocks ``(offsets, entries, weights)``:
+    ``cells`` (one per box cell) at each offset's lit cells, a row each in
+    pixel order.  Too many cells are refused before any box exists."""
+    periodic = math.isfinite(lattice.reach)
+    coord = np.rint(offsets / lattice.pitch * 2.0 ** _KEY_BITS) * 2.0 ** -_KEY_BITS
+    if periodic:  # a grating folds every offset to its residual along x
+        coord[:, 1] = 0.0
+        coord -= np.floor(coord)
+    # the members of a residual class differ by exact integer shifts
+    order = np.argsort((coord - np.floor(coord)).view(complex).ravel())
+    coord = coord[order]
+    first = np.append(0, 1 + np.flatnonzero(np.diff(
+        (coord - np.floor(coord)).view(complex).ravel())))
+    span = np.maximum.reduceat(coord, first) + lattice.weight.shape[::-1]
+    span -= np.minimum.reduceat(coord, first)
+    if (count := np.prod(span, axis=1).sum()) > _MAX_TABLE_CELLS:
+        raise ConfigError(
+            f"scan table of {int(count)} cells exceeds the limit of {_MAX_TABLE_CELLS}; "
+            f"building it would need about {count * _BYTES_PER_TABLE_CELL / 2**20:,.0f} MiB")
+
+    box = span.astype(np.int64)  # each class's box width and height
+    high = np.maximum.reduceat(coord, first)
+    residual = high - np.floor(high)
+    high -= residual  # each class's largest shift
+    sizes = box[:, 0] * box[:, 1]
+    start = np.cumsum(sizes) - sizes  # each class's first box cell
+    if periodic:  # every grating offset has shift 0 and keeps the stripes within reach
+        near = np.abs(lattice.x0 + np.arange(box[0, 0]) - residual[:, :1]) < lattice.reach
+        masks, lit_id = np.unique(near, axis=0, return_inverse=True)
+        lits = [(np.flatnonzero(mask), lattice.weight[0, mask]) for mask in masks]
+    else:  # the lit cells of a box depend on its width alone
+        ty, tx = np.nonzero(lattice.weight)
+        widths, lit_id = np.unique(box[:, 0], return_inverse=True)
+        lits = [(ty * width + tx, lattice.weight[ty, tx]) for width in widths]
+    klass = np.repeat(np.arange(first.size), np.diff(np.append(first, coord.shape[0])))
+    corner = (high[klass] - (coord - residual[klass])).astype(np.int64)
+    back = np.argsort(order)  # each offset's place among the sorted ones
+    lit_of = lit_id[klass[back]]
+    start_of = (start[klass] + corner[:, 1] * box[klass, 0] + corner[:, 0])[back]
+    # every box cell's key: the integer cell difference, exact, minus the
+    # rounded residual of its class
+    owner = np.repeat(np.arange(first.size), sizes)
+    row, col = np.divmod(np.arange(sizes.sum()) - start[owner], box[owner, 0])
+    dx = np.abs((lattice.x0 - high[owner, 0]) + col - residual[owner, 0])
+    dy = np.abs((lattice.y0 - high[owner, 1]) + row - residual[owner, 1])
+    if lattice.half_x == lattice.half_y and lattice.n_x == lattice.n_y:
+        dx, dy = np.minimum(dx, dy), np.maximum(dx, dy)
+    distinct, rows = np.unique(dx + 1j * dy, return_inverse=True)
+
+    def windows(cells: np.ndarray, members: np.ndarray):
+        for shape in np.unique(lit_of[members]):
+            lit, weight = lits[shape]
+            alike = members[lit_of[members] == shape]
+            for block in np.array_split(alike, -(-alike.size * lit.size // _KERNEL_POINT_BUDGET)):
+                yield block, cells[start_of[block, None] + lit], weight
+
+    return np.column_stack([distinct.real, distinct.imag]) * lattice.pitch, rows, windows
 
 
 def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
@@ -617,18 +615,16 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
     """Integral of ``t(u) * kern(u - y)`` over the sample plane at every
     scan offset ``y`` (rows of ``offsets``).
 
-    Each pass integrates the kernel over one panel at every distinct
-    displacement of the scan (``_displacement_table``), and each offset's
-    sum is assembled from those panel integrals.  ``map_rows(func, points)``
-    may apply ``func`` to chunks of the displacement rows, in order, and
-    concatenate the results (see ``sample_amplitudes``); by default one
-    call covers them all.
+    Each pass integrates one lattice cell at every distinct displacement
+    the offsets read (``_lattice_table``).  ``map_rows(func, points)`` may
+    apply ``func`` to chunks of those rows, in order, and concatenate the
+    results (see ``sample_amplitudes``); by default one call covers them.
 
     Convergence is judged per offset.  The integral is evaluated once with
     the requested node counts and once with both counts doubled; the
     doubled result is kept where the disagreement between the passes stays
     within ``10 * target_rel_tol`` of the result scale.  The offsets that
-    miss it are refined again, through the rows of their own panels: the
+    miss it are refined again, through the rows of their own cells: the
     doubled pass becomes the coarse one and the counts are doubled once
     more, up to ``_DOUBLING_CHECKS`` checks, after which a
     ``QuadratureError`` is raised for the first offset, in the order
@@ -636,30 +632,37 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
     failures near response zeros by never dropping below 1% of the
     integrated absolute mass at the requested counts.
     """
-    panels = _sample_panels(sample, offsets, cfg, quad, coherent)
+    if offsets.shape[0] == 0:
+        return np.zeros(0, dtype=complex)
+    lattice = _sample_lattice(sample, cfg, quad, coherent)
+    points, box_rows, windows = _lattice_table(lattice, offsets)
     result = np.zeros(offsets.shape[0], dtype=complex)
-    if panels.x.size == 0:
+    if not np.any(lattice.weight):
         return result
-    points, rows = _displacement_table(panels, offsets)
     map_rows = map_rows or (lambda func, items: func(items))
 
-    def table(kernel, n_x: int, n_y: int, needed: np.ndarray) -> np.ndarray:
-        values = map_rows(lambda chunk: _panel_sum(chunk, panels.half_x, panels.half_y,
-                                                   n_x, n_y, kernel), points[needed])
-        full = np.zeros(points.shape[0], dtype=values.dtype)
-        full[needed] = values
-        return full
+    def sums(kernel, n_x: int, n_y: int, members: np.ndarray, weigh=lambda w: w):
+        """Each offset of ``members`` summed over its lit cells, integrating their rows."""
+        needed = np.zeros(points.shape[0], dtype=bool)
+        for _, cells, _ in windows(box_rows, members):
+            needed[cells] = True
+        integrals = map_rows(lambda chunk: _panel_sum(chunk, lattice.half_x, lattice.half_y,
+                                                      n_x, n_y, kernel), points[needed])
+        # every box cell's integral; windows read only the needed rows
+        box_values = integrals[np.cumsum(needed)[box_rows] - 1]
+        out = np.empty(offsets.shape[0], dtype=complex)
+        for block, cells, weight in windows(box_values, members):
+            weight = weigh(weight)
+            out[block] = [np.dot(weight, row) for row in cells]
+        return out[members]
 
-    weight, counts = panels.weight, panels.counts
-    n_x, n_y = panels.n_x, panels.n_y
-    needed = np.ones(points.shape[0], dtype=bool)
-    coarse = _offset_sums(table(kern, n_x, n_y, needed), weight, rows, counts)
-    abs_kern = lambda vx, vy: np.abs(kern(vx, vy))  # noqa: E731
-    mass = _offset_sums(table(abs_kern, n_x, n_y, needed), np.abs(weight), rows, counts).real
+    n_x, n_y = lattice.n_x, lattice.n_y
     pending = np.arange(offsets.shape[0])
+    coarse = sums(kern, n_x, n_y, pending)
+    mass = sums(lambda vx, vy: np.abs(kern(vx, vy)), n_x, n_y, pending, np.abs).real
     for _ in range(_DOUBLING_CHECKS):
         n_x, n_y = 2 * n_x, 2 * n_y
-        fine = _offset_sums(table(kern, n_x, n_y, needed), weight, rows, counts)
+        fine = sums(kern, n_x, n_y, pending)
         scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
         error = np.abs(fine - coarse)
         done = (scale == 0.0) | (error <= 10.0 * quad.target_rel_tol * scale)
@@ -668,10 +671,6 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
             return result
         keep = ~done
         moved = error[keep] / scale[keep]
-        kept_panels = np.repeat(keep, counts)
-        weight, rows, counts = weight[kept_panels], rows[kept_panels], counts[keep]
-        needed = np.zeros(points.shape[0], dtype=bool)
-        needed[rows] = True
         pending, coarse, mass = pending[keep], fine[keep], mass[keep]
     raise QuadratureError(
         "amplitude quadrature did not converge: node doubling moved the "

@@ -8,6 +8,7 @@ exceeds the tolerances being certified).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,10 +482,21 @@ def test_far_tail_offset_converges_with_one_more_doubling(monkeypatch):
         amplitude(offset, CFG8, sample, spec)
 
 
+def table_windows(sample, offsets, spec):
+    """The table of a scan of ``sample``: its displacements, one per row,
+    and the rows each offset reads."""
+    lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
+    points, box_rows, windows = coincidence._lattice_table(lattice, offsets)
+    rows = [None] * offsets.shape[0]
+    for block, entries, _ in windows(box_rows, np.arange(offsets.shape[0])):
+        for i, entry in zip(block, entries):
+            rows[i] = entry
+    return points, rows
+
+
 def table_rows(sample, offsets, spec):
-    """Distinct canonical panel displacements of a scan of ``sample``."""
-    panels = coincidence._sample_panels(sample, offsets, CFG8, spec, True)
-    return coincidence._displacement_table(panels, offsets)[0].shape[0]
+    """Distinct canonical cell displacements a scan of ``sample`` reads."""
+    return np.unique(np.concatenate(table_windows(sample, offsets, spec)[1])).size
 
 
 def test_kernel_calls_stay_within_point_budget():
@@ -542,17 +554,22 @@ def lattice_displacement_count(grid: np.ndarray, side: int) -> int:
     kx, ky = np.tile(np.arange(side), side), np.repeat(np.arange(side), side)
     dx = np.abs(2 * jj[None, :] - 2 * kx[:, None] + side - ncols).ravel()
     dy = np.abs(2 * ii[None, :] - 2 * ky[:, None] + side - nrows).ravel()
-    return len(set(zip(np.minimum(dx, dy).tolist(), np.maximum(dx, dy).tolist())))
+    span = 2 * (side + max(nrows, ncols))
+    return np.unique(np.minimum(dx, dy) * span + np.maximum(dx, dy)).size
 
 
 @pytest.mark.parametrize("shape, lit, pitch, side", [
     # the benchmark's twin grid: a 4x4 raster with one half-turn pixel pair
     ((4, 4), [(0, 1), (3, 2)], 2e-7, 16),
     ((5, 5), [(0, 0), (0, 3), (1, 2), (2, 4), (3, 1), (4, 4)], 3.7e-7, 33),
+    # a random binary resolution target, whose grid steps differ from the
+    # pitch by up to 3.1e-15 relative
+    ((64, 64), list(zip(*np.nonzero(np.random.default_rng(5).random((64, 64)) < 0.5))),
+     5e-8, 16),
 ])
 def test_on_lattice_grid_has_one_row_per_lattice_displacement(shape, lit, pitch, side):
-    """``Grid.offsets`` leaves lattice offsets an ulp or two off the
-    lattice; the key quantum still merges every pair of equal lattice
+    """``Grid.offsets`` leaves lattice offsets a few ulps off the lattice;
+    the key quantum still merges every pair of equal lattice
     displacements, and merges no others."""
     grid = np.zeros(shape)
     for i, j in lit:
@@ -563,35 +580,77 @@ def test_on_lattice_grid_has_one_row_per_lattice_displacement(shape, lit, pitch,
     assert rows == lattice_displacement_count(grid, side)
 
 
+@pytest.mark.parametrize("side, limit_mib", [(32, 28), (64, 64)])
+def test_on_lattice_table_of_a_large_target_stays_small(side, limit_mib):
+    """An on-lattice grid over a 64x64 random binary target at 0.05 um
+    keys lattice differences over one dense box, not every pixel at every
+    offset: building the table (no kernel work) stays within a few MiB,
+    and the 64x64 grid (8.4e6 pixel-offset pairs) is accepted."""
+    grid = (np.random.default_rng(5).random((64, 64)) < 0.5).astype(float)
+    half = 0.5 * (side - 1) * 5e-8
+    offsets = Grid(half_range_x=half, half_range_y=half, nx=side, ny=side).offsets()
+    tracemalloc.start()
+    try:
+        lattice = coincidence._sample_lattice(Raster(pitch=5e-8, grid=grid), CFG8,
+                                              QuadratureSpec(), True)
+        coincidence._lattice_table(lattice, offsets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
+
+
+def cell_displacements(sample, offset, spec):
+    """Centres [m] of the cells a one-offset integral of ``sample`` covers,
+    in pixel order, minus ``offset``: every lit raster pixel, the slit,
+    or the grating stripes from ``floor`` to ``ceil`` of the truncation
+    radius either side of the offset, centred on it along y."""
+    if isinstance(sample, Slit):
+        centres = np.zeros((1, 2))
+    elif isinstance(sample, Raster):
+        nrows, ncols = sample.grid.shape
+        ii, jj = np.nonzero(sample.grid)
+        centres = np.column_stack([(jj - 0.5 * (ncols - 1)) * sample.pitch,
+                                   (ii - 0.5 * (nrows - 1)) * sample.pitch])
+    else:
+        radius = default_truncation_radius(CFG8, spec.target_rel_tol)
+        orders = np.arange(math.floor((offset[0] - radius) / sample.period),
+                           math.ceil((offset[0] + radius) / sample.period) + 1)
+        centres = np.column_stack([orders * sample.period, np.full(orders.size, offset[1])])
+    return centres - offset
+
+
 def test_table_values_match_direct_panel_sums():
-    """Keying panels by rounded canonical displacements moves no panel
+    """Keying cells by rounded canonical displacements moves no panel
     integral by more than 1e-13 relative to a direct sum at its true
     displacement, on an on-lattice grid where mathematically equal
     displacements differ by an ulp or two.  Far out on the Gaussian tail
     a rounding of a few ulps moves a value by more than that relative to
     itself (5e-13 on a stripe integral of 2e-118 here), so values there
-    are held to 1e-13 of the largest panel integral instead."""
+    are held to 1e-13 of the largest panel integral instead.  Each
+    offset's window holds the cells of its one-offset integral, in pixel
+    order."""
     kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
     xs = np.linspace(-1.5e-6, 1.5e-6, 16)
-    lattice = np.column_stack([np.tile(xs, 16), np.repeat(xs, 16)])
+    lattice_grid = np.column_stack([np.tile(xs, 16), np.repeat(xs, 16)])
     line = np.column_stack([np.linspace(-1e-6, 1e-6, 17), np.zeros(17)])
     grid = np.zeros((4, 4))
     grid[1, 3] = grid[2, 0] = grid[0, 1] = grid[3, 2] = 1.0
     cases = [
-        (Raster(pitch=2e-7, grid=grid), lattice, QuadratureSpec(radial_nodes=12)),
+        (Raster(pitch=2e-7, grid=grid), lattice_grid, QuadratureSpec(radial_nodes=12)),
         (Slit(3e-7), line, QuadratureSpec(radial_nodes=16)),
         (Grating(period=2e-6, duty=0.4), line, QuadratureSpec(angular_nodes=64)),
     ]
     for sample, offsets, spec in cases:
-        panels = coincidence._sample_panels(sample, offsets, CFG8, spec, True)
-        points, rows = coincidence._displacement_table(panels, offsets)
-        assert points.shape[0] < rows.size
-        shift = np.repeat(offsets, panels.counts, axis=0)
-        true = np.column_stack([panels.x - shift[:, 0], panels.y - shift[:, 1]])
-        size = (panels.half_x, panels.half_y, panels.n_x, panels.n_y)
-        direct = coincidence._panel_sum(true, *size, kern)
-        table = coincidence._panel_sum(points, *size, kern)[rows]
-        assert np.allclose(table, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())
+        lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
+        points, rows = table_windows(sample, offsets, spec)
+        true = [cell_displacements(sample, offset, spec) for offset in offsets]
+        assert [r.size for r in rows] == [t.shape[0] for t in true]
+        assert table_rows(sample, offsets, spec) < sum(r.size for r in rows)
+        size = (lattice.half_x, lattice.half_y, lattice.n_x, lattice.n_y)
+        direct = coincidence._panel_sum(np.concatenate(true), *size, kern)
+        keyed = coincidence._panel_sum(points, *size, kern)[np.concatenate(rows)]
+        assert np.allclose(keyed, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())
 
 
 def test_default_truncation_radius_paths():

@@ -10,6 +10,7 @@ Frozen two-point resolution limits (meters) for a 12 mm pump waist at a
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,25 +87,26 @@ def test_scan_size_limit_names_count_and_memory():
     Grid(nx=1024, ny=1024)
 
 
-@pytest.mark.parametrize("plan, sample, count", [
-    # 2**30 panels, about 140 GiB listed
-    (ScanPlan(Grid(nx=1024, ny=1024)), Raster(pitch=1e-7, grid=np.ones((32, 32))), 1 << 30),
-    # about 1e4 stripes per offset
-    (line_plan(Instrument.CONFOCAL, samples=1024), Grating(period=1e-10), None),
-])
-def test_scan_panel_limit_names_count_and_memory(plan, sample, count):
-    """An extended scan of more than 2**22 panels is refused with the
-    count and the memory, before any per-panel array exists."""
+@pytest.mark.parametrize("plan, sample", [
+    # about 1e6 residual classes of a 32 x 32 box each, about 160 GiB
+    (ScanPlan(Grid(nx=1024, ny=1024)), Raster(pitch=1e-7, grid=np.ones((32, 32)))),
+    # about 2e4 stripes in each of 1024 residual classes
+    (line_plan(Instrument.CONFOCAL, samples=1024), Grating(period=1e-10)),
+], ids=["raster_grid", "fine_grating"])
+def test_scan_table_limit_names_count_and_memory(plan, sample):
+    """An extended scan whose table would hold more than the cell cap is
+    refused with the count and the memory, before any table exists."""
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=r"quadrature panels exceeds .* MiB") as info:
+        with pytest.raises(ConfigError, match=r"scan table of (\d+) cells exceeds .* MiB") as info:
             scan(plan, CFG8, sample)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
-    if count is not None:
-        assert f"scan of {count} quadrature panels" in str(info.value)
+    count = int(re.search(r"table of (\d+) cells", str(info.value)).group(1))
+    assert count > coincidence._MAX_TABLE_CELLS
+    assert f"about {count * coincidence._BYTES_PER_TABLE_CELL / 2**20:,.0f} MiB" in str(info.value)
 
 
 def test_line_offsets_layout():
@@ -247,14 +249,39 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
         # one kernel call per pass: coarse, mass, fine, and 48 nodes if refined
         refined.append(len(points) == 4)
     assert np.allclose(batched, np.array(per_offset), rtol=1e-14, atol=0)
-    panels = coincidence._sample_panels(sample, offsets, CFG8, spec, True)
-    table, rows = coincidence._displacement_table(panels, offsets)
-    refined_rows = np.unique(rows.reshape(-1, 2)[np.array(refined)])
-    assert 0 < refined_rows.size < table.shape[0] < rows.size
-    assert scan_points == 6 * 144 * table.shape[0] + 16 * 144 * refined_rows.size
+    lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
+    _, box_rows, blocks = coincidence._lattice_table(lattice, offsets)
+    windows = [None] * offsets.shape[0]
+    for block, entries, _ in blocks(box_rows, np.arange(offsets.shape[0])):
+        for i, entry in zip(block, entries):
+            windows[i] = entry
+    rows = np.unique(np.concatenate(windows))
+    refined_rows = np.unique(np.concatenate([w for w, r in zip(windows, refined) if r]))
+    assert 0 < refined_rows.size < rows.size < sum(w.size for w in windows)
+    assert scan_points == 6 * 144 * rows.size + 16 * 144 * refined_rows.size
     monkeypatch.setattr(coincidence, "_DOUBLING_CHECKS", 1)
     with pytest.raises(QuadratureError, match="node"):
         scan(plan, CFG8, sample, spec)
+
+
+def test_far_offsets_key_without_overflow(monkeypatch):
+    """Offsets about 1e4 pitches from a tiny raster keep their lattice
+    shift and residual apart without overflow: the scan is finite, raises
+    no overflow or invalid-value error on its one thread, and equals
+    one-offset rates bit for bit."""
+    monkeypatch.delenv("TWINFOCAL_THREADS", raising=False)
+    grid = np.zeros((4, 4))
+    grid[0, 1] = grid[1, 3] = grid[2, 2] = grid[3, 0] = 1.0
+    sample = Raster(pitch=1e-10, grid=grid)
+    spec = QuadratureSpec(radial_nodes=8)
+    geometry = Line(half_range=1e-6, samples=16)
+    with np.errstate(over="raise", invalid="raise"):
+        image = scan(ScanPlan(geometry=geometry), CFG8, sample, spec)
+        rates = np.array([coincidence.coincidence_rate(pt, CFG8, sample, spec)
+                          for pt in geometry.offsets()])
+    assert np.all(np.isfinite(image.values)) and image.peak_value_raw > 0.0
+    assert image.peak_value_raw == rates.max()
+    assert np.array_equal(image.values, rates / rates.max())
 
 
 def test_mirror_symmetric_scan_evaluates_each_displacement_once(monkeypatch):
