@@ -5,10 +5,10 @@ Run from the repository root::
     python scripts/make_specfun_tables.py
 
 It prints the tables as Python literals, ready to paste into
-``src/twinfocal/specfun.py``, followed by the worst absolute error of
-each branch against the 60-digit reference over [0, 50].  A tier-1 test
-reruns ``build_tables`` and checks that it reproduces the committed
-tables exactly.
+``src/twinfocal/specfun.py``, followed by the magnitude sum of each
+series table and the worst absolute error of each branch against the
+60-digit reference over [0, 50].  A tier-1 test reruns ``build_tables``
+and checks that it reproduces the committed tables exactly.
 
 Series branch, ``|x| <= 12``.  With ``q = x^2/4`` both functions are
 ``1 + q g_n(q)``: ``J0(x)`` for ``n = 0`` and ``2 J1(x)/x`` for ``n = 1``.
@@ -18,7 +18,12 @@ Series branch, ``|x| <= 12``.  With ``q = x^2/4`` both functions are
 node values take no cancellation: Neumann's series ``1 = J0 + 2 sum J_2k``
 gives ``1 - J0 = 2 sum_{k>=1} J_2k`` and
 ``1 - 2 J1/x = J2 + 2 sum_{k>=2} J_2k``, sums of the reference
-``J_2k`` that are accurate relative to ``q`` even near ``q = 0``.
+``J_2k`` that are accurate relative to ``q`` even near ``q = 0``.  The
+committed table is that Chebyshev polynomial in the power basis of ``t``,
+for Horner's rule: each rounded Chebyshev coefficient is expanded in
+exact rationals and every power coefficient is rounded once.  The power
+basis is well conditioned on ``|t| <= 1``: its coefficients sum to 1.06
+in magnitude for ``n = 0`` and 0.50 for ``n = 1``.
 
 Hankel branch, ``|x| > 12``.
 ``J_n(x) = sqrt(2/(pi x)) [cos(w) P - sin(w) Q]``, ``w = x - (n/2 + 1/4) pi``,
@@ -63,7 +68,7 @@ def _one_minus(n: int, x: float) -> float:
         k += 1
 
 
-def _series_table(n: int) -> tuple[float, ...]:
+def _chebyshev_table(n: int) -> tuple[float, ...]:
     # g_n(q) = (f_n - 1)/q at the Chebyshev points t_j = cos(pi (2j + 1)/(2N)).
     # cos(k theta_j) is taken at the angle reduced in integers first: a
     # rounded k * theta_j would put errors of k * 1e-16 into the coefficients.
@@ -79,6 +84,22 @@ def _series_table(n: int) -> tuple[float, ...]:
         c = 2.0 / _NODES * math.fsum(v * cos_pi(k * (2 * j + 1)) for j, v in enumerate(values))
         coeffs.append(0.5 * c if k == 0 else c)
     return tuple(coeffs)
+
+
+def _series_table(n: int) -> tuple[float, ...]:
+    # sum_k c_k T_k(t) in powers of t, with T_(k+1) = 2 t T_k - T_(k-1) on
+    # integer coefficients: exact until the one rounding of each sum.
+    coeffs = _chebyshev_table(n)
+    power = [Fraction(coeffs[0])] + [Fraction(0)] * SERIES_DEGREE
+    prev, cheb = [1], [0, 1]  # T_(k-1) and T_k, lowest power first
+    for c in coeffs[1:]:
+        for i, m in enumerate(cheb):
+            power[i] += Fraction(c) * m
+        step = [0] + [2 * m for m in cheb]
+        for i, m in enumerate(prev):
+            step[i] -= m
+        prev, cheb = cheb, step
+    return tuple(float(a) for a in power)
 
 
 def _hankel_tables(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -131,8 +152,11 @@ def _branch_errors() -> list[str]:
 
 
 def main() -> None:
-    for name, table in build_tables().items():
+    tables = build_tables()
+    for name, table in tables.items():
         print(_literal(name, table))
+    for n, row in enumerate(tables["_SERIES"]):
+        print(f"# _SERIES[{n}]: sum |a_k| = {math.fsum(abs(a) for a in row):.3f}")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     print("\n".join(_branch_errors()))
 

@@ -35,6 +35,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -676,7 +677,10 @@ def cmd_scan(run: RunConfig, stderr) -> Results:
 # argument parsing and dispatch
 # ============================================================================
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it depends only on
+    ``_SCHEMA``, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="twinfocal",
         description="Twin-photon confocal microscope simulator")

@@ -141,9 +141,12 @@ _AIRY_ZERO_3 = 10.173468135062722
 _DOUBLING_CHECKS = 2
 
 # Most kernel points one call of an extended-sample pass evaluates; a
-# panel with more nodes runs alone.  Half the largest call of a
-# one-offset-at-a-time evaluation (8 pixels at 96 x 96 nodes), it was the
-# fastest of 9 216 to 73 728 points on the twin-photon benchmark study.
+# panel with more nodes runs alone.  Of 9 216, 18 432, 36 864 and 73 728
+# points, measured in-process on both extended benchmark workloads (seed
+# 13, two rounds), 36 864 gave the fastest twin-photon passes (2 threads:
+# 97-109 ms against 135-213 ms below it and 106-156 ms above it), and the
+# classical passes were level from 18 432 up (152-179 ms) and slower at
+# 9 216 (184-186 ms).
 _KERNEL_POINT_BUDGET = 4 * 96 ** 2
 
 # Most kernel points one panel may hold at the last node doubling, about
@@ -444,19 +447,27 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
     own ``(v_x, v_y)`` alone, and on the axis (``v_y = 0``) the second
     factor is exactly 1.
     """
-    vx = np.asarray(v_x, dtype=float)
-    vy = np.asarray(v_y, dtype=float)
-    xx, yy = vx * vx, vy * vy
-    radius = np.sqrt(xx + yy)
+    xx = np.square(np.asarray(v_x, dtype=float))
+    yy = np.square(np.asarray(v_y, dtype=float))
+    radius = np.asarray(xx + yy)  # an array even for scalar components
+    np.sqrt(radius, out=radius)
     alpha_o, alpha_e = _twin_alphas(cfg)
-    amp_o = airy_amp(alpha_o * radius)
     # a degenerate pair has two equal Airy factors: evaluate it once
-    amp = amp_o * (amp_o if alpha_e == alpha_o else airy_amp(alpha_e * radius))
+    if alpha_e == alpha_o:
+        radius *= alpha_o
+        amp = airy_amp(radius)
+        amp *= amp
+    else:
+        amp = airy_amp(alpha_o * radius)
+        radius *= alpha_e
+        amp *= airy_amp(radius)
     if cfg.pump_gaussian:
         # pump amplitude at the doubled coordinate, undoubled Fresnel phase
         eta = eta0_inv_sq(cfg)
         c = complex(4.0 * eta.real, eta.imag)
-        return amp * (np.exp(-0.5 * xx * c) * np.exp(-0.5 * yy * c))
+        field = np.exp(-0.5 * xx * c) * np.exp(-0.5 * yy * c)
+        field *= amp
+        return field
     return np.asarray(amp, dtype=complex)
 
 
@@ -536,6 +547,8 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
     if isinstance(sample, Grating):
         radius = quad.truncation_radius or default_truncation_radius(cfg, quad.target_rel_tol)
         reach, half = radius / sample.period, 0.5 * sample.duty * sample.period
+        # every residual class holds all the stripes: count them before any array
+        _check_table_cells(2.0 * np.ceil(reach) + 2.0)
         return _Lattice(sample.period, -math.ceil(reach), 0.0,
                         np.broadcast_to(1.0, (1, 2 * math.ceil(reach) + 2)),
                         half, radius, n, quad.angular_nodes, reach + 1.0)
@@ -545,6 +558,14 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
         return _Lattice(sample.pitch, -0.5 * (cols - 1), -0.5 * (rows - 1),
                         sample.grid if coherent else np.abs(sample.grid) ** 2, half, half, n, n)
     raise ConfigError(f"unsupported sample for panel integration: {sample!r}")
+
+
+def _check_table_cells(count: float) -> None:
+    """Refuse a scan table of more than ``_MAX_TABLE_CELLS`` cells."""
+    if count > _MAX_TABLE_CELLS:
+        raise ConfigError(
+            f"scan table of {count:.0f} cells exceeds the limit of {_MAX_TABLE_CELLS}; "
+            f"building it would need about {count * _BYTES_PER_TABLE_CELL / 2**20:,.0f} MiB")
 
 
 def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
@@ -565,10 +586,7 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
         (coord - np.floor(coord)).view(complex).ravel())))
     span = np.maximum.reduceat(coord, first) + lattice.weight.shape[::-1]
     span -= np.minimum.reduceat(coord, first)
-    if (count := np.prod(span, axis=1).sum()) > _MAX_TABLE_CELLS:
-        raise ConfigError(
-            f"scan table of {int(count)} cells exceeds the limit of {_MAX_TABLE_CELLS}; "
-            f"building it would need about {count * _BYTES_PER_TABLE_CELL / 2**20:,.0f} MiB")
+    _check_table_cells(np.prod(span, axis=1).sum())
 
     box = span.astype(np.int64)  # each class's box width and height
     high = np.maximum.reduceat(coord, first)
@@ -641,15 +659,20 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
         return result
     map_rows = map_rows or (lambda func, items: func(items))
 
-    def sums(kernel, n_x: int, n_y: int, members: np.ndarray, weigh=lambda w: w):
-        """Each offset of ``members`` summed over its lit cells, integrating their rows."""
+    def rows_of(members: np.ndarray):
+        """The table rows that the lit cells of ``members`` read, and each
+        box cell's place among them (windows read only those places)."""
         needed = np.zeros(points.shape[0], dtype=bool)
         for _, cells, _ in windows(box_rows, members):
             needed[cells] = True
+        return points[needed], np.cumsum(needed)[box_rows] - 1
+
+    def sums(kernel, n_x: int, n_y: int, members: np.ndarray, rows, weigh=lambda w: w):
+        """Each offset of ``members`` summed over its lit cells, integrating ``rows``."""
+        read, place = rows
         integrals = map_rows(lambda chunk: _panel_sum(chunk, lattice.half_x, lattice.half_y,
-                                                      n_x, n_y, kernel), points[needed])
-        # every box cell's integral; windows read only the needed rows
-        box_values = integrals[np.cumsum(needed)[box_rows] - 1]
+                                                      n_x, n_y, kernel), read)
+        box_values = integrals[place]
         out = np.empty(offsets.shape[0], dtype=complex)
         for block, cells, weight in windows(box_values, members):
             weight = weigh(weight)
@@ -658,11 +681,12 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
 
     n_x, n_y = lattice.n_x, lattice.n_y
     pending = np.arange(offsets.shape[0])
-    coarse = sums(kern, n_x, n_y, pending)
-    mass = sums(lambda vx, vy: np.abs(kern(vx, vy)), n_x, n_y, pending, np.abs).real
+    rows = rows_of(pending)
+    coarse = sums(kern, n_x, n_y, pending, rows)
+    mass = sums(lambda vx, vy: np.abs(kern(vx, vy)), n_x, n_y, pending, rows, np.abs).real
     for _ in range(_DOUBLING_CHECKS):
         n_x, n_y = 2 * n_x, 2 * n_y
-        fine = sums(kern, n_x, n_y, pending)
+        fine = sums(kern, n_x, n_y, pending, rows)
         scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
         error = np.abs(fine - coarse)
         done = (scale == 0.0) | (error <= 10.0 * quad.target_rel_tol * scale)
@@ -672,6 +696,7 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
         keep = ~done
         moved = error[keep] / scale[keep]
         pending, coarse, mass = pending[keep], fine[keep], mass[keep]
+        rows = rows_of(pending)
     raise QuadratureError(
         "amplitude quadrature did not converge: node doubling moved the "
         f"result by {moved[0]:.3e} relative "

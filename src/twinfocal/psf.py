@@ -51,25 +51,32 @@ _FWHM_REL_TOL = 1e-8
 
 def _check_offsets(y) -> np.ndarray:
     arr = np.asarray(y, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
+    # min and max propagate NaN, so two reductions refuse NaN, inf and negatives
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise ValueError("scan offset must be finite and non-negative")
     return arr
 
 
+def _airy_amplitude(y, cfg: MicroscopeConfig) -> np.ndarray:
+    """The widefield amplitude ``airy_amp(2 pi a y / (lambda_o f))`` at the
+    checked offsets ``y``, in a new array."""
+    v = _check_offsets(y) * (2.0 * math.pi * cfg.a)
+    v /= cfg.lambda_o * cfg.f
+    return np.asarray(airy_amp(v))
+
+
 def psf_widefield(y, cfg: MicroscopeConfig):
     """Widefield intensity response at radial offset y [m]; peak 1 at y = 0."""
-    arr = _check_offsets(y)
-    amp = airy_amp(2.0 * math.pi * cfg.a * arr / (cfg.lambda_o * cfg.f))
-    out = amp * amp
+    out = _airy_amplitude(y, cfg)
+    out *= out
     return float(out) if np.ndim(y) == 0 else out
 
 
 def psf_confocal(y, cfg: MicroscopeConfig):
     """Confocal intensity response: the widefield amplitude to the fourth power."""
-    arr = _check_offsets(y)
-    amp = airy_amp(2.0 * math.pi * cfg.a * arr / (cfg.lambda_o * cfg.f))
-    intensity = amp * amp
-    out = intensity * intensity
+    out = _airy_amplitude(y, cfg)
+    out *= out
+    out *= out
     return float(out) if np.ndim(y) == 0 else out
 
 
@@ -87,7 +94,8 @@ def psf_twin(y, cfg: MicroscopeConfig):
     """
     arr = _check_offsets(y)
     k = kernel_field(arr, 0.0, cfg)
-    out = k.real * k.real + k.imag * k.imag
+    out = k.real * k.real
+    out += k.imag * k.imag
     return float(out) if np.ndim(y) == 0 else out
 
 

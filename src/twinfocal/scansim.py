@@ -227,7 +227,11 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
             values = twin_rates(sample, offsets, cfg, quad, t12, disp, map_chunked)
         else:
             response = _instrument_psf(plan.instrument)
-            kern = lambda vx, vy: response(np.sqrt(vx * vx + vy * vy), cfg)  # noqa: E731
+
+            def kern(vx, vy):
+                radius = vx * vx + vy * vy
+                return response(np.sqrt(radius, out=radius), cfg)
+
             values = np.abs(sample_amplitudes(sample, offsets, cfg, quad, kern, False,
                                               map_chunked))
     peak = float(values.max()) if values.size else 0.0

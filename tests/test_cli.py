@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from twinfocal import cli
 from twinfocal.errors import ConfigError
 from twinfocal.optics import MicroscopeConfig
 from twinfocal.coincidence import Delta, Grating, QuadratureSpec, Raster, Slit, TwoPoint
@@ -759,3 +760,39 @@ def test_module_runs_as_script():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "r0_m = 1.580055135e-06" in proc.stdout
+
+
+def test_cached_parser_behaves_like_a_fresh_one(tmp_path, capsys):
+    """``main`` builds its parser once per process.  Calls with different
+    subcommands, an argument error and a config error in between, give the
+    same exit codes and bytes as calls that each build a new parser."""
+    good = write_config(tmp_path, "microscope.w0 = 8mm\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("microscope.w0 = 3cm\n", encoding="utf-8")  # waist > aperture
+    calls = [
+        ("params", "--config", good),
+        ("compare", "--config", good, "--points", "5"),
+        ("sweep", "--config", good, "--steps", "2", "--no-such-flag"),
+        ("params", "--config", str(bad)),
+        ("compare", "--config", good, "--points", "5"),
+        ("params", "--config", good),
+    ]
+
+    def outcomes(fresh: bool) -> list:
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code, out, err = run_cli(*argv)
+            except SystemExit as exc:  # argparse reports on sys.stderr
+                code, out, err = exc.code, "", ""
+            captured = capsys.readouterr()
+            seen.append((code, out, err, captured.out, captured.err))
+        return seen
+
+    cached, fresh = outcomes(False), outcomes(True)
+    assert cached == fresh
+    assert [entry[0] for entry in cached] == [0, 0, 2, 2, 0, 0]
+    assert cached[0] == cached[-1] and cached[1] == cached[-2]
+    assert "--no-such-flag" in cached[2][4]

@@ -17,6 +17,7 @@ import pytest
 from conftest import reference_airy_intensity, reference_half_crossing
 
 from twinfocal.errors import ScanRangeError
+from twinfocal.coincidence import kernel_field
 from twinfocal.optics import MicroscopeConfig, airy_radius, r0
 from twinfocal.psf import (
     fwhm,
@@ -63,6 +64,23 @@ def test_negative_offset_rejected():
     for func in (psf_widefield, psf_confocal, psf_twin):
         with pytest.raises(ValueError):
             func(-1e-9, CFG)
+
+
+def test_responses_do_not_write_their_arguments():
+    """The responses and the kernel compute in arrays of their own."""
+    ys = np.linspace(0.0, RANGE, 257)
+    vx, vy = ys[:, None] - 0.5 * RANGE, ys[None, :] - 0.25 * RANGE
+    inputs = (ys, vx, vy)
+    before = [a.copy() for a in inputs]
+    for cfg in (CFG, MicroscopeConfig(pump_gaussian=False),
+                MicroscopeConfig(lambda_p=351e-9, lambda_o=600e-9,
+                                 lambda_e=1.0 / (1.0 / 351e-9 - 1.0 / 600e-9))):
+        for response in (psf_widefield, psf_confocal, psf_twin):
+            response(ys, cfg)
+        kernel_field(vx, vy, cfg)
+        kernel_field(ys, 0.0, cfg)
+        for arr, copy in zip(inputs, before):
+            assert arr.tobytes() == copy.tobytes()
 
 
 def test_twin_formula_against_direct_arithmetic():

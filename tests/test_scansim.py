@@ -92,7 +92,9 @@ def test_scan_size_limit_names_count_and_memory():
     (ScanPlan(Grid(nx=1024, ny=1024)), Raster(pitch=1e-7, grid=np.ones((32, 32)))),
     # about 2e4 stripes in each of 1024 residual classes
     (line_plan(Instrument.CONFOCAL, samples=1024), Grating(period=1e-10)),
-], ids=["raster_grid", "fine_grating"])
+    # about 2e20 stripes, more than an array may hold, on one residual class
+    (ScanPlan(Line(samples=16)), Grating(period=1e-26)),
+], ids=["raster_grid", "fine_grating", "tiny_period_grating"])
 def test_scan_table_limit_names_count_and_memory(plan, sample):
     """An extended scan whose table would hold more than the cell cap is
     refused with the count and the memory, before any table exists."""

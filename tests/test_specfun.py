@@ -128,6 +128,37 @@ def test_values_do_not_depend_on_the_array_around_them():
         assert whole.tobytes() == scalars.tobytes()
 
 
+@pytest.mark.parametrize("xs", [
+    np.linspace(0.0, 12.0, 997),
+    np.linspace(np.nextafter(12.0, 13.0), 50.0, 997),
+    np.linspace(-50.0, 50.0, 997),
+], ids=["series", "hankel", "mixed"])
+def test_values_do_not_depend_on_the_branch_split(xs):
+    """The series and Hankel branches each take the whole array when it
+    lies on one side of 12, and only their own indices otherwise.  Whole,
+    chunked, reversed, two-dimensional (Fortran order), 0-d and scalar
+    evaluation give identical bits in all three cases."""
+    for fn in (airy_amp, bessel_j0, bessel_j1):
+        whole = fn(xs)
+        chunked = np.concatenate([fn(xs[:389]), fn(xs[389:])])
+        scalars = np.array([fn(float(x)) for x in xs])
+        zero_d = np.array([fn(np.array(x)) for x in xs])
+        columns = fn(np.asfortranarray(np.stack([xs, xs[::-1]], axis=1)))
+        for other in (chunked, scalars, zero_d, fn(xs[::-1])[::-1], columns[:, 0],
+                      columns[::-1, 1]):
+            assert whole.tobytes() == np.ascontiguousarray(other).tobytes()
+
+
+def test_inputs_are_not_written():
+    """Every branch works in arrays of its own: the argument keeps its bits."""
+    for xs in (np.linspace(0.0, 12.0, 101), np.linspace(12.5, 50.0, 101),
+               np.linspace(-50.0, 50.0, 101), np.array(3.0), np.array(30.0)):
+        before = xs.copy()
+        for fn in (airy_amp, bessel_j0, bessel_j1):
+            fn(xs)
+            assert xs.tobytes() == before.tobytes()
+
+
 def test_tables_match_their_generator():
     """The committed coefficient tables are exactly what
     scripts/make_specfun_tables.py builds."""
