@@ -71,6 +71,10 @@ _TIME_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "s": 1.0}
 
 _QUANTITY_RE = re.compile(r"([-+0-9.eE]+)\s*([a-zA-Z]*)\Z")
 
+# Most values of one compare table (three waists at 2**20 points); tracemalloc peak per value.
+_MAX_COMPARE_VALUES = 1 << 22
+_BYTES_PER_COMPARE_VALUE = 96
+
 # Published width reductions at the reference geometry, keyed by pump
 # waist [m]; the pump envelope exp(-4 y^2/r0^2) of psf_twin reproduces
 # them to within half a point.
@@ -570,6 +574,11 @@ def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
         raise ConfigError(f"compare needs 2 to {_MAX_OFFSETS} points, got {points}")
     if len(waists) > _MAX_OFFSETS:
         raise ConfigError(f"compare takes at most {_MAX_OFFSETS} waists, got {len(waists)}")
+    values = points * (1 + len(waists))
+    if values > _MAX_COMPARE_VALUES:
+        raise ConfigError(
+            f"compare table of {values} values exceeds the limit of {_MAX_COMPARE_VALUES}; "
+            f"evaluating it would need about {values * _BYTES_PER_COMPARE_VALUE / 2**20:,.0f} MiB")
     for w in waists:
         if not (0.0 < w <= cfg.a):
             raise ConfigError("waists must lie in (0, a]")

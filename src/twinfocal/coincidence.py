@@ -72,15 +72,15 @@ signal/idler arrival-time offset falls inside the group-delay window
 ``sample_amplitudes`` evaluates ``A`` for any sample at any number of
 offsets, decides how that work is split, and every amplitude and rate
 goes through it; ``twin_rates`` alone forms the rate ``gate * |A|^2``.
-Point samples (``Delta``, ``TwoPoint``) need no quadrature: they lower to
-unit-weight points ``p_k`` and ``A(y) = sum_k K(p_k - y)`` (``point_sum``,
+Every sample lowers to weighted cells of one square lattice
+(``_sample_lattice``).  Point samples (``Delta``, ``TwoPoint``) lower to
+zero-size unit cells ``p_k``: ``A(y) = sum_k K(p_k - y)`` (``point_sum``,
 which evaluates the kernel once per point over all offsets).
 
 Integration: the integrand is smooth on the transmitting region of every
-schematic sample shipped here.  A slit, grating or raster lowers to
-weighted cells of one square lattice (``_sample_lattice``): a slit is one
-cell of pitch ``width``, a raster its pixels, a grating stripes of pitch
-``period`` along x that follow the offset in y.  A cell's Gauss-Legendre
+schematic sample shipped here.  A slit is one panel cell of pitch
+``width``, a raster its pixels, a grating stripes of pitch ``period``
+along x that follow the offset in y.  A cell's Gauss-Legendre
 integral depends only on ``(|dx|, |dy|)`` of the cell from the offset,
 sorted for square cells, as the kernels are radial and the nodes
 symmetric.  Its key is the integer cell difference, exact in lattice
@@ -424,6 +424,10 @@ class QuadratureSpec:
             raise ConfigError("target relative tolerance must lie in (0, 0.1)")
 
 
+# One frozen spec for calls without one: a new one costs a point scan 1.5%.
+_DEFAULT_QUADRATURE = QuadratureSpec()
+
+
 @lru_cache(maxsize=64)
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -501,14 +505,15 @@ def default_truncation_radius(cfg: MicroscopeConfig, target_rel_tol: float = 1e-
 class _Lattice:
     """Weighted cells ``pitch`` [m] apart (see ``_sample_lattice``)."""
 
+    coherent: bool
     pitch: float
     x0: float
     y0: float
     weight: np.ndarray
-    half_x: float
-    half_y: float
-    n_x: int
-    n_y: int
+    half_x: float = 0.0
+    half_y: float = 0.0
+    n_x: int = 0
+    n_y: int = 0
     reach: float = math.inf
 
 
@@ -534,30 +539,35 @@ def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
 
 def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
                     quad: QuadratureSpec, coherent: bool) -> _Lattice:
-    """A slit, raster or grating as a grid of weighted cells: cell ``[i, j]``
-    is the panel ``|g_x| <= half_x``, ``|g_y| <= half_y`` [m] with ``n_x``
-    by ``n_y`` nodes, centred ``(x0 + j, y0 + i)`` pitches from the origin.
-    Raster pixels weigh ``t``, or ``|t|^2`` for incoherent integrals.  A
-    grating (finite ``reach``) folds every offset to its residual, which
-    keeps the stripes from ``floor`` to ``ceil`` of ``R / period`` away."""
+    """Any sample as a grid of weighted cells, cell ``[i, j]`` centred
+    ``(x0 + j, y0 + i)`` pitches from the origin: unit points (no size, no
+    nodes) for point samples, else the panel ``|g_x| <= half_x``,
+    ``|g_y| <= half_y`` [m] with ``n_x`` by ``n_y`` nodes.  Raster pixels
+    weigh ``t``, or ``|t|^2`` for incoherent integrals.  A grating (finite
+    ``reach``) folds every offset to its residual, which keeps the stripes
+    from ``floor`` to ``ceil`` of ``R / period`` away."""
+    if isinstance(sample, Delta):
+        return _Lattice(coherent, 1.0, 0.0, 0.0, np.ones((1, 1)))
+    if isinstance(sample, TwoPoint):
+        return _Lattice(coherent, sample.separation, -0.5, 0.0, np.ones((1, 2)))
     n = quad.radial_nodes
     if isinstance(sample, Slit):
         half = 0.5 * sample.width
-        return _Lattice(sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n)
+        return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n)
     if isinstance(sample, Grating):
         radius = quad.truncation_radius or default_truncation_radius(cfg, quad.target_rel_tol)
         reach, half = radius / sample.period, 0.5 * sample.duty * sample.period
         # every residual class holds all the stripes: count them before any array
         _check_table_cells(2.0 * np.ceil(reach) + 2.0)
-        return _Lattice(sample.period, -math.ceil(reach), 0.0,
+        return _Lattice(coherent, sample.period, -math.ceil(reach), 0.0,
                         np.broadcast_to(1.0, (1, 2 * math.ceil(reach) + 2)),
                         half, radius, n, quad.angular_nodes, reach + 1.0)
     if isinstance(sample, Raster):
         rows, cols = sample.grid.shape
         half = 0.5 * sample.pitch
-        return _Lattice(sample.pitch, -0.5 * (cols - 1), -0.5 * (rows - 1),
+        return _Lattice(coherent, sample.pitch, -0.5 * (cols - 1), -0.5 * (rows - 1),
                         sample.grid if coherent else np.abs(sample.grid) ** 2, half, half, n, n)
-    raise ConfigError(f"unsupported sample for panel integration: {sample!r}")
+    raise ConfigError(f"unsupported sample: {sample!r}")
 
 
 def _check_table_cells(count: float) -> None:
@@ -569,10 +579,9 @@ def _check_table_cells(count: float) -> None:
 
 
 def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
-    """The distinct canonical displacements [m] of a scan, one per row, the
-    row of each cell of the class boxes, end to end, and ``windows(cells,
-    members)``, which yields bounded blocks ``(offsets, entries, weights)``:
-    ``cells`` (one per box cell) at each offset's lit cells, a row each in
+    """The distinct canonical displacements [m] of a scan, one per row, and
+    ``windows(members)``, which yields bounded blocks ``(offsets, rows,
+    weights)``: the table rows of each offset's lit cells, a row each in
     pixel order.  Too many cells are refused before any box exists."""
     periodic = math.isfinite(lattice.reach)
     coord = np.rint(offsets / lattice.pitch * 2.0 ** _KEY_BITS) * 2.0 ** -_KEY_BITS
@@ -615,28 +624,26 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
     dy = np.abs((lattice.y0 - high[owner, 1]) + row - residual[owner, 1])
     if lattice.half_x == lattice.half_y and lattice.n_x == lattice.n_y:
         dx, dy = np.minimum(dx, dy), np.maximum(dx, dy)
-    distinct, rows = np.unique(dx + 1j * dy, return_inverse=True)
+    distinct, cell_rows = np.unique(dx + 1j * dy, return_inverse=True)
 
-    def windows(cells: np.ndarray, members: np.ndarray):
+    def windows(members: np.ndarray):
         for shape in np.unique(lit_of[members]):
             lit, weight = lits[shape]
             alike = members[lit_of[members] == shape]
             for block in np.array_split(alike, -(-alike.size * lit.size // _KERNEL_POINT_BUDGET)):
-                yield block, cells[start_of[block, None] + lit], weight
+                yield block, cell_rows[start_of[block, None] + lit], weight
 
-    return np.column_stack([distinct.real, distinct.imag]) * lattice.pitch, rows, windows
+    return np.column_stack([distinct.real, distinct.imag]) * lattice.pitch, windows
 
 
-def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
-                     cfg: MicroscopeConfig, quad: QuadratureSpec, kern,
-                     coherent: bool = True, map_rows=None) -> np.ndarray:
-    """Integral of ``t(u) * kern(u - y)`` over the sample plane at every
-    scan offset ``y`` (rows of ``offsets``).
+def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
+                     target_rel_tol: float, map_rows) -> np.ndarray:
+    """Integral of ``t(u) * kern(u - y)`` over the panel cells of
+    ``lattice`` at every scan offset ``y`` (rows of ``offsets``).
 
     Each pass integrates one lattice cell at every distinct displacement
-    the offsets read (``_lattice_table``).  ``map_rows(func, points)`` may
-    apply ``func`` to chunks of those rows, in order, and concatenate the
-    results (see ``sample_amplitudes``); by default one call covers them.
+    the offsets read (``_lattice_table``), through ``map_rows(func,
+    points)`` (see ``sample_amplitudes``).
 
     Convergence is judged per offset.  The integral is evaluated once with
     the requested node counts and once with both counts doubled; the
@@ -648,60 +655,55 @@ def integrate_sample(sample: SampleTransmittance, offsets: np.ndarray,
     ``QuadratureError`` is raised for the first offset, in the order
     given, that still misses it.  The scale guards against spurious
     failures near response zeros by never dropping below 1% of the
-    integrated absolute mass at the requested counts.
+    integrated absolute mass at the requested counts.  An incoherent
+    integrand is non-negative, so its mass is the first pass itself.
     """
-    if offsets.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    lattice = _sample_lattice(sample, cfg, quad, coherent)
-    points, box_rows, windows = _lattice_table(lattice, offsets)
+    points, windows = _lattice_table(lattice, offsets)
     result = np.zeros(offsets.shape[0], dtype=complex)
     if not np.any(lattice.weight):
         return result
-    map_rows = map_rows or (lambda func, items: func(items))
 
-    def rows_of(members: np.ndarray):
-        """The table rows that the lit cells of ``members`` read, and each
-        box cell's place among them (windows read only those places)."""
+    def rows_of(members: np.ndarray) -> np.ndarray:
+        """The table rows that the lit cells of ``members`` read."""
         needed = np.zeros(points.shape[0], dtype=bool)
-        for _, cells, _ in windows(box_rows, members):
-            needed[cells] = True
-        return points[needed], np.cumsum(needed)[box_rows] - 1
+        for _, rows, _ in windows(members):
+            needed[rows] = True
+        return np.flatnonzero(needed)
 
-    def sums(kernel, n_x: int, n_y: int, members: np.ndarray, rows, weigh=lambda w: w):
-        """Each offset of ``members`` summed over its lit cells, integrating ``rows``."""
-        read, place = rows
+    def sums(kernel, n_x: int, n_y: int, members: np.ndarray, read, weigh=lambda w: w):
+        """Each offset of ``members`` summed over its lit cells, integrating ``read``."""
         integrals = map_rows(lambda chunk: _panel_sum(chunk, lattice.half_x, lattice.half_y,
-                                                      n_x, n_y, kernel), read)
-        box_values = integrals[place]
+                                                      n_x, n_y, kernel), points[read])
+        values = np.empty(points.shape[0], dtype=integrals.dtype)
+        values[read] = integrals
         out = np.empty(offsets.shape[0], dtype=complex)
-        for block, cells, weight in windows(box_values, members):
+        for block, rows, weight in windows(members):
             weight = weigh(weight)
-            out[block] = [np.dot(weight, row) for row in cells]
+            out[block] = [np.dot(weight, row) for row in values[rows]]
         return out[members]
 
     n_x, n_y = lattice.n_x, lattice.n_y
     pending = np.arange(offsets.shape[0])
-    rows = rows_of(pending)
-    coarse = sums(kern, n_x, n_y, pending, rows)
-    mass = sums(lambda vx, vy: np.abs(kern(vx, vy)), n_x, n_y, pending, rows, np.abs).real
+    read = rows_of(pending)
+    coarse = sums(kern, n_x, n_y, pending, read)
+    mass = (sums(lambda vx, vy: np.abs(kern(vx, vy)), n_x, n_y, pending, read, np.abs).real
+            if lattice.coherent else coarse.real)
     for _ in range(_DOUBLING_CHECKS):
         n_x, n_y = 2 * n_x, 2 * n_y
-        fine = sums(kern, n_x, n_y, pending, rows)
+        fine = sums(kern, n_x, n_y, pending, read)
         scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
         error = np.abs(fine - coarse)
-        done = (scale == 0.0) | (error <= 10.0 * quad.target_rel_tol * scale)
+        done = (scale == 0.0) | (error <= 10.0 * target_rel_tol * scale)
         result[pending[done]] = fine[done]
         if np.all(done):
             return result
         keep = ~done
         moved = error[keep] / scale[keep]
         pending, coarse, mass = pending[keep], fine[keep], mass[keep]
-        rows = rows_of(pending)
-    raise QuadratureError(
-        "amplitude quadrature did not converge: node doubling moved the "
-        f"result by {moved[0]:.3e} relative "
-        f"(target {quad.target_rel_tol:.1e}); raise the node counts"
-    )
+        read = rows_of(pending)
+    raise QuadratureError("amplitude quadrature did not converge: node doubling moved the "
+                          f"result by {moved[0]:.3e} relative (target {target_rel_tol:.1e}); "
+                          "raise the node counts")
 
 
 # ============================================================================
@@ -718,26 +720,19 @@ def _one_offset(y) -> np.ndarray:
     return np.array([[arr[0], arr[1] if arr.size == 2 else 0.0]])
 
 
-def sample_points(sample: SampleTransmittance) -> np.ndarray | None:
-    """Unit-weight points ``(x, y)`` [m] that a point-like sample lowers
-    to, one per row; None for samples with extended support."""
-    if isinstance(sample, Delta):
-        return np.zeros((1, 2))
-    if isinstance(sample, TwoPoint):
-        half = 0.5 * sample.separation
-        return np.array([[-half, 0.0], [half, 0.0]])
-    return None
-
-
-def point_sum(points: np.ndarray, offsets: np.ndarray, kern) -> np.ndarray:
-    """``sum_k kern(p_k - y)`` at every scan offset ``y`` (rows of ``offsets``).
+def point_sum(lattice: _Lattice, offsets: np.ndarray, kern) -> np.ndarray:
+    """``sum_k kern(p_k - y)`` at every scan offset ``y`` (rows of ``offsets``)
+    over the (unit) point cells ``p_k`` of ``lattice``, in pixel order.
 
     One ``kern`` call per sample point covers all offsets.  With the
     complex twin kernel the sum is the coherent amplitude, which the
     caller squares; with a classical intensity response it is already the
     incoherent image.
     """
-    return sum(kern(px - offsets[:, 0], py - offsets[:, 1]) for px, py in points)
+    rows, cols = lattice.weight.shape
+    return sum(kern((lattice.x0 + j) * lattice.pitch - offsets[:, 0],
+                    (lattice.y0 + i) * lattice.pitch - offsets[:, 1])
+               for i in range(rows) for j in range(cols))
 
 
 def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
@@ -751,17 +746,16 @@ def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
     ``coherent=False`` it is the incoherent image.  ``map_rows(func,
     items)`` may apply ``func`` to index-ordered chunks of the rows of
     ``items`` and concatenate the results (threads in ``scansim.scan``).
-    Point samples hand it their offsets (``point_sum``), extended ones
-    the rows of their displacement table (``integrate_sample``).
+    Point cells of the sample's lattice hand it their offsets
+    (``point_sum``), panel cells their table rows (``integrate_sample``).
     """
-    if kern is None:
-        kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
-    points = sample_points(sample)
-    if points is None:
-        quad = quad if quad is not None else QuadratureSpec()
-        return integrate_sample(sample, offsets, cfg, quad, kern, coherent, map_rows)
-    summed = lambda chunk: point_sum(points, chunk, kern)  # noqa: E731
-    return map_rows(summed, offsets) if map_rows else summed(offsets)
+    kern = kern or (lambda vx, vy: kernel_field(vx, vy, cfg))
+    map_rows = map_rows or (lambda func, items: func(items))
+    quad = quad if quad is not None else _DEFAULT_QUADRATURE
+    lattice = _sample_lattice(sample, cfg, quad, coherent)
+    if lattice.n_x == 0:  # point cells have no nodes
+        return map_rows(lambda chunk: point_sum(lattice, chunk, kern), offsets)
+    return integrate_sample(lattice, offsets, kern, quad.target_rel_tol, map_rows)
 
 
 def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
@@ -783,17 +777,14 @@ def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
 
 def amplitude(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
               quad: QuadratureSpec | None = None) -> complex:
-    """Coherent coincidence amplitude ``A(y)`` for a structured sample.
+    """Coherent coincidence amplitude ``A(y)`` for any sample.
 
     ``y`` is the scan offset, either a scalar (displacement along x) or a
     2-vector [m].  The result is the raw, unnormalized integral; scanning
-    code normalizes per scan.  A point pair sums the kernel at its two
-    points; everything else goes through panel quadrature with an
-    internal node-doubling check.
+    code normalizes per scan.  A point sample sums the kernel at its
+    points (a ``Delta`` gives ``K(-y)``); everything else goes through
+    panel quadrature with an internal node-doubling check.
     """
-    if isinstance(sample, Delta):
-        raise ConfigError("amplitude is for structured samples; "
-                          "use coincidence_rate for a point sample")
     return complex(sample_amplitudes(sample, _one_offset(y), cfg, quad)[0])
 
 

@@ -9,31 +9,30 @@ widefield and confocal instruments image incoherently, integrating
 with the raw peak kept for reference.
 
 Every scan goes through ``coincidence.sample_amplitudes``, a twin scan by
-way of ``coincidence.twin_rates``.  Point samples (``Delta``,
-``TwoPoint``) are evaluated as arrays, one kernel call per point over a
-chunk of offsets: the twin rate is ``|sum_k K(p_k - y)|^2``, the
-classical image ``sum_k PSF(|p_k - y|)``.  Extended samples (slit,
-grating, raster) are integrated for all offsets of the scan at once
+way of ``coincidence.twin_rates``, which lowers every sample to weighted
+cells of one lattice.  Point samples (``Delta``, ``TwoPoint``) lower to
+zero-size cells, evaluated as arrays with one kernel call per point over
+a chunk of offsets: the twin rate is ``|sum_k K(p_k - y)|^2``, the
+classical image ``sum_k PSF(|p_k - y|)``.  Extended samples lower to
+panel cells, integrated for all offsets at once
 (``coincidence.integrate_sample``): each quadrature pass integrates one
 panel at every distinct canonical displacement of the scan, in kernel
-calls of a bounded number of points, and each offset's sum is assembled
-from those.  A twin scan whose gate is closed does no kernel work.
-Scans are limited to 2**20 offsets; larger plans are rejected with a
-``ConfigError`` when the ``Line`` or ``Grid`` is built.
+calls of a bounded number of points.  A twin scan whose gate is closed
+does no kernel work.  Scans are limited to 2**20 offsets; larger plans
+are rejected with a ``ConfigError`` when the ``Line`` or ``Grid`` is built.
 
 Parallelism: the thread count comes from the TWINFOCAL_THREADS
 environment variable (unset or empty means 1; 0 means one per CPU) and
 is clamped to the CPU count and to the number of offsets.  A scan with
 more than one thread starts one pool and uses it for all its work; with
 one thread it starts none.  ``sample_amplitudes`` alone decides what the
-threads split: point-sample offsets are cut into contiguous chunks, one
-per thread; for extended samples the threads split the rows of the
-displacement table, the unique panel integrals.  Results are rejoined in
-index order and are bit-identical for every thread count:
-the special functions evaluate every element at a fixed degree, so no
-value depends on the other elements of its array, and a table row's
-value depends on its key alone, not on the thread or kernel call that
-evaluated it.
+threads split: the offsets of point cells, in contiguous chunks, one per
+thread, or the rows of the displacement table of panel cells.  Results
+are rejoined in index order and are bit-identical for every thread
+count: the special functions evaluate every element at a fixed degree,
+so no value depends on the other elements of its array, and a table
+row's value depends on its key alone, not on the thread or kernel call
+that evaluated it.
 """
 
 from __future__ import annotations

@@ -452,6 +452,8 @@ def test_compare_svg(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--ymax", "inf", "ymax must be positive and finite"),
     ("--points", str(_MAX_OFFSETS + 1), f"got {_MAX_OFFSETS + 1}"),
+    # 401 default points by 10 461 columns: each flag is in bounds, the table is not
+    ("--waists", ",".join(["8mm"] * 10460), "compare table of 4194861 values"),
 ])
 def test_compare_rejects_unbounded_range(monkeypatch, flag, value, message):
     """A non-finite ymax or too many points is refused before any response
@@ -466,6 +468,19 @@ def test_compare_rejects_unbounded_range(monkeypatch, flag, value, message):
     assert code == 2
     assert message in err
     assert out == ""
+
+
+def test_compare_table_limit_admits_default_waists_at_most_points(monkeypatch):
+    """2**20 points with the three default waists fill the table limit
+    exactly and reach evaluation."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+    monkeypatch.setattr("twinfocal.cli.psf_confocal", reached)
+    with pytest.raises(Reached):
+        run_cli("compare", "--points", str(_MAX_OFFSETS))
 
 
 # ----------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from conftest import riemann_amplitude
 
 from twinfocal.errors import ConfigError, QuadratureError
 from twinfocal.optics import SPEED_OF_LIGHT, MicroscopeConfig, airy_radius, eta0_inv_sq, r0
-from twinfocal.psf import psf_twin
+from twinfocal.psf import psf_confocal, psf_twin
 from twinfocal.scansim import Grid
 from twinfocal.specfun import airy_amp
 from twinfocal import coincidence
@@ -445,9 +445,49 @@ def test_translation_covariance():
 
 
 def test_amplitude_edge_cases():
-    with pytest.raises(ConfigError):
-        amplitude((0.0, 0.0), CFG8, Delta())
+    assert amplitude((3e-7, -4e-7), CFG8, Delta()) == kernel_field(
+        np.array([-3e-7]), np.array([4e-7]), CFG8)[0]
     assert amplitude((0.0, 0.0), CFG8, Raster(pitch=1e-7, grid=np.zeros((4, 4)))) == 0.0
+
+
+def test_every_sample_kind_lowers_to_one_lattice():
+    """Point and extended samples lower through one function: point cells
+    have neither size nor nodes, panel cells carry the requested nodes,
+    and every lattice carries the coherence it was lowered for."""
+    spec = QuadratureSpec(radial_nodes=16, angular_nodes=64)
+    for sample in (Delta(), TwoPoint(3e-7), Slit(2e-7), Grating(period=2e-6),
+                   Raster(pitch=1e-7, grid=np.eye(3))):
+        point = isinstance(sample, (Delta, TwoPoint))
+        for coherent in (True, False):
+            lattice = coincidence._sample_lattice(sample, CFG8, spec, coherent)
+            assert lattice.coherent == coherent
+            assert lattice.n_x == (0 if point else 16) and (lattice.n_y == 0) == point
+            assert (lattice.half_x == lattice.half_y == 0.0) == point
+
+
+@pytest.mark.parametrize("separation", [3e-7, 0.1 + 0.2, 3 * 2.0 ** -30, 1e300, 5e-324])
+def test_two_point_cells_sit_at_half_separation(separation):
+    """The two point cells of a ``TwoPoint`` are centred exactly at
+    ``-separation / 2`` and ``+separation / 2`` on the x axis, in that order."""
+    lattice = coincidence._sample_lattice(TwoPoint(separation), CFG8, QuadratureSpec(), True)
+    centres = []
+
+    def record(vx, vy):
+        centres.append((vx[0], vy[0]))
+        return np.zeros(1)
+    coincidence.point_sum(lattice, np.zeros((1, 2)), record)
+    assert centres == [(-separation / 2, 0.0), (separation / 2, 0.0)]
+
+
+@pytest.mark.parametrize("y", [0.0, 1.3e-7, (0.0, 0.0), (3e-7, -4e-7), (-2.2e-6, 1e-8)])
+def test_delta_amplitude_is_the_kernel_at_minus_offset(y):
+    """A ``Delta`` is one point cell at the origin: ``A(y)`` is ``K(-y)``
+    bit for bit against an array call of ``kernel_field``, and its rate is
+    ``|A|^2``."""
+    y_x, y_y = (y, 0.0) if np.isscalar(y) else y
+    value = amplitude(y, CFG8, Delta())
+    assert value == kernel_field(np.array([-y_x]), np.array([-y_y]), CFG8)[0]
+    assert coincidence_rate(y, CFG8, Delta()) == value.real ** 2 + value.imag ** 2
 
 
 def test_amplitude_stable_under_node_counts():
@@ -486,9 +526,9 @@ def table_windows(sample, offsets, spec):
     """The table of a scan of ``sample``: its displacements, one per row,
     and the rows each offset reads."""
     lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
-    points, box_rows, windows = coincidence._lattice_table(lattice, offsets)
+    points, windows = coincidence._lattice_table(lattice, offsets)
     rows = [None] * offsets.shape[0]
-    for block, entries, _ in windows(box_rows, np.arange(offsets.shape[0])):
+    for block, entries, _ in windows(np.arange(offsets.shape[0])):
         for i, entry in zip(block, entries):
             rows[i] = entry
     return points, rows
@@ -497,6 +537,13 @@ def table_windows(sample, offsets, spec):
 def table_rows(sample, offsets, spec):
     """Distinct canonical cell displacements a scan of ``sample`` reads."""
     return np.unique(np.concatenate(table_windows(sample, offsets, spec)[1])).size
+
+
+def integrate(sample, offsets, spec, kern):
+    """``integrate_sample`` over the twin lattice of ``sample``, in one call."""
+    lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
+    return coincidence.integrate_sample(lattice, offsets, kern, spec.target_rel_tol,
+                                        lambda func, items: func(items))
 
 
 def test_kernel_calls_stay_within_point_budget():
@@ -525,7 +572,7 @@ def test_kernel_calls_stay_within_point_budget():
             calls.append((vx.shape[0], np.broadcast(vx, vy).size))
             return kern(vx, vy)
 
-        batched = coincidence.integrate_sample(sample, offsets, CFG8, spec, recording)
+        batched = integrate(sample, offsets, spec, recording)
         assert all(points <= budget or panels == 1 for panels, points in calls)
         # coarse, mass and fine passes (1 + 1 + 4 panel sizes) over every
         # table row; no offset needs a second doubling here
@@ -533,16 +580,37 @@ def test_kernel_calls_stay_within_point_budget():
         oversized += [points for _, points in calls if points > budget]
         one_by_one = []
         for row in offsets:
-            one_by_one.append(coincidence.integrate_sample(sample, row[None, :], CFG8,
-                                                           spec, recording)[0])
+            one_by_one.append(integrate(sample, row[None, :], spec, recording)[0])
         assert np.array_equal(batched, np.array(one_by_one))
     assert oversized
     # the slit's coarse pass of all 9 offsets is one call over the 5
     # distances |x| of the mirror-symmetric offsets
     calls.clear()
-    coincidence.integrate_sample(Slit(2e-7), offsets, CFG8,
-                                 QuadratureSpec(radial_nodes=16), recording)
+    integrate(Slit(2e-7), offsets, QuadratureSpec(radial_nodes=16), recording)
     assert calls[0] == (5, 5 * 16 * 16)
+
+
+def test_incoherent_integral_is_its_own_mass():
+    """An incoherent integrand is non-negative, so its absolute mass is its
+    first pass: a confocal slit line takes (1 + 4) x rows x n^2 kernel
+    points on its first round, where the twin line takes 6x, and every
+    offset keeps the value of its own one-offset integral."""
+    spec = QuadratureSpec(radial_nodes=16)
+    sample = Slit(2e-7)
+    offsets = np.column_stack([np.linspace(-6e-7, 6e-7, 9), np.full(9, 1e-7)])
+    twin = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
+    confocal = lambda vx, vy: psf_confocal(np.hypot(vx, vy), CFG8)  # noqa: E731
+    for kern, coherent, passes in ((confocal, False, 5), (twin, True, 6)):
+        points = []
+
+        def recording(vx, vy):
+            points.append(np.broadcast(vx, vy).size)
+            return kern(vx, vy)
+        batched = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording, coherent)
+        assert sum(points) == passes * table_rows(sample, offsets, spec) * 16 * 16
+        one_by_one = [coincidence.sample_amplitudes(sample, row[None, :], CFG8, spec,
+                                                    recording, coherent)[0] for row in offsets]
+        assert np.array_equal(batched, np.array(one_by_one))
 
 
 def lattice_displacement_count(grid: np.ndarray, side: int) -> int:

@@ -252,9 +252,9 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
         refined.append(len(points) == 4)
     assert np.allclose(batched, np.array(per_offset), rtol=1e-14, atol=0)
     lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
-    _, box_rows, blocks = coincidence._lattice_table(lattice, offsets)
+    _, blocks = coincidence._lattice_table(lattice, offsets)
     windows = [None] * offsets.shape[0]
-    for block, entries, _ in blocks(box_rows, np.arange(offsets.shape[0])):
+    for block, entries, _ in blocks(np.arange(offsets.shape[0])):
         for i, entry in zip(block, entries):
             windows[i] = entry
     rows = np.unique(np.concatenate(windows))
