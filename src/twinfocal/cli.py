@@ -35,13 +35,13 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_positive, check_size
 from .optics import (
     MicroscopeConfig,
     airy_radius,
@@ -108,24 +108,9 @@ def _parse_quantity(text: str, units: dict[str, float], what: str) -> float:
     return number * units[unit]
 
 
-def _parse_length(text: str) -> float:
-    return _parse_quantity(text, _LENGTH_UNITS, "length")
-
-
-def _parse_angle(text: str) -> float:
-    return _parse_quantity(text, _ANGLE_UNITS, "angle")
-
-
-def _parse_time(text: str) -> float:
-    return _parse_quantity(text, _TIME_UNITS, "time")
-
-
-def _parse_float(text: str) -> float:
-    return float(text.strip())
-
-
-def _parse_int(text: str) -> int:
-    return int(text.strip())
+_parse_length = partial(_parse_quantity, units=_LENGTH_UNITS, what="length")
+_parse_angle = partial(_parse_quantity, units=_ANGLE_UNITS, what="angle")
+_parse_time = partial(_parse_quantity, units=_TIME_UNITS, what="time")
 
 
 def _parse_bool(text: str) -> bool:
@@ -135,10 +120,6 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"cannot parse boolean value '{text}'")
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -187,11 +168,11 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], str | None]] = {
     "microscope.s1": (_parse_length, None),
     "microscope.d": (_parse_length, None),
     "microscope.pump_gaussian": (_parse_bool, "--no-pump-gaussian"),
-    "sample.kind": (_parse_str, None),
+    "sample.kind": (str.strip, None),
     "sample.separation": (_parse_length, None),
     "sample.width": (_parse_length, None),
     "sample.period": (_parse_length, None),
-    "sample.duty": (_parse_float, None),
+    "sample.duty": (float, None),
     "sample.pitch": (_parse_length, None),
     "sample.rows": (_parse_rows, None),
     "dispersion.n_o": (_parse_float_list, None),
@@ -200,23 +181,23 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], str | None]] = {
     "dispersion.theta_e": (_parse_angle, None),
     "dispersion.length": (_parse_length, None),
     "dispersion.t12": (_parse_time, "--t12"),
-    "quadrature.radial_nodes": (_parse_int, None),
-    "quadrature.angular_nodes": (_parse_int, None),
+    "quadrature.radial_nodes": (int, None),
+    "quadrature.angular_nodes": (int, None),
     "quadrature.truncation_radius": (_parse_length, None),
-    "quadrature.target_rel_tol": (_parse_float, None),
-    "scan.instrument": (_parse_str, "--instrument"),
-    "scan.geometry": (_parse_str, "--geometry"),
-    "scan.direction": (_parse_str, "--direction"),
+    "quadrature.target_rel_tol": (float, None),
+    "scan.instrument": (str.strip, "--instrument"),
+    "scan.geometry": (str.strip, "--geometry"),
+    "scan.direction": (str.strip, "--direction"),
     "scan.half_range": (_parse_length, "--half-range"),
-    "scan.samples": (_parse_int, "--samples"),
+    "scan.samples": (int, "--samples"),
     "scan.half_range_x": (_parse_length, "--half-range-x"),
     "scan.half_range_y": (_parse_length, "--half-range-y"),
-    "scan.nx": (_parse_int, "--nx"),
-    "scan.ny": (_parse_int, "--ny"),
-    "scan.threshold": (_parse_float, "--threshold"),
-    "output.csv": (_parse_str, "--out"),
-    "output.svg": (_parse_str, "--svg"),
-    "output.precision": (_parse_int, None),
+    "scan.nx": (int, "--nx"),
+    "scan.ny": (int, "--ny"),
+    "scan.threshold": (float, "--threshold"),
+    "output.csv": (str.strip, "--out"),
+    "output.svg": (str.strip, "--svg"),
+    "output.precision": (int, None),
 }
 
 _SAMPLE_KINDS = {"delta": Delta, "two_point": TwoPoint, "slit": Slit,
@@ -241,8 +222,8 @@ class DispersionSpec:
     n_o: tuple[float, ...]
     n_e: tuple[float, ...]
     psi: float
-    theta_e: float = 0.0
-    length: float = 1e-3
+    theta_e: float = DispersionModel.theta_e
+    length: float = DispersionModel.L
     t12: float | None = None
 
     def build(self) -> DispersionModel:
@@ -260,15 +241,15 @@ class DispersionSpec:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    instrument: str = "twin"
+    instrument: str = ScanPlan.instrument.value
     geometry: str = "line"
     direction: str = "x"
-    half_range: float = 1e-6
-    samples: int = 129
-    half_range_x: float = 1e-6
-    half_range_y: float = 1e-6
-    nx: int = 33
-    ny: int = 33
+    half_range: float = Line.half_range
+    samples: int = Line.samples
+    half_range_x: float = Grid.half_range_x
+    half_range_y: float = Grid.half_range_y
+    nx: int = Grid.nx
+    ny: int = Grid.ny
     threshold: float = 0.05
 
     def __post_init__(self) -> None:
@@ -519,10 +500,9 @@ def render_heatmap_svg(matrix: np.ndarray, title: str) -> str:
 # ============================================================================
 
 def _is_reference_geometry(cfg: MicroscopeConfig) -> bool:
-    reference = dict(lambda_p=351e-9, lambda_o=702e-9, lambda_e=702e-9,
-                     a=2e-2, f=2e-2, f_p=2e-2, s0=2e-2, d=2e-2)
-    return all(math.isclose(getattr(cfg, name), value, rel_tol=1e-12)
-               for name, value in reference.items())
+    reference = MicroscopeConfig()
+    return all(math.isclose(getattr(cfg, name), getattr(reference, name), rel_tol=1e-12)
+               for name in ("lambda_p", "lambda_o", "lambda_e", "a", "f", "f_p", "s0", "d"))
 
 
 def cmd_params(run: RunConfig) -> Results:
@@ -568,17 +548,14 @@ def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
         # Stay inside the first twin sidelobe: beyond ~0.9 Airy radii the
         # sidelobe of the twin response rises over the confocal zero.
         ymax = 0.8 * airy_radius(cfg)
-    if not (0.0 < ymax < math.inf):
-        raise ConfigError("ymax must be positive and finite")
+    check_positive(ymax, "ymax")
     if not (2 <= points <= _MAX_OFFSETS):
         raise ConfigError(f"compare needs 2 to {_MAX_OFFSETS} points, got {points}")
     if len(waists) > _MAX_OFFSETS:
         raise ConfigError(f"compare takes at most {_MAX_OFFSETS} waists, got {len(waists)}")
     values = points * (1 + len(waists))
-    if values > _MAX_COMPARE_VALUES:
-        raise ConfigError(
-            f"compare table of {values} values exceeds the limit of {_MAX_COMPARE_VALUES}; "
-            f"evaluating it would need about {values * _BYTES_PER_COMPARE_VALUE / 2**20:,.0f} MiB")
+    check_size(values, _MAX_COMPARE_VALUES, f"compare table of {values} values",
+               _BYTES_PER_COMPARE_VALUE)
     for w in waists:
         if not (0.0 < w <= cfg.a):
             raise ConfigError("waists must lie in (0, a]")

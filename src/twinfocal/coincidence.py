@@ -100,14 +100,13 @@ offset at a time.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError, QuadratureError, check_integers, check_positive, check_size
 from .optics import SPEED_OF_LIGHT, MicroscopeConfig, eta0_inv_sq, r0
 from .specfun import airy_amp
 
@@ -186,8 +185,7 @@ class TwoPoint:
     separation: float
 
     def __post_init__(self) -> None:
-        if not (self.separation > 0.0) or not math.isfinite(self.separation):
-            raise ConfigError("two-point separation must be positive and finite")
+        check_positive(self.separation, "two-point separation")
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,7 @@ class Slit:
     width: float
 
     def __post_init__(self) -> None:
-        if not (self.width > 0.0) or not math.isfinite(self.width):
-            raise ConfigError("slit width must be positive and finite")
+        check_positive(self.width, "slit width")
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,7 @@ class Grating:
     duty: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.period > 0.0) or not math.isfinite(self.period):
-            raise ConfigError("grating period must be positive and finite")
+        check_positive(self.period, "grating period")
         if not (0.0 < self.duty < 1.0):
             raise ConfigError("grating duty cycle must lie in (0, 1)")
 
@@ -229,8 +225,7 @@ class Raster:
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.pitch > 0.0) or not math.isfinite(self.pitch):
-            raise ConfigError("raster pitch must be positive and finite")
+        check_positive(self.pitch, "raster pitch")
         grid = np.asarray(self.grid, dtype=complex)
         object.__setattr__(self, "grid", grid)
         if grid.ndim != 2 or grid.size == 0:
@@ -269,8 +264,7 @@ class DispersionModel:
             raise ConfigError("n_o and n_e must be callables")
         if not (0.0 < self.psi < 0.5 * math.pi):
             raise ConfigError("phase-matching angle psi must lie in (0, pi/2)")
-        if not (self.L > 0.0) or not math.isfinite(self.L):
-            raise ConfigError("crystal length must be positive and finite")
+        check_positive(self.L, "crystal length")
 
 
 def _index_value(func, label: str, *args) -> float:
@@ -285,8 +279,7 @@ def _index_value(func, label: str, *args) -> float:
 
 def wavenumber_K(n: Callable[[float], float], omega: float) -> float:
     """Medium wavenumber ``omega * n(omega) / c`` [1/m]."""
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise ConfigError("carrier frequency must be positive and finite")
+    check_positive(omega, "carrier frequency")
     return omega * _index_value(n, "n", omega) / SPEED_OF_LIGHT
 
 
@@ -297,8 +290,7 @@ def inv_group_velocity(n: Callable[[float], float], omega: float) -> float:
     Richardson extrapolation pass (halved step).  For a frequency
     independent index this returns ``n / c`` to ~1e-9 relative.
     """
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise ConfigError("carrier frequency must be positive and finite")
+    check_positive(omega, "carrier frequency")
     h = 1e-6 * omega
 
     def phase_k(w: float) -> float:
@@ -404,20 +396,16 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         counts = (self.radial_nodes, self.angular_nodes)
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts):
-            raise ConfigError("quadrature node counts must be integers")
+        check_integers(counts, "quadrature node counts")
         if min(counts) < 8:
             raise ConfigError("quadrature node counts must be at least 8")
         # the largest panel (a grating stripe, or a square) at the last doubling
         points = (2 ** _DOUBLING_CHECKS) ** 2 * self.radial_nodes * max(counts)
-        if points > _MAX_PANEL_POINTS:
-            raise ConfigError(
-                f"quadrature of {points} kernel points per panel at the last node doubling "
-                f"exceeds the limit of {_MAX_PANEL_POINTS}; evaluating one panel would need "
-                f"about {points * _BYTES_PER_KERNEL_POINT / 2**20:,.0f} MiB")
-        if self.truncation_radius is not None and not (
-                self.truncation_radius > 0.0 and math.isfinite(self.truncation_radius)):
-            raise ConfigError("truncation radius must be positive and finite")
+        check_size(points, _MAX_PANEL_POINTS,
+                   f"quadrature of {points} kernel points per panel at the last node doubling",
+                   _BYTES_PER_KERNEL_POINT, "evaluating one panel")
+        if self.truncation_radius is not None:
+            check_positive(self.truncation_radius, "truncation radius")
         # Node doubling accepts a discrepancy of 10 * target_rel_tol of the
         # result scale; at 1 or more it would accept any result.
         if not (0.0 < 10.0 * self.target_rel_tol < 1.0):
@@ -572,18 +560,21 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
 
 def _check_table_cells(count: float) -> None:
     """Refuse a scan table of more than ``_MAX_TABLE_CELLS`` cells."""
-    if count > _MAX_TABLE_CELLS:
-        raise ConfigError(
-            f"scan table of {count:.0f} cells exceeds the limit of {_MAX_TABLE_CELLS}; "
-            f"building it would need about {count * _BYTES_PER_TABLE_CELL / 2**20:,.0f} MiB")
+    check_size(count, _MAX_TABLE_CELLS, f"scan table of {count:.0f} cells",
+               _BYTES_PER_TABLE_CELL, "building it")
 
 
 def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
     """The distinct canonical displacements [m] of a scan, one per row, and
     ``windows(members)``, which yields bounded blocks ``(offsets, rows,
     weights)``: the table rows of each offset's lit cells, a row each in
-    pixel order.  Too many cells are refused before any box exists."""
+    pixel order.  Offsets whose lattice coordinates overflow, and too many
+    cells, are refused before any box exists."""
     periodic = math.isfinite(lattice.reach)
+    largest = float(np.abs(offsets).max())
+    if not largest / lattice.pitch * 2.0 ** _KEY_BITS < math.inf:
+        raise ConfigError(f"sample pitch {lattice.pitch!r} m is too small for scan offsets "
+                          f"up to {largest!r} m: their lattice coordinates overflow")
     coord = np.rint(offsets / lattice.pitch * 2.0 ** _KEY_BITS) * 2.0 ** -_KEY_BITS
     if periodic:  # a grating folds every offset to its residual along x
         coord[:, 1] = 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_positive
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -38,8 +38,7 @@ _REL_TOL = 1e-9
 
 def angular_frequency(wavelength: float) -> float:
     """Angular frequency 2 pi c / lambda for a vacuum wavelength [rad/s]."""
-    if not (wavelength > 0.0) or not math.isfinite(wavelength):
-        raise ConfigError("wavelength must be positive and finite")
+    check_positive(wavelength, "wavelength")
     return 2.0 * math.pi * SPEED_OF_LIGHT / wavelength
 
 

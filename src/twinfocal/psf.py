@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ScanRangeError
+from .errors import ScanRangeError, check_positive
 from .coincidence import kernel_field
 from .optics import MicroscopeConfig, airy_radius
 from .specfun import airy_amp
@@ -129,8 +129,7 @@ def fwhm(profile: Callable[[float], float], scan_range: float | None = None) -> 
         raise TypeError("profile must be a callable")
     if scan_range is None:
         raise ValueError("scan_range is required")
-    if not (scan_range > 0.0) or not math.isfinite(scan_range):
-        raise ValueError("scan_range must be positive and finite")
+    check_positive(scan_range, "scan_range")
     span = float(scan_range)
 
     if abs(profile(0.0) - 1.0) > 1e-9:

@@ -47,7 +47,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ScanRangeError
+from .errors import (
+    ConfigError, NumericalError, ScanRangeError, check_integers, check_positive, check_size)
 from .optics import MicroscopeConfig
 from .psf import psf_confocal, psf_twin, psf_widefield, response_fwhm
 from .coincidence import (
@@ -80,10 +81,7 @@ _BYTES_PER_OFFSET = 176
 
 
 def _check_scan_size(count: int) -> None:
-    if count > _MAX_OFFSETS:
-        raise ConfigError(
-            f"scan of {count} offsets exceeds the limit of {_MAX_OFFSETS}; "
-            f"evaluating it would need about {count * _BYTES_PER_OFFSET / 2**20:,.0f} MiB")
+    check_size(count, _MAX_OFFSETS, f"scan of {count} offsets", _BYTES_PER_OFFSET)
 
 
 class Instrument(Enum):
@@ -105,8 +103,8 @@ class Line:
         if not all(math.isfinite(c) for c in self.direction) or \
                 abs(math.hypot(*self.direction) - 1.0) > 1e-9:
             raise ConfigError("scan direction must be a unit 2-vector")
-        if not (self.half_range > 0.0) or not math.isfinite(self.half_range):
-            raise ConfigError("scan half range must be positive and finite")
+        check_positive(self.half_range, "scan half range")
+        check_integers((self.samples,), "scan sample counts")
         if self.samples < 16:
             raise ConfigError("line scans need at least 16 samples")
         _check_scan_size(self.samples)
@@ -128,8 +126,8 @@ class Grid:
 
     def __post_init__(self) -> None:
         for r in (self.half_range_x, self.half_range_y):
-            if not (r > 0.0) or not math.isfinite(r):
-                raise ConfigError("scan half ranges must be positive and finite")
+            check_positive(r, "scan half ranges")
+        check_integers((self.nx, self.ny), "scan sample counts")
         if self.nx < 16 or self.ny < 16:
             raise ConfigError("grid scans need at least 16 samples per axis")
         _check_scan_size(self.nx * self.ny)

@@ -12,6 +12,7 @@ Frozen two-point resolution limits (meters) for a 12 mm pump waist at a
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,40 @@ def test_scan_table_limit_names_count_and_memory(plan, sample):
     count = int(re.search(r"table of (\d+) cells", str(info.value)).group(1))
     assert count > coincidence._MAX_TABLE_CELLS
     assert f"about {count * coincidence._BYTES_PER_TABLE_CELL / 2**20:,.0f} MiB" in str(info.value)
+
+
+def test_table_limit_refuses_a_nan_count():
+    """A NaN cell count is not within the limit: the size check refuses it."""
+    with pytest.raises(ConfigError, match=r"scan table of nan cells exceeds the limit of"):
+        coincidence._check_table_cells(math.nan)
+
+
+@pytest.mark.parametrize("plan, sample", [
+    (ScanPlan(Grid(nx=16, ny=16)), Raster(pitch=1e-310, grid=np.ones((1, 1)))),
+    (ScanPlan(Line(samples=16)), Slit(width=1e-310)),
+], ids=["raster_grid", "slit_line"])
+def test_pitch_that_offsets_overflow_is_refused(plan, sample):
+    """Offsets whose lattice coordinates overflow are refused with the pitch
+    and the largest offset, and without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"sample pitch 1e-310 m is too small for scan "
+                                              r"offsets up to 1e-06 m"):
+            scan(plan, CFG8, sample)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: Line(samples=n), lambda n: Grid(nx=n), lambda n: Grid(ny=n),
+], ids=["line", "grid_nx", "grid_ny"])
+def test_scan_counts_must_be_integers(build):
+    """Fractional, string and bool counts are refused when the geometry is
+    built; numpy integers are counts like Python ints."""
+    for bad in (16.5, 20.0, "20", True, math.nan):
+        with pytest.raises(ConfigError, match="scan sample counts must be integers"):
+            build(bad)
+    geometry = build(np.int64(20))
+    assert geometry.offsets().shape[0] in (20, 20 * Grid.nx)
+    assert scan(ScanPlan(geometry), CFG8, Delta()).values.size == geometry.offsets().shape[0]
 
 
 def test_line_offsets_layout():
