@@ -100,6 +100,7 @@ offset at a time.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
@@ -108,7 +109,7 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureError, check_integers, check_positive, check_size
 from .optics import SPEED_OF_LIGHT, MicroscopeConfig, eta0_inv_sq, r0
-from .specfun import airy_amp
+from .specfun import Workspace, _workspace, airy_amp
 
 __all__ = [
     "Delta",
@@ -145,8 +146,22 @@ _DOUBLING_CHECKS = 2
 # 13, two rounds), 36 864 gave the fastest twin-photon passes (2 threads:
 # 97-109 ms against 135-213 ms below it and 106-156 ms above it), and the
 # classical passes were level from 18 432 up (152-179 ms) and slower at
-# 9 216 (184-186 ms).
+# 9 216 (184-186 ms).  Re-measured once the kernels wrote into per-chunk
+# workspaces (``Chunks``), which are sized by this budget: at 96 ** 2 points
+# the benchmark (seed 11, two 16 s runs per workload, 2 vCPUs) read study_s
+# 0.163 s against 0.102-0.103 s on twin_extended and 0.153-0.172 s against
+# 0.115-0.136 s on classical_extended, and peak RSS within 0.2 MiB of this
+# budget's, so a smaller budget saves no memory.
 _KERNEL_POINT_BUDGET = 4 * 96 ** 2
+
+# Workspace bytes per point of a kernel call (see ``Chunks``).  The twin
+# kernel of a degenerate pair and the classical responses hold at most 41:
+# the radii, overwritten by the Airy factor, a branch mask and the Hankel
+# branch's four scratch arrays.  A call that straddles the branch switch
+# holds at most 33, as numpy gathers each branch's points outside the
+# workspace and the radii are scratch meanwhile.  A non-degenerate twin
+# pair also holds its first Airy factor, and allocates what does not fit.
+_WORK_BYTES_PER_POINT = 42
 
 # Most kernel points one panel may hold at the last node doubling, about
 # 192 MiB of kernel arrays, like the largest scan; the default grating
@@ -437,27 +452,38 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
     ``(k, n, 1)`` by ``(k, 1, n)`` nodes takes ``2 n`` complex
     exponentials per row, not ``n^2``.  Every value still depends on its
     own ``(v_x, v_y)`` alone, and on the axis (``v_y = 0``) the second
-    factor is exactly 1.
+    factor is exactly 1.  Arrays of the broadcast shape, the result among
+    them, come from the thread's workspace (``specfun.Workspace``).
     """
+    work = _workspace()
     xx = np.square(np.asarray(v_x, dtype=float))
     yy = np.square(np.asarray(v_y, dtype=float))
-    radius = np.asarray(xx + yy)  # an array even for scalar components
+    # where numpy allocates, operators: they are faster on scalars
+    out = work.out(xx, yy)
+    radius = np.asarray(xx + yy) if out is None else np.add(xx, yy, out=out)
     np.sqrt(radius, out=radius)
     alpha_o, alpha_e = _twin_alphas(cfg)
+
+    def airy(v: np.ndarray):
+        # in a scan pass's workspace the Airy factor overwrites its spent argument
+        return airy_amp(v, out=v) if work.buffered else airy_amp(v)
+
     # a degenerate pair has two equal Airy factors: evaluate it once
     if alpha_e == alpha_o:
         radius *= alpha_o
-        amp = airy_amp(radius)
+        amp = airy(radius)
         amp *= amp
     else:
-        amp = airy_amp(alpha_o * radius)
+        amp = airy(np.multiply(radius, alpha_o, out=work.out(radius)))
         radius *= alpha_e
-        amp *= airy_amp(radius)
+        amp *= airy(radius)
     if cfg.pump_gaussian:
         # pump amplitude at the doubled coordinate, undoubled Fresnel phase
         eta = eta0_inv_sq(cfg)
         c = complex(4.0 * eta.real, eta.imag)
-        field = np.exp(-0.5 * xx * c) * np.exp(-0.5 * yy * c)
+        along_x, along_y = np.exp(-0.5 * xx * c), np.exp(-0.5 * yy * c)
+        out = work.out(radius, dtype=complex)
+        field = along_x * along_y if out is None else np.multiply(along_x, along_y, out=out)
         field *= amp
         return field
     return np.asarray(amp, dtype=complex)
@@ -512,17 +538,78 @@ def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
 
     One ``kern`` call covers as many consecutive rows as fit in
     ``_KERNEL_POINT_BUDGET`` points, and at least one.  A row's value does
-    not depend on how the rows were grouped.
+    not depend on how the rows were grouped.  Each call starts with the
+    thread's workspace cleared, as the previous call's values are summed.
     """
     base_x, wx = _gl_nodes(n_x)
     base_y, wy = _gl_nodes(n_y)
     gx, gy = half_x * base_x, half_y * base_y
     step = max(1, _KERNEL_POINT_BUDGET // (n_x * n_y))
-    return np.concatenate([
-        np.einsum("i,j,kij->k", half_x * wx, half_y * wy, kern(
+    work = _workspace()
+    sums = []
+    for lo in range(0, points.shape[0], step):
+        work.clear()
+        sums.append(np.einsum("i,j,kij->k", half_x * wx, half_y * wy, kern(
             points[lo:lo + step, 0, None, None] + gx[None, :, None],
-            points[lo:lo + step, 1, None, None] + gy[None, None, :]))
-        for lo in range(0, points.shape[0], step)])
+            points[lo:lo + step, 1, None, None] + gy[None, None, :])))
+    return np.concatenate(sums)
+
+
+class Chunks:
+    """A scan's work split into index-ordered chunks of the rows of an
+    array, at most one per thread, with the results rejoined in order.
+
+    ``map(func, items)`` runs ``func(chunk)`` on pool threads, one per
+    chunk (point cells).  Calling it, ``chunks(func, items)``, runs one pass
+    over panel rows as ``func(chunk, work)``: the calling thread works the
+    first chunk itself and a pool of ``threads - 1`` threads the rest.  The
+    calling thread also allocates the chunks' workspaces, as one buffer,
+    the first time a pass has that many chunks, each sized for the largest
+    kernel call of a pass (``_KERNEL_POINT_BUDGET`` points); later passes
+    reuse them.  Pool threads then allocate only per-row factors, einsum's
+    fixed buffers and, in a call that straddles the Bessel branch switch,
+    each branch's gathered points; a lone panel larger than the budget
+    allocates what does not fit.  No pool starts at one thread or for a
+    single chunk.  Leaving the ``with`` block waits for the pool threads
+    and drops the workspaces.
+    """
+
+    def __init__(self, threads: int = 1):
+        self.threads = threads
+        self._pool: ThreadPoolExecutor | None = None
+        self._work: list[Workspace] = []
+
+    def __enter__(self) -> "Chunks":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+        self._work.clear()
+
+    def _split(self, items: np.ndarray) -> list[np.ndarray]:
+        return np.array_split(items, min(self.threads, items.shape[0]))
+
+    def _executor(self, workers: int) -> ThreadPoolExecutor:
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=workers)
+        return self._pool
+
+    def map(self, func, items: np.ndarray) -> np.ndarray:
+        if self.threads == 1:
+            return func(items)
+        return np.concatenate(list(self._executor(self.threads).map(func, self._split(items))))
+
+    def __call__(self, func, items: np.ndarray) -> np.ndarray:
+        chunks = self._split(items)
+        if len(self._work) < len(chunks):
+            size = _KERNEL_POINT_BUDGET * _WORK_BYTES_PER_POINT
+            buffer = np.empty(len(chunks) * size, dtype=np.uint8)
+            self._work = [Workspace(buffer[k * size:(k + 1) * size]) for k in range(len(chunks))]
+        rest = [self._executor(self.threads - 1).submit(func, chunk, work)
+                for chunk, work in zip(chunks[1:], self._work[1:])]
+        first = func(chunks[0], self._work[0])
+        return np.concatenate([first] + [future.result() for future in rest])
 
 
 def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
@@ -586,7 +673,12 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
         (coord - np.floor(coord)).view(complex).ravel())))
     span = np.maximum.reduceat(coord, first) + lattice.weight.shape[::-1]
     span -= np.minimum.reduceat(coord, first)
-    _check_table_cells(np.prod(span, axis=1).sum())
+    # a class's box holds width x height cells; the bound on their sum is
+    # taken in Python floats, which overflow to inf without a warning, and
+    # numpy only sums products that cannot overflow
+    widest, tallest = span.max(axis=0).tolist()
+    _check_table_cells(np.prod(span, axis=1).sum() if widest * tallest * span.shape[0] < math.inf
+                       else math.inf)
 
     box = span.astype(np.int64)  # each class's box width and height
     high = np.maximum.reduceat(coord, first)
@@ -634,7 +726,9 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
 
     Each pass integrates one lattice cell at every distinct displacement
     the offsets read (``_lattice_table``), through ``map_rows(func,
-    points)`` (see ``sample_amplitudes``).
+    points)``: a ``Chunks``, which calls ``func(chunk, work)`` with each
+    chunk's workspace, or any callable that calls ``func(chunk)`` on
+    index-ordered chunks of the rows and rejoins the results.
 
     Convergence is judged per offset.  The integral is evaluated once with
     the requested node counts and once with both counts doubled; the
@@ -663,8 +757,11 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
 
     def sums(kernel, n_x: int, n_y: int, members: np.ndarray, read, weigh=lambda w: w):
         """Each offset of ``members`` summed over its lit cells, integrating ``read``."""
-        integrals = map_rows(lambda chunk: _panel_sum(chunk, lattice.half_x, lattice.half_y,
-                                                      n_x, n_y, kernel), points[read])
+        def integrate(chunk: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+            with (work or Workspace()).use():
+                return _panel_sum(chunk, lattice.half_x, lattice.half_y, n_x, n_y, kernel)
+
+        integrals = map_rows(integrate, points[read])
         values = np.empty(points.shape[0], dtype=integrals.dtype)
         values[read] = integrals
         out = np.empty(offsets.shape[0], dtype=complex)
@@ -673,11 +770,15 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
             out[block] = [np.dot(weight, row) for row in values[rows]]
         return out[members]
 
+    def magnitude(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+        values = kern(vx, vy)
+        return np.abs(values, out=_workspace().out(values))
+
     n_x, n_y = lattice.n_x, lattice.n_y
     pending = np.arange(offsets.shape[0])
     read = rows_of(pending)
     coarse = sums(kern, n_x, n_y, pending, read)
-    mass = (sums(lambda vx, vy: np.abs(kern(vx, vy)), n_x, n_y, pending, read, np.abs).real
+    mass = (sums(magnitude, n_x, n_y, pending, read, np.abs).real
             if lattice.coherent else coarse.real)
     for _ in range(_DOUBLING_CHECKS):
         n_x, n_y = 2 * n_x, 2 * n_y
@@ -728,31 +829,30 @@ def point_sum(lattice: _Lattice, offsets: np.ndarray, kern) -> np.ndarray:
 
 def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
                       cfg: MicroscopeConfig, quad: QuadratureSpec | None, kern=None,
-                      coherent: bool = True, map_rows=None) -> np.ndarray:
+                      coherent: bool = True, chunks: Chunks | None = None) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` at every scan offset ``y`` (rows
     of ``offsets``).
 
     With the twin kernel ``K`` (``kern`` None) the result is the coherent
     amplitude ``A(y)``; with a classical intensity response and
-    ``coherent=False`` it is the incoherent image.  ``map_rows(func,
-    items)`` may apply ``func`` to index-ordered chunks of the rows of
-    ``items`` and concatenate the results (threads in ``scansim.scan``).
-    Point cells of the sample's lattice hand it their offsets
-    (``point_sum``), panel cells their table rows (``integrate_sample``).
+    ``coherent=False`` it is the incoherent image.  ``chunks`` splits the
+    work between threads (``Chunks``; one thread if None).  Point cells of
+    the sample's lattice hand ``chunks.map`` their offsets (``point_sum``),
+    panel cells hand ``chunks`` their table rows (``integrate_sample``).
     """
     kern = kern or (lambda vx, vy: kernel_field(vx, vy, cfg))
-    map_rows = map_rows or (lambda func, items: func(items))
+    chunks = chunks or Chunks()
     quad = quad if quad is not None else _DEFAULT_QUADRATURE
     lattice = _sample_lattice(sample, cfg, quad, coherent)
     if lattice.n_x == 0:  # point cells have no nodes
-        return map_rows(lambda chunk: point_sum(lattice, chunk, kern), offsets)
-    return integrate_sample(lattice, offsets, kern, quad.target_rel_tol, map_rows)
+        return chunks.map(lambda chunk: point_sum(lattice, chunk, kern), offsets)
+    return integrate_sample(lattice, offsets, kern, quad.target_rel_tol, chunks)
 
 
 def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
                cfg: MicroscopeConfig, quad: QuadratureSpec | None,
                t12: float | None = None, disp: DispersionModel | None = None,
-               map_rows=None) -> np.ndarray:
+               chunks: Chunks | None = None) -> np.ndarray:
     """Unnormalized coincidence rates ``gate * |A(y)|^2`` at every scan
     offset ``y`` (rows of ``offsets``).  Without a dispersion model the
     gate is 1; a closed gate returns zeros without any kernel work."""
@@ -762,7 +862,7 @@ def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
         [gate(t12, disp, cfg.omega_o, cfg.omega_e) for _ in offsets])
     if not np.any(gates):
         return np.zeros(offsets.shape[0])
-    amps = sample_amplitudes(sample, offsets, cfg, quad, map_rows=map_rows)
+    amps = sample_amplitudes(sample, offsets, cfg, quad, chunks=chunks)
     return gates * (amps.real * amps.real + amps.imag * amps.imag)
 
 

@@ -57,24 +57,27 @@ def _check_offsets(y) -> np.ndarray:
     return arr
 
 
-def _airy_amplitude(y, cfg: MicroscopeConfig) -> np.ndarray:
+def _airy_amplitude(y, cfg: MicroscopeConfig, out: np.ndarray | None) -> np.ndarray:
     """The widefield amplitude ``airy_amp(2 pi a y / (lambda_o f))`` at the
-    checked offsets ``y``, in a new array."""
-    v = _check_offsets(y) * (2.0 * math.pi * cfg.a)
+    checked offsets ``y``, in ``out`` (which may be ``y``) or a new array."""
+    v = np.multiply(_check_offsets(y), 2.0 * math.pi * cfg.a, out=out)
     v /= cfg.lambda_o * cfg.f
-    return np.asarray(airy_amp(v))
+    return np.asarray(airy_amp(v, out=out))
 
 
-def psf_widefield(y, cfg: MicroscopeConfig):
-    """Widefield intensity response at radial offset y [m]; peak 1 at y = 0."""
-    out = _airy_amplitude(y, cfg)
+def psf_widefield(y, cfg: MicroscopeConfig, out: np.ndarray | None = None):
+    """Widefield intensity response at radial offset y [m]; peak 1 at y = 0.
+    ``out``, a float array of the shape of ``y``, receives the values if
+    given; it may be ``y`` itself."""
+    out = _airy_amplitude(y, cfg, out)
     out *= out
     return float(out) if np.ndim(y) == 0 else out
 
 
-def psf_confocal(y, cfg: MicroscopeConfig):
-    """Confocal intensity response: the widefield amplitude to the fourth power."""
-    out = _airy_amplitude(y, cfg)
+def psf_confocal(y, cfg: MicroscopeConfig, out: np.ndarray | None = None):
+    """Confocal intensity response: the widefield amplitude to the fourth
+    power.  ``out`` as for ``psf_widefield``."""
+    out = _airy_amplitude(y, cfg, out)
     out *= out
     out *= out
     return float(out) if np.ndim(y) == 0 else out

@@ -19,15 +19,18 @@ panel cells, integrated for all offsets at once
 panel at every distinct canonical displacement of the scan, in kernel
 calls of a bounded number of points.  A twin scan whose gate is closed
 does no kernel work.  Scans are limited to 2**20 offsets; larger plans
-are rejected with a ``ConfigError`` when the ``Line`` or ``Grid`` is built.
+are rejected with a ``ConfigError`` when the ``Line`` or ``Grid`` is built,
+and so are half ranges beyond 1 m, before any arithmetic on them.
 
 Parallelism: the thread count comes from the TWINFOCAL_THREADS
 environment variable (unset or empty means 1; 0 means one per CPU) and
-is clamped to the CPU count and to the number of offsets.  A scan with
-more than one thread starts one pool and uses it for all its work; with
-one thread it starts none.  ``sample_amplitudes`` alone decides what the
-threads split: the offsets of point cells, in contiguous chunks, one per
-thread, or the rows of the displacement table of panel cells.  Results
+is clamped to the CPU count and to the number of offsets.  A scan hands
+``sample_amplitudes`` one ``coincidence.Chunks``, which starts at most
+one pool for the whole scan and none at one thread.
+``sample_amplitudes`` alone decides what the threads split: the offsets
+of point cells, in contiguous chunks, one per pool thread, or the rows of
+the displacement table of panel cells, whose first chunk the calling
+thread works itself, in the workspace it allocated for it.  Results
 are rejoined in index order and are bit-identical for every thread
 count: the special functions evaluate every element at a fixed degree,
 so no value depends on the other elements of its array, and a table
@@ -39,11 +42,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -51,7 +52,9 @@ from .errors import (
     ConfigError, NumericalError, ScanRangeError, check_integers, check_positive, check_size)
 from .optics import MicroscopeConfig
 from .psf import psf_confocal, psf_twin, psf_widefield, response_fwhm
+from .specfun import _workspace
 from .coincidence import (
+    Chunks,
     DispersionModel,
     QuadratureSpec,
     SampleTransmittance,
@@ -80,8 +83,23 @@ _MAX_OFFSETS = 1 << 20
 _BYTES_PER_OFFSET = 176
 
 
+# Farthest a scan may reach from the axis [m].  A metre is beyond the field
+# of any objective.  A squared offset overflows beyond 1e154 m, and a kernel
+# argument (1.8e7 per metre for the default twin kernel) squared beyond
+# about 1e146 m.
+_MAX_HALF_RANGE = 1.0
+
+
 def _check_scan_size(count: int) -> None:
     check_size(count, _MAX_OFFSETS, f"scan of {count} offsets", _BYTES_PER_OFFSET)
+
+
+def _check_half_range(value: float, subject: str) -> None:
+    """Refuse a half range that is not positive, or farther than
+    ``_MAX_HALF_RANGE``, before any arithmetic on it."""
+    check_positive(value, subject)
+    if value > _MAX_HALF_RANGE:
+        raise ConfigError(f"{subject} must be at most {_MAX_HALF_RANGE:g} m, got {value!r}")
 
 
 class Instrument(Enum):
@@ -103,7 +121,7 @@ class Line:
         if not all(math.isfinite(c) for c in self.direction) or \
                 abs(math.hypot(*self.direction) - 1.0) > 1e-9:
             raise ConfigError("scan direction must be a unit 2-vector")
-        check_positive(self.half_range, "scan half range")
+        _check_half_range(self.half_range, "scan half range")
         check_integers((self.samples,), "scan sample counts")
         if self.samples < 16:
             raise ConfigError("line scans need at least 16 samples")
@@ -126,7 +144,7 @@ class Grid:
 
     def __post_init__(self) -> None:
         for r in (self.half_range_x, self.half_range_y):
-            check_positive(r, "scan half ranges")
+            _check_half_range(r, "scan half ranges")
         check_integers((self.nx, self.ny), "scan sample counts")
         if self.nx < 16 or self.ny < 16:
             raise ConfigError("grid scans need at least 16 samples per axis")
@@ -211,26 +229,17 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
     """
     offsets = plan.geometry.offsets()
     workers = _worker_count(_thread_count(), os.cpu_count() or 1, offsets.shape[0])
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        def map_chunked(func: Callable[[np.ndarray], np.ndarray], items: np.ndarray) -> np.ndarray:
-            """Apply ``func`` to index-ordered chunks of the rows of ``items``,
-            one per thread, and rejoin."""
-            if pool is None:
-                return func(items)
-            chunks = np.array_split(items, min(workers, items.shape[0]))
-            return np.concatenate(list(pool.map(func, chunks)))
-
+    with Chunks(workers) as chunks:
         if plan.instrument is Instrument.TWIN_PHOTON:
-            values = twin_rates(sample, offsets, cfg, quad, t12, disp, map_chunked)
+            values = twin_rates(sample, offsets, cfg, quad, t12, disp, chunks)
         else:
             response = _instrument_psf(plan.instrument)
 
             def kern(vx, vy):
-                radius = vx * vx + vy * vy
-                return response(np.sqrt(radius, out=radius), cfg)
+                radius = np.add(vx * vx, vy * vy, out=_workspace().out(vx, vy))
+                return response(np.sqrt(radius, out=radius), cfg, out=radius)
 
-            values = np.abs(sample_amplitudes(sample, offsets, cfg, quad, kern, False,
-                                              map_chunked))
+            values = np.abs(sample_amplitudes(sample, offsets, cfg, quad, kern, False, chunks))
     peak = float(values.max()) if values.size else 0.0
     if peak > 0.0:
         values = values / peak

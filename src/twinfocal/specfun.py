@@ -46,13 +46,20 @@ side of it, the largest absolute errors are
 and both Hankel maxima sit at the first double above 12.
 
 All functions accept floats or numpy arrays and return the matching kind.
-An array is split between the branches by index (``np.flatnonzero``,
-``take`` and indexed assignment), and not at all when one branch covers
-it.  Each branch computes in place in arrays it allocated itself, so an
-argument is never written and a value depends on its own argument alone.
+An array is split between the branches by a boolean mask (gathered by
+indexing, scattered back by masked assignment), and not at all when one
+branch covers it.  Each branch computes in place, in arrays taken from
+the calling thread's ``Workspace``, which allocates them unless a scan
+pass has made a buffered one current.  ``airy_amp`` writes its values
+into ``out`` when given one, which may be its argument; otherwise no
+argument is written.  A value depends on its own argument alone.
 """
 
 from __future__ import annotations
+
+import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -173,48 +180,129 @@ _HANKEL_Q = (
 
 
 # ============================================================================
+# workspaces
+# ============================================================================
+
+class Workspace:
+    """Scratch arrays carved, in order, from one byte buffer allocated up front.
+
+    Inside ``with work.use():`` it is the calling thread's workspace:
+    ``airy_amp``, ``coincidence.kernel_field`` and the classical
+    ``psf_*`` responses take the arrays whose size scales with their
+    argument from it (``_workspace().out``) instead of allocating them,
+    so calls that follow one another reuse the same memory.  A result
+    taken from it stays valid until the workspace is cleared.  ``held``
+    counts the bytes handed out; setting it back to an earlier count gives
+    back every array handed out since.  Once the buffer is full, ``out``
+    leaves the allocation to numpy, so a workspace without a buffer, every
+    thread's workspace outside ``use``, allocates every array as numpy
+    would.
+    """
+
+    def __init__(self, buffer: np.ndarray | None = None):
+        self._buffer = np.empty(0, dtype=np.uint8) if buffer is None else buffer
+        self.held = 0
+
+    def out(self, *operands: np.ndarray, dtype=float) -> np.ndarray | None:
+        """An uninitialised array of the operands' broadcast shape, 64-byte
+        aligned within the buffer, to pass as a ufunc's ``out``; None, so
+        that numpy allocates, without a buffer or once it is full."""
+        if not self._buffer.size:
+            return None
+        shape = operands[0].shape if len(operands) == 1 else \
+            np.broadcast_shapes(*(a.shape for a in operands))
+        dtype = np.dtype(dtype)
+        start = -(-self.held // 64) * 64
+        end = start + math.prod(shape) * dtype.itemsize
+        if end > self._buffer.size:
+            return None
+        self.held = end
+        return np.ndarray(shape, dtype, self._buffer, start)
+
+    @property
+    def buffered(self) -> bool:
+        return self._buffer.size > 0
+
+    def clear(self) -> None:
+        self.held = 0
+
+    @contextmanager
+    def use(self):
+        outer, _current.work = _current.work, self
+        try:
+            yield self
+        finally:
+            _current.work = outer
+
+
+class _Current(threading.local):
+    work = Workspace()
+
+
+_current = _Current()
+
+
+def _workspace() -> Workspace:
+    """The calling thread's workspace (see ``Workspace``)."""
+    return _current.work
+
+
+# ============================================================================
 # evaluation (internal)
 # ============================================================================
 
-def _reduced(n: int, x) -> np.ndarray:
-    """``J0(|x|)`` for n = 0, ``2 J1(|x|)/|x|`` for n = 1, as an array."""
-    ax = np.abs(np.asarray(x, dtype=float))  # a new array, which the branches may overwrite
+def _reduced(n: int, x, out: np.ndarray | None = None) -> np.ndarray:
+    """``J0(|x|)`` for n = 0, ``2 J1(|x|)/|x|`` for n = 1, as an array: in
+    ``out`` (which may be ``x``) or one taken from the thread's workspace,
+    which gets its other arrays back."""
+    work = _workspace()
+    x = np.asarray(x, dtype=float)
+    if out is not None and not (out.dtype == float and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array")
+    ax = np.abs(x, out=work.out(x) if out is None else out)
     # |x| >= 0, so its maximum is finite exactly when every element is (NaN propagates)
     if ax.size and not np.isfinite(ax.max()):
         raise ValueError("bessel argument must be finite")
-    flat = ax.reshape(-1)
-    large = flat > _SERIES_CUTOFF
+    flat = ax.reshape(-1)  # a view of ax, unless ax is a scalar or not in C order
+    held = work.held
+    large = np.greater(flat, _SERIES_CUTOFF, out=work.out(flat, dtype=bool))
     count = np.count_nonzero(large)
     if count == 0:
-        flat = _series(n, flat)
+        _series(n, flat, work, work.out(flat))
     elif count == flat.size:
-        flat = _hankel(n, flat)
-    else:  # gather each branch's points by index, then scatter the values back
-        hi, lo = np.flatnonzero(large), np.flatnonzero(~large)
-        above = flat.take(hi)
-        flat[lo] = _series(n, flat.take(lo))
-        flat[hi] = _hankel(n, above)
-    return flat.reshape(ax.shape)
+        _hankel(n, flat, work, work.out(flat))
+    else:  # gather each branch's points; ``flat`` is scratch until they go back
+        above = flat[large]
+        small = np.logical_not(large, out=large)
+        below = flat[small]
+        _series(n, below, work, flat[:below.size])
+        _hankel(n, above, work, flat[:above.size])
+        flat[small] = below
+        flat[np.logical_not(small, out=small)] = above
+    work.held = held  # give the scratch arrays back
+    return flat.reshape(ax.shape) if out is None else out
 
 
-def _series(n: int, a: np.ndarray) -> np.ndarray:
-    """``1 + q g_n(q)``, ``q = a^2/4``, for ``0 <= a <= 12``; overwrites ``a``."""
+def _series(n: int, a: np.ndarray, work: Workspace, scratch: np.ndarray) -> np.ndarray:
+    """``1 + q g_n(q)``, ``q = a^2/4``, for ``0 <= a <= 12``, in ``a``;
+    ``scratch`` is a free array of its shape."""
     q = np.multiply(a, a, out=a)
     q *= 0.25
-    t = q / 18.0
+    t = np.divide(q, 18.0, out=scratch)
     t -= 1.0
-    acc = _horner(_SERIES[n], t)
-    acc *= q
-    acc += 1.0
-    return acc
+    acc = _horner(_SERIES[n], t, work.out(a))
+    np.multiply(acc, q, out=q)
+    q += 1.0
+    return q
 
 
-def _hankel(n: int, a: np.ndarray) -> np.ndarray:
-    """``J_n(a)``, divided by ``a/2`` for n = 1, by Hankel's expansion, for ``a > 12``."""
-    y = np.multiply(a, a)
+def _hankel(n: int, a: np.ndarray, work: Workspace, scratch: np.ndarray) -> np.ndarray:
+    """``J_n(a)``, divided by ``a/2`` for n = 1, by Hankel's expansion, for
+    ``a > 12``, in ``a``; ``scratch`` is a free array of its shape."""
+    y = np.multiply(a, a, out=scratch)
     np.divide(1.0, y, out=y)
-    p = _horner(_HANKEL_P[n], y)
-    qa = _horner(_HANKEL_Q[n], y)
+    p = _horner(_HANKEL_P[n], y, work.out(a))
+    qa = _horner(_HANKEL_Q[n], y, work.out(a))
     qa /= a
     # cos(w) P - sin(w) Q from the one tangent t = tan(w/2)
     t = np.subtract(a, (0.5 * n + 0.25) * np.pi, out=y)
@@ -223,23 +311,24 @@ def _hankel(n: int, a: np.ndarray) -> np.ndarray:
     qa *= t
     qa *= 2.0
     tt = np.multiply(t, t, out=t)
-    p *= 1.0 - tt
+    p *= np.subtract(1.0, tt, out=work.out(a))
     p -= qa
     tt += 1.0
     p /= tt
     # times sqrt(2/(pi a))
     root = np.multiply(a, np.pi, out=qa)
     np.divide(2.0, root, out=root)
-    p *= np.sqrt(root, out=root)
-    if n == 1:
-        p *= 2.0
-        p /= a
-    return p
+    np.sqrt(root, out=root)
+    if n == 0:
+        return np.multiply(p, root, out=a)
+    p *= root
+    p *= 2.0
+    return np.divide(p, a, out=a)
 
 
-def _horner(coeffs: tuple[float, ...], y: np.ndarray) -> np.ndarray:
-    """``sum_k coeffs[k] y^k``, by Horner's rule, in a new array."""
-    acc = y * coeffs[-1]
+def _horner(coeffs: tuple[float, ...], y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[k] y^k``, by Horner's rule, in ``out``."""
+    acc = np.multiply(y, coeffs[-1], out=out)
     acc += coeffs[-2]
     for c in coeffs[-3::-1]:
         acc *= y
@@ -284,7 +373,7 @@ def bessel_j1(x):
     return float(out) if scalar else out
 
 
-def airy_amp(v):
+def airy_amp(v, out: np.ndarray | None = None):
     """Normalized amplitude of a uniformly lit circular aperture, 2 J1(v)/v.
 
     The peak is 1 at ``v = 0`` (exactly, by the removable-singularity
@@ -294,6 +383,9 @@ def airy_amp(v):
     ----------
     v : float or ndarray
         Finite real argument, typically ``(spatial frequency) * radius``.
+    out : ndarray, optional
+        C-contiguous float64 array of the shape of ``v`` that receives the
+        values; it may be ``v`` itself, which is then overwritten.
 
     Returns
     -------
@@ -301,5 +393,5 @@ def airy_amp(v):
         2 J1(v)/v, bounded by 1 in magnitude.
     """
     scalar = np.isscalar(v) or np.ndim(v) == 0
-    out = _reduced(1, v)
+    out = _reduced(1, v, out)
     return float(out) if scalar else out

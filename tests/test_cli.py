@@ -766,22 +766,33 @@ def test_scan_rejects_non_finite_truncation_radius(tmp_path):
     assert "truncation radius must be positive and finite" in err
 
 
-@pytest.mark.parametrize("text", [
-    "sample.kind = raster\nsample.pitch = 1e-310\nsample.rows = 1\n"
-    "scan.geometry = grid\nscan.nx = 16\nscan.ny = 16\n",
-    "sample.kind = slit\nsample.width = 1e-310\n",
-], ids=["raster_grid", "slit_line"])
-def test_scan_refuses_pitch_that_offsets_overflow(tmp_path, text):
+PITCH_OVERFLOW_ERROR = ("error: sample pitch 1e-310 m is too small for scan offsets up to "
+                        "1e-06 m: their lattice coordinates overflow\n")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("sample.kind = raster\nsample.pitch = 1e-310\nsample.rows = 1\n"
+     "scan.geometry = grid\nscan.nx = 16\nscan.ny = 16\n", PITCH_OVERFLOW_ERROR),
+    ("sample.kind = slit\nsample.width = 1e-310\n", PITCH_OVERFLOW_ERROR),
+    ("sample.kind = raster\nsample.pitch = 1e-300\nsample.rows = 1\n"
+     "scan.geometry = grid\nscan.nx = 16\nscan.ny = 16\n",
+     "error: scan table of inf cells exceeds the limit of 4194304; building it would need "
+     "about inf MiB\n"),
+    ("scan.half_range = 1e300\nscan.samples = 16\n",
+     "error: scan half range must be at most 1 m, got 1e+300\n"),
+], ids=["raster_grid", "slit_line", "raster_grid_inf_cells", "delta_far_line"])
+def test_scan_refuses_pitch_that_offsets_overflow(tmp_path, text, expected):
     """A pitch so small that the scan offsets overflow its lattice is a
-    config error naming both, raised before numpy warns."""
+    config error naming both, raised before numpy warns; so are a table
+    too large to count in floats and a delta scanned too far to square
+    its offsets."""
     cfg = write_config(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli("scan", "--config", cfg)
     assert code == 2
     assert out == ""
-    assert err == ("error: sample pitch 1e-310 m is too small for scan offsets up to "
-                   "1e-06 m: their lattice coordinates overflow\n")
+    assert err == expected
 
 
 # ----------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from twinfocal.errors import ConfigError, QuadratureError
 from twinfocal.optics import SPEED_OF_LIGHT, MicroscopeConfig, airy_radius, eta0_inv_sq, r0
 from twinfocal.psf import psf_confocal, psf_twin
 from twinfocal.scansim import Grid
-from twinfocal.specfun import airy_amp
+from twinfocal.specfun import Workspace, _workspace, airy_amp
 from twinfocal import coincidence
 from twinfocal.coincidence import (
     Delta,
@@ -320,6 +320,43 @@ def _envelope_rate(cfg):
     of ``eta0_inv_sq`` at the doubled coordinate, its phase undoubled."""
     eta = eta0_inv_sq(cfg)
     return complex(4.0 * eta.real, eta.imag)
+
+
+@pytest.mark.parametrize("near, far", [(1e-7, 4e-7), (1e-7, 2e-6), (1.6e-6, 4e-6)],
+                         ids=["series", "mixed", "hankel"])
+def test_kernel_call_of_the_point_budget_fits_its_workspace(near, far):
+    """A kernel call of ``_KERNEL_POINT_BUDGET`` points, in a workspace of
+    the size that ``Chunks`` gives each chunk, takes its arrays from it:
+    the twin kernel of a degenerate pair and a classical response as
+    ``scan`` calls it allocate only the per-row factors and, when the call
+    straddles the Bessel branch switch, the gathered points of each branch
+    (8 B per point).  Both give the bits of their allocating evaluation."""
+    n = 48
+    g = np.linspace(-1e-7, 1e-7, n)
+    vx = np.linspace(0.0, far, coincidence._KERNEL_POINT_BUDGET // n**2)[:, None, None]
+    vx = vx + g[None, :, None]
+    vy = near + g[None, None, :]
+    nbytes = coincidence._KERNEL_POINT_BUDGET * coincidence._WORK_BYTES_PER_POINT
+    work = Workspace(np.empty(nbytes, dtype=np.uint8))
+
+    def twin():
+        return kernel_field(vx, vy, CFG8)
+
+    def confocal():
+        radius = np.add(vx * vx, vy * vy, out=_workspace().out(vx, vy))
+        return psf_confocal(np.sqrt(radius, out=radius), CFG8, out=radius)
+
+    for kern in (twin, confocal):
+        fresh = kern()
+        with work.use():
+            tracemalloc.start()
+            held = kern()
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            work.clear()
+        assert np.shares_memory(held, work._buffer)
+        assert held.tobytes() == fresh.tobytes()
+        assert peak < 8 * coincidence._KERNEL_POINT_BUDGET + 2**16, peak
 
 
 def test_kernel_on_panel_grid_equals_flat_call():

@@ -11,6 +11,8 @@ Frozen two-point resolution limits (meters) for a 12 mm pump waist at a
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -118,18 +120,28 @@ def test_table_limit_refuses_a_nan_count():
         coincidence._check_table_cells(math.nan)
 
 
-@pytest.mark.parametrize("plan, sample", [
-    (ScanPlan(Grid(nx=16, ny=16)), Raster(pitch=1e-310, grid=np.ones((1, 1)))),
-    (ScanPlan(Line(samples=16)), Slit(width=1e-310)),
-], ids=["raster_grid", "slit_line"])
-def test_pitch_that_offsets_overflow_is_refused(plan, sample):
+PITCH_OVERFLOW = r"sample pitch 1e-310 m is too small for scan offsets up to 1e-06 m"
+
+
+@pytest.mark.parametrize("plan, sample, message", [
+    (ScanPlan(Grid(nx=16, ny=16)), Raster(pitch=1e-310, grid=np.ones((1, 1))), PITCH_OVERFLOW),
+    (ScanPlan(Line(samples=16)), Slit(width=1e-310), PITCH_OVERFLOW),
+    # finite lattice coordinates, but a box of more cells than a float holds
+    (ScanPlan(Grid(nx=16, ny=16)), Raster(pitch=1e-300, grid=np.ones((1, 1))),
+     r"scan table of inf cells exceeds the limit of 4194304; building it would need about "
+     r"inf MiB"),
+    # squared offsets would overflow in the kernel; refused when the line is built
+    (lambda: ScanPlan(Line(half_range=1e300, samples=16)), Delta(),
+     r"scan half range must be at most 1 m, got 1e\+300"),
+], ids=["raster_grid", "slit_line", "raster_grid_inf_cells", "delta_far_line"])
+def test_pitch_that_offsets_overflow_is_refused(plan, sample, message):
     """Offsets whose lattice coordinates overflow are refused with the pitch
-    and the largest offset, and without a numpy warning."""
+    and the largest offset, and without a numpy warning; so are a table too
+    large to count in floats and offsets too far to square."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match=r"sample pitch 1e-310 m is too small for scan "
-                                              r"offsets up to 1e-06 m"):
-            scan(plan, CFG8, sample)
+        with pytest.raises(ConfigError, match=message):
+            scan(plan() if callable(plan) else plan, CFG8, sample)
 
 
 @pytest.mark.parametrize("build", [
@@ -395,6 +407,59 @@ def test_thread_count_determinism(monkeypatch):
             image = scan(plan, CFG8, sample, **options)
             assert np.array_equal(image.values, baseline.values)
             assert image.peak_value_raw == baseline.peak_value_raw
+
+
+def test_calling_thread_works_a_chunk_of_every_pass(monkeypatch):
+    """At two threads an extended scan evaluates its kernel on exactly two
+    threads, the calling thread one of them, so the pool holds one worker.
+    At one thread no pool starts and the values are the same."""
+    threads = []
+
+    def recording(vx, vy, cfg):
+        threads.append(threading.get_ident())
+        return kernel_field(vx, vy, cfg)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-thread scan starts no pool")
+
+    monkeypatch.setattr(coincidence, "kernel_field", recording)
+    monkeypatch.setattr(scansim.os, "cpu_count", lambda: 2)
+    plan = line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=17)
+    spec = QuadratureSpec(radial_nodes=16)
+    monkeypatch.setenv("TWINFOCAL_THREADS", "2")
+    two = scan(plan, CFG8, Slit(width=2e-7), spec)
+    assert len(set(threads)) == 2 and threading.get_ident() in threads
+    threads.clear()
+    monkeypatch.setenv("TWINFOCAL_THREADS", "1")
+    monkeypatch.setattr(coincidence, "ThreadPoolExecutor", no_pool)
+    one = scan(plan, CFG8, Slit(width=2e-7), spec)
+    assert set(threads) == {threading.get_ident()}
+    assert one.values.tobytes() == two.values.tobytes()
+
+
+def test_workspaces_stay_with_their_chunks_under_thread_switching(monkeypatch):
+    """Four threads on fewer cores, switching every microsecond: each chunk
+    writes only into its own workspace, so twin and confocal raster lines,
+    whose kernel calls straddle the Bessel branch switch, keep the bits of
+    a one-thread scan."""
+    grid = np.zeros((6, 6))
+    grid[0, 0] = grid[5, 5] = grid[1, 4] = grid[4, 1] = 1.0
+    sample = Raster(pitch=2e-7, grid=grid)
+    spec = QuadratureSpec(radial_nodes=16)
+    plans = [line_plan(instrument, half_range=1e-6, samples=33)
+             for instrument in (Instrument.TWIN_PHOTON, Instrument.CONFOCAL)]
+    monkeypatch.delenv("TWINFOCAL_THREADS", raising=False)
+    baselines = [scan(plan, CFG8, sample, spec).values.tobytes() for plan in plans]
+    monkeypatch.setattr(scansim.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("TWINFOCAL_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for plan, baseline in zip(plans, baselines):
+                assert scan(plan, CFG8, sample, spec).values.tobytes() == baseline
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_worker_count_is_clamped():

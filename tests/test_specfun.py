@@ -159,6 +159,55 @@ def test_inputs_are_not_written():
             assert xs.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("xs", [
+    np.linspace(0.0, 12.0, 997),
+    np.linspace(np.nextafter(12.0, 13.0), 50.0, 997),
+    np.linspace(-50.0, 50.0, 997),
+    np.linspace(-50.0, 13.0, 997),
+], ids=["series", "hankel", "mixed", "mostly_series"])
+def test_workspace_values_equal_fresh_arrays(xs):
+    """Inside a workspace, and written over the argument with ``out``,
+    every function gives the bits of its allocating evaluation.  The
+    result is the workspace's first array, the only one still held after
+    the call."""
+    work = specfun.Workspace(np.empty(64 * xs.size, dtype=np.uint8))
+    for fn in (airy_amp, bessel_j0, bessel_j1):
+        fresh = fn(xs)
+        with work.use():
+            held = fn(xs)
+            assert np.shares_memory(held, work._buffer)
+            assert held.tobytes() == fresh.tobytes()
+            assert work.held == xs.nbytes
+            work.clear()
+    over = xs.copy()
+    assert airy_amp(over, out=over) is over
+    assert over.tobytes() == airy_amp(xs).tobytes()
+    for bad in (np.empty(2 * xs.size)[::2], np.empty(xs.size, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            airy_amp(xs, out=bad)
+
+
+def test_workspace_alignment_give_back_and_overflow():
+    """Arrays start 64 bytes apart at least and take the operands' broadcast
+    shape; setting ``held`` back gives the later arrays back; an array that
+    does not fit, like any array of a workspace without a buffer (every
+    thread's outside ``use``), is left to numpy."""
+    work = specfun.Workspace(np.empty(1024, dtype=np.uint8))
+    first = work.out(np.zeros(3))
+    held = work.held
+    inner = work.out(np.zeros((2, 1)), np.zeros(2), dtype=complex)
+    assert inner.shape == (2, 2) and inner.dtype == complex
+    assert inner.ctypes.data - first.ctypes.data == 64
+    work.held = held
+    again = work.out(np.zeros(4), dtype=bool)
+    assert again.ctypes.data == inner.ctypes.data
+    assert work.out(np.zeros(200)) is None
+    assert specfun._workspace().out(np.zeros(3)) is None
+    with work.use():
+        assert specfun._workspace() is work
+    assert specfun._workspace() is not work
+
+
 def test_tables_match_their_generator():
     """The committed coefficient tables are exactly what
     scripts/make_specfun_tables.py builds."""
