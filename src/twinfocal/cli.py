@@ -140,21 +140,6 @@ def _parse_rows(text: str) -> np.ndarray:
     return np.array([[float(ch) for ch in row] for row in rows])
 
 
-def _format_value(value) -> str:
-    """Config text of a typed value; ``_SCHEMA``'s parsers read it back."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
-    if isinstance(value, np.ndarray):
-        if np.any(value.imag != 0.0) or np.any(~np.isin(value.real, (0.0, 1.0))):
-            raise ConfigError("only binary rasters are representable in config text")
-        return ";".join("".join(str(int(v)) for v in row) for row in value.real)
-    return str(value)
-
-
 # Every config key: its value parser, and the flag that overrides it.
 _SCHEMA: dict[str, tuple[Callable[[str], object], str | None]] = {
     "microscope.lambda_p": (_parse_length, None),
@@ -215,7 +200,7 @@ def _key(section: str, name: str) -> str:
 
 @dataclass(frozen=True)
 class DispersionSpec:
-    """Serializable crystal description: index polynomials in omega.  The
+    """Crystal description in config values: index polynomials in omega.  The
     ``n_e`` polynomial ignores ``psi``, so the walk-off ``walkoff_Ne`` of
     a crystal built from it is 0."""
 
@@ -288,8 +273,8 @@ class OutputSpec:
             raise ConfigError("output precision must lie in [1, 17]")
 
 
-# The class each config section builds, in config-text order; the sample
-# class is the one ``sample.kind`` names.
+# The class each config section builds; the sample class is the one
+# ``sample.kind`` names.
 _SECTIONS = {"microscope": MicroscopeConfig, "sample": None,
              "dispersion": DispersionSpec, "quadrature": QuadratureSpec,
              "scan": ScanSpec, "output": OutputSpec}
@@ -303,23 +288,6 @@ class RunConfig:
     dispersion: DispersionSpec | None
     scan: ScanSpec
     output: OutputSpec
-
-    def to_text(self) -> str:
-        """Canonical config text in SI base units; parsing it back yields
-        the same typed values."""
-        lines: list[str] = []
-        for section in _SECTIONS:
-            part = getattr(self, section)
-            if part is None:
-                continue
-            if section == "sample":
-                kind = next(k for k, cls in _SAMPLE_KINDS.items() if type(part) is cls)
-                lines.append(f"{_key(section, 'kind')} = {kind}")
-            for f in dataclasses.fields(part):
-                value = getattr(part, f.name)
-                if value is not None:
-                    lines.append(f"{_key(section, f.name)} = {_format_value(value)}")
-        return "\n".join(lines) + "\n"
 
 
 def _build_section(section: str, values: dict[str, object]):

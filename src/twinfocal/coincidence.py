@@ -183,6 +183,12 @@ _KEY_BITS = 44
 _MAX_TABLE_CELLS = 1 << 22
 _BYTES_PER_TABLE_CELL = 160
 
+# Farthest a scan offset or a sample cell may reach from the axis [m].  A
+# metre is beyond the field of any objective.  A squared offset overflows
+# beyond 1e154 m, and a kernel argument (1.8e7 per metre for the default
+# twin kernel) squared beyond about 1e146 m.
+_MAX_REACH = 1.0
+
 
 # ============================================================================
 # sample transmittances
@@ -645,6 +651,12 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
     raise ConfigError(f"unsupported sample: {sample!r}")
 
 
+def _check_reach(value: float, subject: str) -> None:
+    """Refuse a distance from the axis beyond ``_MAX_REACH`` [m]."""
+    if value > _MAX_REACH:
+        raise ConfigError(f"{subject} must be at most {_MAX_REACH:g} m, got {value!r}")
+
+
 def _check_table_cells(count: float) -> None:
     """Refuse a scan table of more than ``_MAX_TABLE_CELLS`` cells."""
     check_size(count, _MAX_TABLE_CELLS, f"scan table of {count:.0f} cells",
@@ -720,15 +732,13 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
 
 
 def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
-                     target_rel_tol: float, map_rows) -> np.ndarray:
+                     target_rel_tol: float, chunks: Chunks) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` over the panel cells of
     ``lattice`` at every scan offset ``y`` (rows of ``offsets``).
 
     Each pass integrates one lattice cell at every distinct displacement
-    the offsets read (``_lattice_table``), through ``map_rows(func,
-    points)``: a ``Chunks``, which calls ``func(chunk, work)`` with each
-    chunk's workspace, or any callable that calls ``func(chunk)`` on
-    index-ordered chunks of the rows and rejoins the results.
+    the offsets read (``_lattice_table``), split between the threads of
+    ``chunks``, each chunk in its own workspace.
 
     Convergence is judged per offset.  The integral is evaluated once with
     the requested node counts and once with both counts doubled; the
@@ -757,11 +767,11 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
 
     def sums(kernel, n_x: int, n_y: int, members: np.ndarray, read, weigh=lambda w: w):
         """Each offset of ``members`` summed over its lit cells, integrating ``read``."""
-        def integrate(chunk: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-            with (work or Workspace()).use():
+        def integrate(chunk: np.ndarray, work: Workspace) -> np.ndarray:
+            with work.use():
                 return _panel_sum(chunk, lattice.half_x, lattice.half_y, n_x, n_y, kernel)
 
-        integrals = map_rows(integrate, points[read])
+        integrals = chunks(integrate, points[read])
         values = np.empty(points.shape[0], dtype=integrals.dtype)
         values[read] = integrals
         out = np.empty(offsets.shape[0], dtype=complex)
@@ -844,6 +854,10 @@ def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
     chunks = chunks or Chunks()
     quad = quad if quad is not None else _DEFAULT_QUADRATURE
     lattice = _sample_lattice(sample, cfg, quad, coherent)
+    rows, cols = lattice.weight.shape  # the farthest cell edge, before any kernel call
+    far_x = lattice.pitch * max(abs(lattice.x0), abs(lattice.x0 + cols - 1)) + lattice.half_x
+    far_y = lattice.pitch * max(abs(lattice.y0), abs(lattice.y0 + rows - 1)) + lattice.half_y
+    _check_reach(max(far_x, far_y), "sample reach from the axis")
     if lattice.n_x == 0:  # point cells have no nodes
         return chunks.map(lambda chunk: point_sum(lattice, chunk, kern), offsets)
     return integrate_sample(lattice, offsets, kern, quad.target_rel_tol, chunks)

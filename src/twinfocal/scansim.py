@@ -20,7 +20,9 @@ panel at every distinct canonical displacement of the scan, in kernel
 calls of a bounded number of points.  A twin scan whose gate is closed
 does no kernel work.  Scans are limited to 2**20 offsets; larger plans
 are rejected with a ``ConfigError`` when the ``Line`` or ``Grid`` is built,
-and so are half ranges beyond 1 m, before any arithmetic on them.
+and so are half ranges beyond 1 m, before any arithmetic on them.  A
+sample whose cells reach beyond 1 m from the axis is refused the same
+way before any kernel call.
 
 Parallelism: the thread count comes from the TWINFOCAL_THREADS
 environment variable (unset or empty means 1; 0 means one per CPU) and
@@ -59,6 +61,7 @@ from .coincidence import (
     QuadratureSpec,
     SampleTransmittance,
     TwoPoint,
+    _check_reach,
     sample_amplitudes,
     twin_rates,
 )
@@ -83,23 +86,15 @@ _MAX_OFFSETS = 1 << 20
 _BYTES_PER_OFFSET = 176
 
 
-# Farthest a scan may reach from the axis [m].  A metre is beyond the field
-# of any objective.  A squared offset overflows beyond 1e154 m, and a kernel
-# argument (1.8e7 per metre for the default twin kernel) squared beyond
-# about 1e146 m.
-_MAX_HALF_RANGE = 1.0
-
-
 def _check_scan_size(count: int) -> None:
     check_size(count, _MAX_OFFSETS, f"scan of {count} offsets", _BYTES_PER_OFFSET)
 
 
 def _check_half_range(value: float, subject: str) -> None:
     """Refuse a half range that is not positive, or farther than
-    ``_MAX_HALF_RANGE``, before any arithmetic on it."""
+    ``coincidence._MAX_REACH``, before any arithmetic on it."""
     check_positive(value, subject)
-    if value > _MAX_HALF_RANGE:
-        raise ConfigError(f"{subject} must be at most {_MAX_HALF_RANGE:g} m, got {value!r}")
+    _check_reach(value, subject)
 
 
 class Instrument(Enum):

@@ -580,7 +580,7 @@ def integrate(sample, offsets, spec, kern):
     """``integrate_sample`` over the twin lattice of ``sample``, in one call."""
     lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
     return coincidence.integrate_sample(lattice, offsets, kern, spec.target_rel_tol,
-                                        lambda func, items: func(items))
+                                        coincidence.Chunks())
 
 
 def test_kernel_calls_stay_within_point_budget():

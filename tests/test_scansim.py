@@ -121,6 +121,7 @@ def test_table_limit_refuses_a_nan_count():
 
 
 PITCH_OVERFLOW = r"sample pitch 1e-310 m is too small for scan offsets up to 1e-06 m"
+FAR_SAMPLE = r"sample reach from the axis must be at most 1 m, got "
 
 
 @pytest.mark.parametrize("plan, sample, message", [
@@ -133,11 +134,19 @@ PITCH_OVERFLOW = r"sample pitch 1e-310 m is too small for scan offsets up to 1e-
     # squared offsets would overflow in the kernel; refused when the line is built
     (lambda: ScanPlan(Line(half_range=1e300, samples=16)), Delta(),
      r"scan half range must be at most 1 m, got 1e\+300"),
-], ids=["raster_grid", "slit_line", "raster_grid_inf_cells", "delta_far_line"])
+    # sample cells too far to square; refused before any kernel call
+    (ScanPlan(Line(samples=16)), Slit(width=1e300), FAR_SAMPLE + r"5e\+299"),
+    (ScanPlan(Line(samples=16)), Grating(period=1e300), FAR_SAMPLE + r"2\.25\d*e\+300"),
+    (ScanPlan(Line(samples=16)), Raster(pitch=1e300, grid=np.ones((2, 2))),
+     FAR_SAMPLE + r"1e\+300"),
+    (ScanPlan(Line(samples=16)), TwoPoint(1e300), FAR_SAMPLE + r"5e\+299"),
+], ids=["raster_grid", "slit_line", "raster_grid_inf_cells", "delta_far_line",
+        "slit_far", "grating_far", "raster_far", "two_point_far"])
 def test_pitch_that_offsets_overflow_is_refused(plan, sample, message):
     """Offsets whose lattice coordinates overflow are refused with the pitch
     and the largest offset, and without a numpy warning; so are a table too
-    large to count in floats and offsets too far to square."""
+    large to count in floats, offsets too far to square and sample cells
+    beyond 1 m of the axis."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=message):
