@@ -17,12 +17,19 @@ classical image ``sum_k PSF(|p_k - y|)``.  Extended samples lower to
 panel cells, integrated for all offsets at once
 (``coincidence.integrate_sample``): each quadrature pass integrates one
 panel at every distinct canonical displacement of the scan, in kernel
-calls of a bounded number of points.  A twin scan whose gate is closed
-does no kernel work.  Scans are limited to 2**20 offsets; larger plans
-are rejected with a ``ConfigError`` when the ``Line`` or ``Grid`` is built,
-and so are half ranges beyond 1 m, before any arithmetic on them.  A
-sample whose cells reach beyond 1 m from the axis is refused the same
-way before any kernel call.
+calls of a bounded number of points.  Node doubling is judged per
+offset: a confocal or widefield scan climbs a ladder from half the
+requested node counts n (checks at n/2 against n, n against 2n, 2n
+against 4n), so an image that already agrees at n takes two passes; a
+twin scan keeps its coarse and mass passes at n and its checks at n
+against 2n and 2n against 4n, because the benchmark's traced slit
+self-check pins those passes until it is restated as a bound.  Scans are
+limited to 2**20 offsets; larger plans are rejected with a
+``ConfigError`` when the ``Line`` or ``Grid`` is built, and so are half
+ranges beyond 1 m, before any arithmetic on them.  A sample whose cells
+reach beyond 1 m from the axis is refused the same way before any kernel
+call.  A twin scan whose gate is closed does no kernel work, but lowers
+its sample all the same, so that refusal does not depend on the gate.
 
 Parallelism: the thread count comes from the TWINFOCAL_THREADS
 environment variable (unset or empty means 1; 0 means one per CPU) and

@@ -629,25 +629,88 @@ def test_kernel_calls_stay_within_point_budget():
 
 def test_incoherent_integral_is_its_own_mass():
     """An incoherent integrand is non-negative, so its absolute mass is its
-    first pass: a confocal slit line takes (1 + 4) x rows x n^2 kernel
-    points on its first round, where the twin line takes 6x, and every
-    offset keeps the value of its own one-offset integral."""
+    first pass: a confocal slit line at n = 16 nodes climbs the ladder from
+    n / 2 and takes (8^2 + 16^2) x rows kernel points on its first check,
+    where the twin line takes its coarse, mass and fine passes at n and
+    2 n, 6 x 16^2 x rows, and every offset keeps the value of its own
+    one-offset integral."""
     spec = QuadratureSpec(radial_nodes=16)
     sample = Slit(2e-7)
     offsets = np.column_stack([np.linspace(-6e-7, 6e-7, 9), np.full(9, 1e-7)])
     twin = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
     confocal = lambda vx, vy: psf_confocal(np.hypot(vx, vy), CFG8)  # noqa: E731
-    for kern, coherent, passes in ((confocal, False, 5), (twin, True, 6)):
+    for kern, coherent, row_points in ((confocal, False, 8 * 8 + 16 * 16),
+                                       (twin, True, 6 * 16 * 16)):
         points = []
 
         def recording(vx, vy):
             points.append(np.broadcast(vx, vy).size)
             return kern(vx, vy)
         batched = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording, coherent)
-        assert sum(points) == passes * table_rows(sample, offsets, spec) * 16 * 16
+        assert sum(points) == row_points * table_rows(sample, offsets, spec)
         one_by_one = [coincidence.sample_amplitudes(sample, row[None, :], CFG8, spec,
                                                     recording, coherent)[0] for row in offsets]
         assert np.array_equal(batched, np.array(one_by_one))
+
+
+CONFOCAL_GRATING_NOT_CONVERGED = (
+    r"^amplitude quadrature did not converge: node doubling moved the result by 1\.061e-02 "
+    r"relative \(target 1\.0e-08\); raise the node counts$")
+
+
+@pytest.mark.parametrize("radial, angular, passes, error", [
+    # needs all three checks: (4, 8) against (8, 16), then (8, 16) against
+    # (16, 32), and converges at (16, 32) against (32, 64)
+    (8, 16, [(4, 8), (8, 16), (16, 32), (32, 64)], None),
+    # odd counts: the ladder starts at n // 2 and the last pass is 4 n
+    (9, 16, [(4, 8), (9, 16), (18, 32), (36, 64)], None),
+    # fails all three checks; the last one compares the same passes as
+    # two checks from the requested counts did, so the message is too
+    (8, 8, [(4, 4), (8, 8), (16, 16), (32, 32)], CONFOCAL_GRATING_NOT_CONVERGED),
+], ids=["three_checks", "odd_counts", "fails_three_checks"])
+def test_incoherent_ladder_starts_at_half_the_counts(radial, angular, passes, error):
+    """A confocal grating climbs the node ladder from half the requested
+    counts, one pass per rung, and no pass exceeds four times the counts.
+    A converged value agrees with a dense spec's; a failure raises the
+    ``QuadratureError`` of the first failing offset."""
+    sample, offsets = Grating(period=5e-7), np.zeros((1, 2))
+    spec = QuadratureSpec(radial_nodes=radial, angular_nodes=angular)
+    shapes = []
+
+    def recording(vx, vy):
+        shape = np.broadcast(vx, vy).shape[1:]
+        if shape not in shapes:
+            shapes.append(shape)
+        return psf_confocal(np.hypot(vx, vy), CFG8)
+
+    if error is not None:
+        with pytest.raises(QuadratureError, match=error):
+            coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording, False)
+    else:
+        value = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording, False)
+        dense = coincidence.sample_amplitudes(
+            sample, offsets, CFG8, QuadratureSpec(radial_nodes=32, angular_nodes=64),
+            lambda vx, vy: psf_confocal(np.hypot(vx, vy), CFG8), False)
+        assert abs(value[0] - dense[0]) <= 1e-7 * abs(dense[0])
+    assert shapes == passes
+    assert all(n_x <= 4 * radial and n_y <= 4 * angular for n_x, n_y in shapes)
+
+
+def test_chunk_workspaces_hand_out_64_byte_aligned_arrays():
+    """Each chunk's workspace starts at a 64-byte address, so every array
+    ``out`` hands out from it is 64-byte aligned in memory, whatever its
+    size and dtype."""
+    addresses = []
+
+    def carve(chunk, work):
+        for size, dtype in ((3, float), (5, complex), (7, bool), (1000, float)):
+            addresses.append(work.out(np.zeros(size), dtype=dtype).ctypes.data)
+        return chunk
+
+    with coincidence.Chunks(2) as chunks:
+        assert np.array_equal(chunks(carve, np.arange(6)), np.arange(6))
+    assert len(addresses) == 8
+    assert all(address % 64 == 0 for address in addresses)
 
 
 def lattice_displacement_count(grid: np.ndarray, side: int) -> int:

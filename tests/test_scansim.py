@@ -153,6 +153,17 @@ def test_pitch_that_offsets_overflow_is_refused(plan, sample, message):
             scan(plan() if callable(plan) else plan, CFG8, sample)
 
 
+@pytest.mark.parametrize("t12", [0.5 * OPEN_WINDOW, 1e-12], ids=["open_gate", "closed_gate"])
+def test_far_sample_is_refused_whatever_the_gate(t12):
+    """A closed gate returns zeros without kernel work, but only after the
+    sample is lowered: a slit beyond 1 m of the axis is refused with the
+    same error at a ``t12`` outside the gate's window as inside it."""
+    gates = coincidence.gate(t12, OPEN_DISP, CFG8.omega_o, CFG8.omega_e)
+    assert gates == (1.0 if t12 < OPEN_WINDOW else 0.0)
+    with pytest.raises(ConfigError, match=FAR_SAMPLE + r"5e\+299"):
+        scan(ScanPlan(Line(samples=16)), CFG8, Slit(width=1e300), t12=t12, disp=OPEN_DISP)
+
+
 @pytest.mark.parametrize("build", [
     lambda n: Line(samples=n), lambda n: Grid(nx=n), lambda n: Grid(ny=n),
 ], ids=["line", "grid_nx", "grid_ny"])
