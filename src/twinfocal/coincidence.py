@@ -134,14 +134,7 @@ __all__ = [
 _AIRY_ZERO_3 = 10.173468135062722
 
 # Node doublings above the requested counts n, so the largest pass takes
-# 4 n nodes per side.  An incoherent (classical) integral climbs a ladder
-# from n // 2 with one check more, (n // 2, n), (n, 2 n), (2 n, 4 n): on
-# every extended benchmark job the 48-node result already agrees with the
-# 96-node one to 2.3e-14 of the peak.  A coherent (twin) integral checks
-# (n, 2 n), then (2 n, 4 n), as the benchmark's traced slit self-check pins
-# its passes.  Far out on the kernel's Gaussian tail the integrand changes
-# by orders of magnitude across one pixel, and a node count that converges
-# near the response core may need one more doubling there.
+# 4 n nodes per side (the ladder of passes: ``integrate_sample``).
 _DOUBLING_CHECKS = 2
 
 # Most kernel points one call of an extended-sample pass evaluates; a
@@ -413,12 +406,9 @@ class QuadratureSpec:
     bounds how far the kernel envelope is followed on extended samples
     (None picks the default described in :func:`default_truncation_radius`).
 
-    The counts are the requested ones of node doubling
-    (``integrate_sample``): twin integrals take passes at them, twice
-    them and four times them; classical (incoherent) integrals start at
-    half of them, so a classical scan that already agrees there stops
-    after two passes.  No pass exceeds four times the counts, and that
-    panel is what the point cap bounds.
+    The counts are the requested ones of node doubling; the ladder of
+    passes is described at ``integrate_sample``.  No pass exceeds four
+    times the counts, and that panel is what the point cap bounds.
     """
 
     radial_nodes: int = 48
@@ -477,23 +467,21 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
     yy = np.square(np.asarray(v_y, dtype=float))
     # where numpy allocates, operators: they are faster on scalars
     out = work.out(xx, yy)
-    radius = np.asarray(xx + yy) if out is None else np.add(xx, yy, out=out)
+    radius = np.asarray(xx + yy, order="C") if out is None else np.add(xx, yy, out=out)
     np.sqrt(radius, out=radius)
     alpha_o, alpha_e = _twin_alphas(cfg)
-
-    def airy(v: np.ndarray):
-        # in a scan pass's workspace the Airy factor overwrites its spent argument
-        return airy_amp(v, out=v) if work.buffered else airy_amp(v)
-
-    # a degenerate pair has two equal Airy factors: evaluate it once
+    # each Airy factor overwrites its spent argument, an array of its own
+    # (a fresh one outside a scan pass); a degenerate pair has two equal
+    # factors: evaluate it once
     if alpha_e == alpha_o:
         radius *= alpha_o
-        amp = airy(radius)
+        amp = airy_amp(radius, out=radius)
         amp *= amp
     else:
-        amp = airy(np.multiply(radius, alpha_o, out=work.out(radius)))
+        first = np.asarray(np.multiply(radius, alpha_o, out=work.out(radius)))
+        amp = airy_amp(first, out=first)
         radius *= alpha_e
-        amp *= airy(radius)
+        amp *= airy_amp(radius, out=radius)
     if cfg.pump_gaussian:
         # pump amplitude at the doubled coordinate, undoubled Fresnel phase
         eta = eta0_inv_sq(cfg)
@@ -545,16 +533,21 @@ class _Lattice:
     half_y: float = 0.0
     n_x: int = 0
     n_y: int = 0
+    target_rel_tol: float = 0.0
     reach: float = math.inf
 
-    def within_reach(self) -> "_Lattice":
-        """This lattice, once no cell edge lies beyond ``_MAX_REACH`` of
-        the axis; a farther one is refused before any kernel call."""
+    def table(self, offsets: np.ndarray):
+        """Admit a scan of this lattice at ``offsets``: the one step, after
+        lowering, that refuses a sample and its offsets, before any kernel
+        call.  A cell edge beyond ``_MAX_REACH`` of the axis is refused;
+        for panel cells ``_lattice_table`` then refuses offsets whose
+        lattice coordinates overflow and too many table cells, and the scan
+        table it builds is returned.  Point cells have no table: None."""
         rows, cols = self.weight.shape
         far_x = self.pitch * max(abs(self.x0), abs(self.x0 + cols - 1)) + self.half_x
         far_y = self.pitch * max(abs(self.y0), abs(self.y0 + rows - 1)) + self.half_y
         _check_reach(max(far_x, far_y), "sample reach from the axis")
-        return self
+        return _lattice_table(self, offsets) if self.n_x else None
 
 
 def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
@@ -641,11 +634,12 @@ class Chunks:
 
 
 def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
-                    quad: QuadratureSpec, coherent: bool) -> _Lattice:
+                    quad: QuadratureSpec | None, coherent: bool) -> _Lattice:
     """Any sample as a grid of weighted cells, cell ``[i, j]`` centred
     ``(x0 + j, y0 + i)`` pitches from the origin: unit points (no size, no
     nodes) for point samples, else the panel ``|g_x| <= half_x``,
-    ``|g_y| <= half_y`` [m] with ``n_x`` by ``n_y`` nodes.  Raster pixels
+    ``|g_y| <= half_y`` [m] with ``n_x`` by ``n_y`` nodes, integrated to
+    ``target_rel_tol`` (``quad``, the default spec if None).  Raster pixels
     weigh ``t``, or ``|t|^2`` for incoherent integrals.  A grating (finite
     ``reach``) folds every offset to its residual, which keeps the stripes
     from ``floor`` to ``ceil`` of ``R / period`` away."""
@@ -653,23 +647,25 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
         return _Lattice(coherent, 1.0, 0.0, 0.0, np.ones((1, 1)))
     if isinstance(sample, TwoPoint):
         return _Lattice(coherent, sample.separation, -0.5, 0.0, np.ones((1, 2)))
-    n = quad.radial_nodes
+    quad = quad or _DEFAULT_QUADRATURE
+    n, tol = quad.radial_nodes, quad.target_rel_tol
     if isinstance(sample, Slit):
         half = 0.5 * sample.width
-        return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n)
+        return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n, tol)
     if isinstance(sample, Grating):
-        radius = quad.truncation_radius or default_truncation_radius(cfg, quad.target_rel_tol)
+        radius = quad.truncation_radius or default_truncation_radius(cfg, tol)
         reach, half = radius / sample.period, 0.5 * sample.duty * sample.period
         # every residual class holds all the stripes: count them before any array
         _check_table_cells(2.0 * np.ceil(reach) + 2.0)
         return _Lattice(coherent, sample.period, -math.ceil(reach), 0.0,
                         np.broadcast_to(1.0, (1, 2 * math.ceil(reach) + 2)),
-                        half, radius, n, quad.angular_nodes, reach + 1.0)
+                        half, radius, n, quad.angular_nodes, tol, reach + 1.0)
     if isinstance(sample, Raster):
         rows, cols = sample.grid.shape
         half = 0.5 * sample.pitch
         return _Lattice(coherent, sample.pitch, -0.5 * (cols - 1), -0.5 * (rows - 1),
-                        sample.grid if coherent else np.abs(sample.grid) ** 2, half, half, n, n)
+                        sample.grid if coherent else np.abs(sample.grid) ** 2,
+                        half, half, n, n, tol)
     raise ConfigError(f"unsupported sample: {sample!r}")
 
 
@@ -753,34 +749,43 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
     return np.column_stack([distinct.real, distinct.imag]) * lattice.pitch, windows
 
 
-def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
-                     target_rel_tol: float, chunks: Chunks) -> np.ndarray:
+def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
+                     chunks: Chunks) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` over the panel cells of
     ``lattice`` at every scan offset ``y`` (rows of ``offsets``).
 
-    Each pass integrates one lattice cell at every distinct displacement
-    the offsets read (``_lattice_table``), split between the threads of
+    ``table`` is the scan's table, built and admitted by
+    ``lattice.table(offsets)``; nothing is refused here but a
+    ``QuadratureError``.  Each pass integrates one lattice cell at every
+    distinct displacement the offsets read, split between the threads of
     ``chunks``, each chunk in its own workspace.
 
-    Convergence is judged per offset, on a ladder of node counts (see
-    ``_DOUBLING_CHECKS``).  A coherent integral is evaluated with the
-    requested counts ``n`` and then with both counts doubled; an incoherent
-    one starts at ``n // 2`` and then takes ``n``.  The finer result is
-    kept where the disagreement between the two passes stays within
-    ``10 * target_rel_tol`` of the result scale.  The offsets that miss it
-    are refined again, through the rows of their own cells: the finer pass
-    becomes the coarse one and the counts are doubled, up to ``4 n``,
-    after which a ``QuadratureError`` is raised for the first offset, in
-    the order given, that still misses it.  The scale guards against
-    spurious failures near response zeros by never dropping below 1% of
-    the integrated absolute mass at the first pass's counts.  An
-    incoherent integrand is non-negative, so its mass is the first pass
-    itself.  The coherent (twin) passes stay at ``n``, ``2 n`` and
-    ``4 n`` with a separate mass pass at ``n``, because the benchmark's
-    traced slit self-check pins a twin ``Slit`` integral at exactly
-    ``6 n^2`` kernel points until it is restated as a bound.
+    Convergence is judged per offset, on a ladder of node counts, the one
+    statement of it in the package.  A coherent (twin) integral is
+    evaluated with the requested counts ``n`` and then with both counts
+    doubled; an incoherent (confocal, widefield) one starts at ``n // 2``
+    and then takes ``n``, one check more: on every extended benchmark job
+    the 48-node result already agrees with the 96-node one to 2.3e-14 of
+    the peak, so a classical scan that agrees there stops after two
+    passes.  The finer result is kept where the disagreement between the
+    two passes stays within ``10 * target_rel_tol`` of the result scale.
+    The offsets that miss it are refined again, through the rows of their
+    own cells: the finer pass becomes the coarse one and the counts are
+    doubled, up to ``4 n`` (``_DOUBLING_CHECKS``), after which a
+    ``QuadratureError`` is raised for the first offset, in the order
+    given, that still misses it.  Far out on the kernel's Gaussian tail
+    the integrand changes by orders of magnitude across one pixel, and a
+    count that converges near the response core may need one more
+    doubling there.  The scale guards against spurious failures near
+    response zeros by never dropping below 1% of the integrated absolute
+    mass at the first pass's counts.  An incoherent integrand is
+    non-negative, so its mass is the first pass itself.  The coherent
+    passes stay at ``n``, ``2 n`` and ``4 n`` with a separate mass pass at
+    ``n``, because the benchmark's traced slit self-check
+    (``slit_kernel_points``) pins a twin ``Slit`` integral at exactly
+    ``6 n^2`` kernel points until it is restated as an upper bound.
     """
-    points, windows = _lattice_table(lattice, offsets)
+    points, windows = table
     result = np.zeros(offsets.shape[0], dtype=complex)
     if not np.any(lattice.weight):
         return result
@@ -812,10 +817,7 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
         return np.abs(values, out=_workspace().out(values))
 
     ladder = [(lattice.n_x << k, lattice.n_y << k) for k in range(_DOUBLING_CHECKS + 1)]
-    # The twin passes stay at n, 2n and 4n: the benchmark's traced slit
-    # self-check (``slit_kernel_points``) pins a twin Slit integral at
-    # exactly 6 n^2 kernel points until it is restated as an upper bound.
-    if not lattice.coherent:
+    if not lattice.coherent:  # incoherent integrals start lower (see above)
         ladder.insert(0, (lattice.n_x // 2, lattice.n_y // 2))
     pending = np.arange(offsets.shape[0])
     read = rows_of(pending)
@@ -826,7 +828,7 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
         fine = sums(kern, n_x, n_y, pending, read)
         scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
         error = np.abs(fine - coarse)
-        done = (scale == 0.0) | (error <= 10.0 * target_rel_tol * scale)
+        done = (scale == 0.0) | (error <= 10.0 * lattice.target_rel_tol * scale)
         result[pending[done]] = fine[done]
         if np.all(done):
             return result
@@ -835,8 +837,8 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, kern,
         pending, coarse, mass = pending[keep], fine[keep], mass[keep]
         read = rows_of(pending)
     raise QuadratureError("amplitude quadrature did not converge: node doubling moved the "
-                          f"result by {moved[0]:.3e} relative (target {target_rel_tol:.1e}); "
-                          "raise the node counts")
+                          f"result by {moved[0]:.3e} relative "
+                          f"(target {lattice.target_rel_tol:.1e}); raise the node counts")
 
 
 # ============================================================================
@@ -877,17 +879,19 @@ def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
     With the twin kernel ``K`` (``kern`` None) the result is the coherent
     amplitude ``A(y)``; with a classical intensity response and
     ``coherent=False`` it is the incoherent image.  ``chunks`` splits the
-    work between threads (``Chunks``; one thread if None).  Point cells of
-    the sample's lattice hand ``chunks.map`` their offsets (``point_sum``),
-    panel cells hand ``chunks`` their table rows (``integrate_sample``).
+    work between threads (``Chunks``; one thread if None).  The sample is
+    lowered and admitted (``_Lattice.table``) before any kernel call.
+    Point cells of the sample's lattice hand ``chunks.map`` their offsets
+    (``point_sum``), panel cells hand ``chunks`` their table rows
+    (``integrate_sample``).
     """
     kern = kern or (lambda vx, vy: kernel_field(vx, vy, cfg))
     chunks = chunks or Chunks()
-    quad = quad if quad is not None else _DEFAULT_QUADRATURE
-    lattice = _sample_lattice(sample, cfg, quad, coherent).within_reach()
-    if lattice.n_x == 0:  # point cells have no nodes
+    lattice = _sample_lattice(sample, cfg, quad, coherent)
+    table = lattice.table(offsets)
+    if table is None:  # point cells have no nodes
         return chunks.map(lambda chunk: point_sum(lattice, chunk, kern), offsets)
-    return integrate_sample(lattice, offsets, kern, quad.target_rel_tol, chunks)
+    return integrate_sample(lattice, offsets, table, kern, chunks)
 
 
 def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
@@ -896,15 +900,16 @@ def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
                chunks: Chunks | None = None) -> np.ndarray:
     """Unnormalized coincidence rates ``gate * |A(y)|^2`` at every scan
     offset ``y`` (rows of ``offsets``).  Without a dispersion model the
-    gate is 1; a closed gate returns zeros without any kernel work, once
-    the sample is lowered, so that a sample beyond reach is refused
-    whatever the gate."""
+    gate is 1.  A closed gate returns zeros without any kernel call, but
+    only after the sample is lowered and admitted with its offsets
+    (``_Lattice.table``), so it refuses exactly what an open gate
+    refuses."""
     # The gate is the same at every offset but is evaluated per offset;
     # the benchmark's traced self-check counts these calls.
     gates = 1.0 if disp is None else np.array(
         [gate(t12, disp, cfg.omega_o, cfg.omega_e) for _ in offsets])
     if not np.any(gates):
-        _sample_lattice(sample, cfg, quad or _DEFAULT_QUADRATURE, True).within_reach()
+        _sample_lattice(sample, cfg, quad, True).table(offsets)
         return np.zeros(offsets.shape[0])
     amps = sample_amplitudes(sample, offsets, cfg, quad, chunks=chunks)
     return gates * (amps.real * amps.real + amps.imag * amps.imag)

@@ -18,18 +18,16 @@ panel cells, integrated for all offsets at once
 (``coincidence.integrate_sample``): each quadrature pass integrates one
 panel at every distinct canonical displacement of the scan, in kernel
 calls of a bounded number of points.  Node doubling is judged per
-offset: a confocal or widefield scan climbs a ladder from half the
-requested node counts n (checks at n/2 against n, n against 2n, 2n
-against 4n), so an image that already agrees at n takes two passes; a
-twin scan keeps its coarse and mass passes at n and its checks at n
-against 2n and 2n against 4n, because the benchmark's traced slit
-self-check pins those passes until it is restated as a bound.  Scans are
-limited to 2**20 offsets; larger plans are rejected with a
-``ConfigError`` when the ``Line`` or ``Grid`` is built, and so are half
-ranges beyond 1 m, before any arithmetic on them.  A sample whose cells
-reach beyond 1 m from the axis is refused the same way before any kernel
-call.  A twin scan whose gate is closed does no kernel work, but lowers
-its sample all the same, so that refusal does not depend on the gate.
+offset, on the ladder of node counts described at
+``coincidence.integrate_sample``.  Scans are limited to 2**20 offsets;
+larger plans are rejected with a ``ConfigError`` when the ``Line`` or
+``Grid`` is built, and so are half ranges beyond 1 m, before any
+arithmetic on them.  A sample whose cells reach beyond 1 m from the
+axis, a pitch too small for the offsets and a scan table of too many
+cells are refused the same way before any kernel call
+(``coincidence._Lattice.table``).  A twin scan whose gate is closed does
+no kernel work, but lowers and admits its sample all the same, so it
+refuses exactly what an open gate refuses.
 
 Parallelism: the thread count comes from the TWINFOCAL_THREADS
 environment variable (unset or empty means 1; 0 means one per CPU) and
@@ -227,7 +225,8 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
     The coincidence gate (when a dispersion model is given) applies to the
     twin-photon instrument only; classical instruments have no pair
     timing.  A gated-out twin scan returns an all-zero image with
-    ``peak_value_raw = 0``.
+    ``peak_value_raw = 0``, once its sample is admitted as for an open
+    gate.
     """
     offsets = plan.geometry.offsets()
     workers = _worker_count(_thread_count(), os.cpu_count() or 1, offsets.shape[0])

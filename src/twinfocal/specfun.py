@@ -219,10 +219,6 @@ class Workspace:
         self.held = end
         return np.ndarray(shape, dtype, self._buffer, start)
 
-    @property
-    def buffered(self) -> bool:
-        return self._buffer.size > 0
-
     def clear(self) -> None:
         self.held = 0
 

@@ -756,6 +756,10 @@ FAR_SAMPLE_ERROR = "error: sample reach from the axis must be at most 1 m, got "
     ("sample.kind = raster\nsample.pitch = 1e-310\nsample.rows = 1\n"
      "scan.geometry = grid\nscan.nx = 16\nscan.ny = 16\n", PITCH_OVERFLOW_ERROR),
     ("sample.kind = slit\nsample.width = 1e-310\n", PITCH_OVERFLOW_ERROR),
+    # the same slit behind a closed gate (window 0.33 ps) is refused all the same
+    ("sample.kind = slit\nsample.width = 1e-310\ndispersion.n_o = 1.6\n"
+     "dispersion.n_e = 1.5\ndispersion.psi = 0.5\ndispersion.t12 = 1 ps\n",
+     PITCH_OVERFLOW_ERROR),
     ("sample.kind = raster\nsample.pitch = 1e-300\nsample.rows = 1\n"
      "scan.geometry = grid\nscan.nx = 16\nscan.ny = 16\n",
      "error: scan table of inf cells exceeds the limit of 4194304; building it would need "
@@ -768,11 +772,12 @@ FAR_SAMPLE_ERROR = "error: sample reach from the axis must be at most 1 m, got "
     ("sample.kind = raster\nsample.pitch = 1e300\nsample.rows = 11;11\n",
      FAR_SAMPLE_ERROR + "1e+300\n"),
     ("sample.kind = two_point\nsample.separation = 1e300\n", FAR_SAMPLE_ERROR + "5e+299\n"),
-], ids=["raster_grid", "slit_line", "raster_grid_inf_cells", "delta_far_line",
-        "slit_far", "grating_far", "raster_far", "two_point_far"])
+], ids=["raster_grid", "slit_line", "slit_line_closed_gate", "raster_grid_inf_cells",
+        "delta_far_line", "slit_far", "grating_far", "raster_far", "two_point_far"])
 def test_scan_refuses_pitch_that_offsets_overflow(tmp_path, text, expected):
     """A pitch so small that the scan offsets overflow its lattice is a
-    config error naming both, raised before numpy warns; so are a table
+    config error naming both, raised before numpy warns, whatever the
+    gate; so are a table
     too large to count in floats, a delta scanned too far to square its
     offsets and sample cells beyond 1 m of the axis."""
     cfg = write_config(tmp_path, text)

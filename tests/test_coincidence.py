@@ -295,9 +295,9 @@ def test_degenerate_kernel_evaluates_one_airy_factor(monkeypatch):
                                       lambda_e=1.0 / (1.0 / lambda_p - 1.0 / lambda_o))
     calls = []
 
-    def counted(v):
+    def counted(v, out=None):
         calls.append(v)
-        return airy_amp(v)
+        return airy_amp(v, out=out)
 
     monkeypatch.setattr(coincidence, "airy_amp", counted)
     for cfg, expected_calls in ((CFG8, 1), (MicroscopeConfig(w0=8e-3, pump_gaussian=False), 1),
@@ -313,6 +313,20 @@ def test_degenerate_kernel_evaluates_one_airy_factor(monkeypatch):
             c = _envelope_rate(cfg)
             two_calls = two_calls * (np.exp(-0.5 * (X * X) * c) * np.exp(-0.5 * (Y * Y) * c))
         assert values.tobytes() == two_calls.tobytes()
+
+
+def test_kernel_takes_arrays_in_any_memory_order():
+    """Each Airy factor is written over its argument, which must then be C
+    ordered: transposed and strided displacements give the values of
+    C-ordered ones, for a degenerate and a non-degenerate pair."""
+    X, Y = np.meshgrid(np.linspace(-2e-6, 2e-6, 41), np.linspace(-1e-6, 1e-6, 21))
+    lambda_p, lambda_o = 351e-9, 600e-9
+    non_degenerate = MicroscopeConfig(w0=8e-3, lambda_p=lambda_p, lambda_o=lambda_o,
+                                      lambda_e=1.0 / (1.0 / lambda_p - 1.0 / lambda_o))
+    for cfg in (CFG8, non_degenerate):
+        assert np.array_equal(kernel_field(X.T, Y.T, cfg), kernel_field(X, Y, cfg).T)
+        assert np.array_equal(kernel_field(X[:, ::2], Y[:, ::2], cfg),
+                              kernel_field(X, Y, cfg)[:, ::2])
 
 
 def _envelope_rate(cfg):
@@ -577,9 +591,10 @@ def table_rows(sample, offsets, spec):
 
 
 def integrate(sample, offsets, spec, kern):
-    """``integrate_sample`` over the twin lattice of ``sample``, in one call."""
+    """``integrate_sample`` over the twin lattice of ``sample``, in one call,
+    with the table that admits the scan."""
     lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
-    return coincidence.integrate_sample(lattice, offsets, kern, spec.target_rel_tol,
+    return coincidence.integrate_sample(lattice, offsets, lattice.table(offsets), kern,
                                         coincidence.Chunks())
 
 

@@ -156,12 +156,27 @@ def test_pitch_that_offsets_overflow_is_refused(plan, sample, message):
 @pytest.mark.parametrize("t12", [0.5 * OPEN_WINDOW, 1e-12], ids=["open_gate", "closed_gate"])
 def test_far_sample_is_refused_whatever_the_gate(t12):
     """A closed gate returns zeros without kernel work, but only after the
-    sample is lowered: a slit beyond 1 m of the axis is refused with the
-    same error at a ``t12`` outside the gate's window as inside it."""
+    sample is lowered and admitted with its offsets: a slit beyond 1 m of
+    the axis, a pitch too small for the offsets and a table of too many
+    cells are refused with the same error at a ``t12`` outside the gate's
+    window as inside it."""
     gates = coincidence.gate(t12, OPEN_DISP, CFG8.omega_o, CFG8.omega_e)
     assert gates == (1.0 if t12 < OPEN_WINDOW else 0.0)
-    with pytest.raises(ConfigError, match=FAR_SAMPLE + r"5e\+299"):
-        scan(ScanPlan(Line(samples=16)), CFG8, Slit(width=1e300), t12=t12, disp=OPEN_DISP)
+    # off the lattice each of the 33 x 33 offsets is a residual class of its
+    # own, whose box holds the 64 x 64 lit pixels
+    table_cells = (r"scan table of 4460544 cells exceeds the limit of 4194304; building it "
+                   r"would need about 681 MiB")
+    cases = [
+        (Line(samples=16), Slit(width=1e300), FAR_SAMPLE + r"5e\+299"),
+        (Line(samples=16), Slit(width=1e-310), PITCH_OVERFLOW),
+        (Grid(0.999e-6, 0.999e-6, 33, 33), Raster(pitch=5e-8, grid=np.ones((64, 64))),
+         table_cells),
+    ]
+    for geometry, sample, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=message):
+                scan(ScanPlan(geometry), CFG8, sample, t12=t12, disp=OPEN_DISP)
 
 
 @pytest.mark.parametrize("build", [
