@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, check_positive, check_size
+from .errors import ConfigError, NumericalError, check_size
 from .optics import (
     MicroscopeConfig,
     airy_radius,
@@ -61,7 +61,8 @@ from .coincidence import (
     TwoPoint,
     delay_window,
 )
-from .scansim import _MAX_OFFSETS, Grid, Instrument, Line, ScanPlan, dip_contrast, scan
+from .scansim import (
+    _MAX_OFFSETS, Grid, Instrument, Line, ScanPlan, _check_half_range, dip_contrast, scan)
 
 __all__ = ["RunConfig", "parse_run_config", "main"]
 
@@ -516,7 +517,7 @@ def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
         # Stay inside the first twin sidelobe: beyond ~0.9 Airy radii the
         # sidelobe of the twin response rises over the confocal zero.
         ymax = 0.8 * airy_radius(cfg)
-    check_positive(ymax, "ymax")
+    _check_half_range(ymax, "ymax")
     if not (2 <= points <= _MAX_OFFSETS):
         raise ConfigError(f"compare needs 2 to {_MAX_OFFSETS} points, got {points}")
     if len(waists) > _MAX_OFFSETS:
@@ -524,14 +525,11 @@ def cmd_compare(run: RunConfig, waists: Sequence[float], ymax: float | None,
     values = points * (1 + len(waists))
     check_size(values, _MAX_COMPARE_VALUES, f"compare table of {values} values",
                _BYTES_PER_COMPARE_VALUE)
-    for w in waists:
-        if not (0.0 < w <= cfg.a):
-            raise ConfigError("waists must lie in (0, a]")
+    twin_cfgs = [dataclasses.replace(cfg, w0=w) for w in waists]
 
     ys = np.linspace(0.0, ymax, points)
     header = ["y_m", "confocal"]
     columns = [ys, psf_confocal(ys, cfg)]
-    twin_cfgs = [dataclasses.replace(cfg, w0=w) for w in waists]
     for w, twin_cfg in zip(waists, twin_cfgs):
         header.append(f"twin_w0_{w:.3e}")
         columns.append(psf_twin(ys, twin_cfg))

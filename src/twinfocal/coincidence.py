@@ -70,8 +70,10 @@ signal/idler arrival-time offset falls inside the group-delay window
 ``D * L`` opened by the crystal dispersion, and 0 otherwise.
 
 ``sample_amplitudes`` evaluates ``A`` for any sample at any number of
-offsets, decides how that work is split, and every amplitude and rate
-goes through it; ``twin_rates`` alone forms the rate ``gate * |A|^2``.
+offsets, and the classical images the same way with the instrument's
+intensity response, integrated incoherently; it decides what the threads
+split (``Chunks`` splits it), and every amplitude, rate and image goes
+through it.  ``twin_rates`` alone forms the rate ``gate * |A|^2``.
 Every sample lowers to weighted cells of one square lattice
 (``_sample_lattice``).  Point samples (``Delta``, ``TwoPoint``) lower to
 zero-size unit cells ``p_k``: ``A(y) = sum_k K(p_k - y)`` (``point_sum``,
@@ -151,10 +153,11 @@ _DOUBLING_CHECKS = 2
 # budget's, so a smaller budget saves no memory.
 _KERNEL_POINT_BUDGET = 4 * 96 ** 2
 
-# Workspace bytes per point of a kernel call (see ``Chunks``).  The twin
-# kernel of a degenerate pair and the classical responses hold at most 41:
-# the radii, overwritten by the Airy factor, a branch mask and the Hankel
-# branch's four scratch arrays.  A call that straddles the branch switch
+# Workspace bytes per point of a kernel call (see ``Chunks``), for both
+# kernels of ``sample_amplitudes``.  The twin kernel of a degenerate pair
+# and a classical response at the radius hold at most 41: the radii,
+# overwritten by the Airy factor, a branch mask and the Hankel branch's
+# four scratch arrays.  A call that straddles the branch switch
 # holds at most 33, as numpy gathers each branch's points outside the
 # workspace and the radii are scratch meanwhile.  A non-degenerate twin
 # pair also holds its first Airy factor, and allocates what does not fit.
@@ -576,7 +579,12 @@ def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
 
 class Chunks:
     """A scan's work split into index-ordered chunks of the rows of an
-    array, at most one per thread, with the results rejoined in order.
+    array, at most one per thread and one per row, with the results
+    rejoined in order.  They are bit-identical for every thread count: the
+    special functions evaluate every element at a fixed degree, so no
+    value depends on the other elements of its array, and a table row's
+    value depends on its key alone, not on the thread or kernel call that
+    evaluated it.
 
     ``map(func, items)`` runs ``func(chunk)`` on pool threads, one per
     chunk (point cells).  Calling it, ``chunks(func, items)``, runs one pass
@@ -871,23 +879,31 @@ def point_sum(lattice: _Lattice, offsets: np.ndarray, kern) -> np.ndarray:
 
 
 def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
-                      cfg: MicroscopeConfig, quad: QuadratureSpec | None, kern=None,
-                      coherent: bool = True, chunks: Chunks | None = None) -> np.ndarray:
+                      cfg: MicroscopeConfig, quad: QuadratureSpec | None,
+                      response=None, chunks: Chunks | None = None) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` at every scan offset ``y`` (rows
-    of ``offsets``).
+    of ``offsets``), with the kernel and the coherence of the instrument.
 
-    With the twin kernel ``K`` (``kern`` None) the result is the coherent
-    amplitude ``A(y)``; with a classical intensity response and
-    ``coherent=False`` it is the incoherent image.  ``chunks`` splits the
-    work between threads (``Chunks``; one thread if None).  The sample is
-    lowered and admitted (``_Lattice.table``) before any kernel call.
-    Point cells of the sample's lattice hand ``chunks.map`` their offsets
-    (``point_sum``), panel cells hand ``chunks`` their table rows
-    (``integrate_sample``).
+    The twin-photon instrument (``response`` None) integrates its kernel
+    ``K`` (``kernel_field``) coherently, against ``t``: the result is the
+    amplitude ``A(y)``.  A classical instrument passes its intensity
+    response ``response(r, cfg, out)`` (``psf.psf_widefield``,
+    ``psf.psf_confocal``), evaluated at the radius ``|u - y|`` and
+    integrated incoherently, against ``|t|^2``: the result is the image.
+    ``chunks`` splits the work between threads (``Chunks``; one thread if
+    None).  The sample is lowered and admitted (``_Lattice.table``) before
+    any kernel call.  Point cells of the sample's lattice hand
+    ``chunks.map`` their offsets (``point_sum``), panel cells hand
+    ``chunks`` their table rows (``integrate_sample``).
     """
-    kern = kern or (lambda vx, vy: kernel_field(vx, vy, cfg))
+    def kern(vx, vy):
+        if response is None:
+            return kernel_field(vx, vy, cfg)
+        radius = np.add(vx * vx, vy * vy, out=_workspace().out(vx, vy))
+        return response(np.sqrt(radius, out=radius), cfg, out=radius)
+
     chunks = chunks or Chunks()
-    lattice = _sample_lattice(sample, cfg, quad, coherent)
+    lattice = _sample_lattice(sample, cfg, quad, response is None)
     table = lattice.table(offsets)
     if table is None:  # point cells have no nodes
         return chunks.map(lambda chunk: point_sum(lattice, chunk, kern), offsets)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, NumericalError, check_positive
 
 __all__ = [
@@ -74,7 +76,11 @@ class MicroscopeConfig:
     pump_gaussian : bool
         When False, the pump is treated as unfocused: the Gaussian
         envelope in the twin point spread function and in the coincidence
-        kernel is replaced by 1.
+        kernel is replaced by 1.  Must be a bool (numpy's included).
+
+    A geometry is refused unless its carrier frequencies and ``r0`` are
+    finite and positive, and ``eta0_inv_sq`` finite with a positive real
+    part: no response of it could be evaluated otherwise.
     """
 
     lambda_p: float = 351e-9
@@ -117,6 +123,16 @@ class MicroscopeConfig:
                 raise ConfigError("s0, s1, f violate the imaging condition 1/s0 + 1/s1 = 1/f")
         if self.w0 > self.a:
             raise ConfigError("pump waist w0 must not exceed the aperture radius a")
+        if not isinstance(self.pump_gaussian, (bool, np.bool_)):
+            raise ConfigError(f"pump_gaussian must be a bool, got {self.pump_gaussian!r}")
+        try:  # w0**2 may underflow to 0 and f_p**2 overflow
+            eta = eta0_inv_sq(self)
+        except ArithmeticError:
+            eta = complex(math.nan)
+        # the real part of eta0_inv_sq, 1 / r0**2, is positive and finite only if r0 is
+        for value in (self.omega_p, self.omega_o, self.omega_e,
+                      eta.real, math.hypot(eta.real, eta.imag)):
+            check_positive(value, "carrier frequencies, r0 and eta0_inv_sq")
 
     # -- derived carriers -------------------------------------------------
 

@@ -106,21 +106,21 @@ def psf_twin(y, cfg: MicroscopeConfig):
 # width metrics
 # ============================================================================
 
-def fwhm(profile: Callable[[float], float], scan_range: float | None = None) -> float:
+def fwhm(profile: Callable[[float], float], scan_range: float) -> float:
     """Full width at half maximum of a peak-normalized radial intensity.
 
     Returns ``2 * y_half`` where ``y_half`` is the smallest positive
     offset at which the intensity crosses 0.5, found by bracketing on a
-    coarse grid (2048 points over the range) and bisecting to 1e-8
-    relative.  Re-crossings from sidelobes beyond the first crossing are
-    ignored.
+    coarse grid (2048 points over the range) and bisecting (``_bisect``)
+    to 1e-8 relative.  Re-crossings from sidelobes beyond the first
+    crossing are ignored.
 
     Parameters
     ----------
     profile : callable
         Intensity of a non-negative offset.
     scan_range : float
-        Upper end of the search interval [0, scan_range]; required.
+        Upper end of the search interval [0, scan_range].
 
     Raises
     ------
@@ -130,8 +130,6 @@ def fwhm(profile: Callable[[float], float], scan_range: float | None = None) -> 
     """
     if not callable(profile):
         raise TypeError("profile must be a callable")
-    if scan_range is None:
-        raise ValueError("scan_range is required")
     check_positive(scan_range, "scan_range")
     span = float(scan_range)
 
@@ -140,24 +138,29 @@ def fwhm(profile: Callable[[float], float], scan_range: float | None = None) -> 
 
     grid = np.linspace(0.0, span, _FWHM_GRID)
     lo = 0.0
-    hi = None
     for t in grid[1:]:
-        value = profile(float(t))
-        if value < 0.5:
-            hi = float(t)
+        if profile(float(t)) < 0.5:
             break
         lo = float(t)
-    if hi is None:
+    else:
         raise ScanRangeError(
             f"intensity never fell below half max within [0, {span:g}]; widen the scan range"
         )
-    while (hi - lo) > _FWHM_REL_TOL * hi:
+    return _bisect(lambda y: profile(y) < 0.5, lo, float(t), _FWHM_REL_TOL)  # 2 * y_half
+
+
+def _bisect(upper: Callable[[float], bool], lo: float, hi: float, rel_tol: float) -> float:
+    """Halve ``[lo, hi]``, where ``upper`` holds at ``hi`` and not at
+    ``lo``, at ``0.5 * (lo + hi)`` until it is at most ``rel_tol * hi``
+    wide, keeping the half where ``upper`` changes, and return ``lo + hi``
+    of the last bracket: twice its midpoint, exactly."""
+    while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if profile(mid) < 0.5:
+        if upper(mid):
             hi = mid
         else:
             lo = mid
-    return lo + hi  # 2 * y_half
+    return lo + hi
 
 
 def response_fwhm(response: Callable, cfg: MicroscopeConfig) -> float:

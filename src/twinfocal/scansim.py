@@ -29,20 +29,10 @@ cells are refused the same way before any kernel call
 no kernel work, but lowers and admits its sample all the same, so it
 refuses exactly what an open gate refuses.
 
-Parallelism: the thread count comes from the TWINFOCAL_THREADS
-environment variable (unset or empty means 1; 0 means one per CPU) and
-is clamped to the CPU count and to the number of offsets.  A scan hands
-``sample_amplitudes`` one ``coincidence.Chunks``, which starts at most
-one pool for the whole scan and none at one thread.
-``sample_amplitudes`` alone decides what the threads split: the offsets
-of point cells, in contiguous chunks, one per pool thread, or the rows of
-the displacement table of panel cells, whose first chunk the calling
-thread works itself, in the workspace it allocated for it.  Results
-are rejoined in index order and are bit-identical for every thread
-count: the special functions evaluate every element at a fixed degree,
-so no value depends on the other elements of its array, and a table
-row's value depends on its key alone, not on the thread or kernel call
-that evaluated it.
+Parallelism: a scan runs on the threads that the TWINFOCAL_THREADS
+environment variable asks for (unset or empty means 1; 0 means one per
+CPU), at most one per CPU, and one ``coincidence.Chunks`` splits its
+work (see there).
 """
 
 from __future__ import annotations
@@ -58,8 +48,7 @@ import numpy as np
 from .errors import (
     ConfigError, NumericalError, ScanRangeError, check_integers, check_positive, check_size)
 from .optics import MicroscopeConfig
-from .psf import psf_confocal, psf_twin, psf_widefield, response_fwhm
-from .specfun import _workspace
+from .psf import _bisect, psf_confocal, psf_twin, psf_widefield, response_fwhm
 from .coincidence import (
     Chunks,
     DispersionModel,
@@ -191,7 +180,8 @@ class ScanImage:
 
 
 def _thread_count() -> int:
-    """Threads requested by TWINFOCAL_THREADS (unset or empty: 1; 0: one per CPU)."""
+    """Threads requested by TWINFOCAL_THREADS (unset or empty: 1; 0: one per
+    CPU), at most one per CPU."""
     raw = os.environ.get("TWINFOCAL_THREADS", "").strip()
     if not raw:
         return 1
@@ -201,12 +191,8 @@ def _thread_count() -> int:
         raise ConfigError("TWINFOCAL_THREADS must be an integer") from exc
     if n < 0:
         raise ConfigError("TWINFOCAL_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
-def _worker_count(requested: int, cpus: int, tasks: int) -> int:
-    """Threads worth starting: at most one per CPU and one per scan offset."""
-    return max(1, min(requested, cpus, tasks))
+    cpus = os.cpu_count() or 1
+    return min(n or cpus, cpus)
 
 
 def _instrument_psf(instrument: Instrument):
@@ -229,18 +215,12 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
     gate.
     """
     offsets = plan.geometry.offsets()
-    workers = _worker_count(_thread_count(), os.cpu_count() or 1, offsets.shape[0])
-    with Chunks(workers) as chunks:
+    with Chunks(_thread_count()) as chunks:
         if plan.instrument is Instrument.TWIN_PHOTON:
             values = twin_rates(sample, offsets, cfg, quad, t12, disp, chunks)
         else:
-            response = _instrument_psf(plan.instrument)
-
-            def kern(vx, vy):
-                radius = np.add(vx * vx, vy * vy, out=_workspace().out(vx, vy))
-                return response(np.sqrt(radius, out=radius), cfg, out=radius)
-
-            values = np.abs(sample_amplitudes(sample, offsets, cfg, quad, kern, False, chunks))
+            values = np.abs(sample_amplitudes(sample, offsets, cfg, quad,
+                                              _instrument_psf(plan.instrument), chunks))
     peak = float(values.max()) if values.size else 0.0
     if peak > 0.0:
         values = values / peak
@@ -302,10 +282,4 @@ def min_resolvable_separation(cfg: MicroscopeConfig, instrument: Instrument,
         raise ScanRangeError(
             "two-point dip stays below the threshold at the upper bracket "
             f"({hi:.3e} m); no resolvable separation within 4 FWHM")
-    while (hi - lo) > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if dip_at(mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * _bisect(lambda separation: dip_at(separation) >= threshold, lo, hi, 1e-3)

@@ -350,6 +350,24 @@ def test_params_svg_is_a_config_error(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, value", [
+    ("w0", "1e-300"),  # w0**2 underflows to 0
+    ("f_p", "1e300"),  # f_p**2 overflows
+    ("lambda_p", "1e-300"),  # the carrier frequencies overflow
+])
+def test_params_rejects_a_geometry_the_model_cannot_evaluate(tmp_path, key, value):
+    """A geometry without finite carriers or pump focus is an input error:
+    exit 2 with one error line, before any arithmetic warns."""
+    cfg = write_config(tmp_path, f"microscope.{key} = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("params", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: carrier frequencies, r0 and eta0_inv_sq must be positive and finite"]
+
+
 def test_params_no_pump_gaussian_flag():
     code, out, _ = run_cli("params", "--no-pump-gaussian")
     assert code == 0
@@ -432,13 +450,14 @@ def test_compare_svg(tmp_path):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--ymax", "inf", "ymax must be positive and finite"),
+    ("--ymax", "1e160", "at most 1 m"),
     ("--points", str(_MAX_OFFSETS + 1), f"got {_MAX_OFFSETS + 1}"),
     # 401 default points by 10 461 columns: each flag is in bounds, the table is not
     ("--waists", ",".join(["8mm"] * 10460), "compare table of 4194861 values"),
 ])
 def test_compare_rejects_unbounded_range(monkeypatch, flag, value, message):
-    """A non-finite ymax or too many points is refused before any response
-    is evaluated, and before numpy sees the value."""
+    """A non-finite ymax, one beyond 1 m or too many points is refused
+    before any response is evaluated, and before numpy sees the value."""
     def refuse(*args, **kwargs):
         raise AssertionError("evaluated a response")
     for name in ("psf_confocal", "psf_twin", "response_fwhm"):

@@ -342,7 +342,7 @@ def test_kernel_call_of_the_point_budget_fits_its_workspace(near, far):
     """A kernel call of ``_KERNEL_POINT_BUDGET`` points, in a workspace of
     the size that ``Chunks`` gives each chunk, takes its arrays from it:
     the twin kernel of a degenerate pair and a classical response as
-    ``scan`` calls it allocate only the per-row factors and, when the call
+    ``coincidence.sample_amplitudes`` calls it allocate only the per-row factors and, when the call
     straddles the Bessel branch switch, the gathered points of each branch
     (8 B per point).  Both give the bits of their allocating evaluation."""
     n = 48
@@ -642,7 +642,7 @@ def test_kernel_calls_stay_within_point_budget():
     assert calls[0] == (5, 5 * 16 * 16)
 
 
-def test_incoherent_integral_is_its_own_mass():
+def test_incoherent_integral_is_its_own_mass(monkeypatch):
     """An incoherent integrand is non-negative, so its absolute mass is its
     first pass: a confocal slit line at n = 16 nodes climbs the ladder from
     n / 2 and takes (8^2 + 16^2) x rows kernel points on its first check,
@@ -652,19 +652,23 @@ def test_incoherent_integral_is_its_own_mass():
     spec = QuadratureSpec(radial_nodes=16)
     sample = Slit(2e-7)
     offsets = np.column_stack([np.linspace(-6e-7, 6e-7, 9), np.full(9, 1e-7)])
-    twin = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
-    confocal = lambda vx, vy: psf_confocal(np.hypot(vx, vy), CFG8)  # noqa: E731
-    for kern, coherent, row_points in ((confocal, False, 8 * 8 + 16 * 16),
-                                       (twin, True, 6 * 16 * 16)):
-        points = []
+    points = []
 
-        def recording(vx, vy):
-            points.append(np.broadcast(vx, vy).size)
-            return kern(vx, vy)
-        batched = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording, coherent)
+    def recording(r, cfg, out=None):
+        points.append(np.size(r))
+        return psf_confocal(r, cfg, out=out)
+
+    def twin(vx, vy, cfg):
+        points.append(np.broadcast(vx, vy).size)
+        return kernel_field(vx, vy, cfg)
+
+    monkeypatch.setattr(coincidence, "kernel_field", twin)
+    for response, row_points in ((recording, 8 * 8 + 16 * 16), (None, 6 * 16 * 16)):
+        points.clear()
+        batched = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, response)
         assert sum(points) == row_points * table_rows(sample, offsets, spec)
         one_by_one = [coincidence.sample_amplitudes(sample, row[None, :], CFG8, spec,
-                                                    recording, coherent)[0] for row in offsets]
+                                                    response)[0] for row in offsets]
         assert np.array_equal(batched, np.array(one_by_one))
 
 
@@ -692,20 +696,19 @@ def test_incoherent_ladder_starts_at_half_the_counts(radial, angular, passes, er
     spec = QuadratureSpec(radial_nodes=radial, angular_nodes=angular)
     shapes = []
 
-    def recording(vx, vy):
-        shape = np.broadcast(vx, vy).shape[1:]
-        if shape not in shapes:
-            shapes.append(shape)
-        return psf_confocal(np.hypot(vx, vy), CFG8)
+    def recording(r, cfg, out=None):
+        if r.shape[1:] not in shapes:
+            shapes.append(r.shape[1:])
+        return psf_confocal(r, cfg, out=out)
 
     if error is not None:
         with pytest.raises(QuadratureError, match=error):
-            coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording, False)
+            coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording)
     else:
-        value = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording, False)
+        value = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording)
         dense = coincidence.sample_amplitudes(
             sample, offsets, CFG8, QuadratureSpec(radial_nodes=32, angular_nodes=64),
-            lambda vx, vy: psf_confocal(np.hypot(vx, vy), CFG8), False)
+            psf_confocal)
         assert abs(value[0] - dense[0]) <= 1e-7 * abs(dense[0])
     assert shapes == passes
     assert all(n_x <= 4 * radial and n_y <= 4 * angular for n_x, n_y in shapes)

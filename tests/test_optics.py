@@ -80,6 +80,24 @@ def test_geometry_validation():
     assert MicroscopeConfig(w0=2e-2).w0 == 2e-2  # equality allowed
 
 
+@pytest.mark.parametrize("geometry", [dict(w0=1e-300), dict(f_p=1e300),
+                                      dict(lambda_p=1e-300)],
+                         ids=["w0_squared_underflows", "f_p_squared_overflows",
+                              "carriers_overflow"])
+def test_geometry_without_a_finite_pump_focus_is_refused(geometry):
+    with pytest.raises(ConfigError, match="r0 and eta0_inv_sq must be positive and finite"):
+        MicroscopeConfig(**geometry)
+
+
+def test_pump_gaussian_must_be_a_bool():
+    """A truthy string does not switch the envelope on: only bools,
+    numpy's included, are accepted."""
+    for value in ("no", 0, None):
+        with pytest.raises(ConfigError, match="pump_gaussian must be a bool"):
+            MicroscopeConfig(pump_gaussian=value)
+    assert MicroscopeConfig(pump_gaussian=np.bool_(False)).pump_gaussian == np.False_
+
+
 def test_imaging_condition_only_when_s1_finite():
     # 1/s0 + 1/s1 = 1/f: s0 = s1 = 2f works
     cfg = MicroscopeConfig(s0=4e-2, s1=4e-2)

@@ -184,12 +184,12 @@ def test_fwhm_errors():
     with pytest.raises(ScanRangeError):
         # range far too small for the widefield half-max crossing
         fwhm(lambda y: psf_widefield(y, CFG), scan_range=5e-8)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="scan_range"):
         fwhm(lambda y: psf_widefield(y, CFG))  # missing scan_range
     with pytest.raises(ValueError):
         fwhm(lambda y: 0.5 * math.exp(-y * y), scan_range=1.0)  # not normalized
-    with pytest.raises(TypeError):
-        fwhm(3.14)
+    with pytest.raises(TypeError, match="callable"):
+        fwhm(3.14, scan_range=1e-6)
 
 
 def test_width_reduction():

@@ -476,32 +476,66 @@ def test_workspaces_stay_with_their_chunks_under_thread_switching(monkeypatch):
     """Four threads on fewer cores, switching every microsecond: each chunk
     writes only into its own workspace, so twin and confocal raster lines,
     whose kernel calls straddle the Bessel branch switch, keep the bits of
-    a one-thread scan."""
+    a one-thread scan.  So does the twin line of a non-degenerate pair
+    (600 nm signal), whose kernel holds its first Airy factor as well and
+    allocates what does not fit in the workspace on pool threads."""
     grid = np.zeros((6, 6))
     grid[0, 0] = grid[5, 5] = grid[1, 4] = grid[4, 1] = 1.0
     sample = Raster(pitch=2e-7, grid=grid)
     spec = QuadratureSpec(radial_nodes=16)
-    plans = [line_plan(instrument, half_range=1e-6, samples=33)
-             for instrument in (Instrument.TWIN_PHOTON, Instrument.CONFOCAL)]
+    non_degenerate = MicroscopeConfig(w0=8e-3, lambda_o=600e-9,
+                                      lambda_e=1.0 / (1.0 / 351e-9 - 1.0 / 600e-9))
+    runs = [(line_plan(instrument, half_range=1e-6, samples=33), cfg)
+            for instrument, cfg in ((Instrument.TWIN_PHOTON, CFG8),
+                                    (Instrument.CONFOCAL, CFG8),
+                                    (Instrument.TWIN_PHOTON, non_degenerate))]
     monkeypatch.delenv("TWINFOCAL_THREADS", raising=False)
-    baselines = [scan(plan, CFG8, sample, spec).values.tobytes() for plan in plans]
+    baselines = [scan(plan, cfg, sample, spec).values.tobytes() for plan, cfg in runs]
     monkeypatch.setattr(scansim.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("TWINFOCAL_THREADS", "4")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            for plan, baseline in zip(plans, baselines):
-                assert scan(plan, CFG8, sample, spec).values.tobytes() == baseline
+            for (plan, cfg), baseline in zip(runs, baselines):
+                assert scan(plan, cfg, sample, spec).values.tobytes() == baseline
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_worker_count_is_clamped():
-    assert scansim._worker_count(100000, 2, 1089) == 2
-    assert scansim._worker_count(100000, 64, 3) == 3
-    assert scansim._worker_count(4, 64, 1089) == 4
-    assert scansim._worker_count(1, 64, 0) == 1
+def test_threads_are_clamped_to_the_cpu_count(monkeypatch):
+    """TWINFOCAL_THREADS beyond the CPU count starts one thread per CPU: an
+    extended scan at 64 threads on 4 CPUs evaluates its kernel on at most
+    4 threads."""
+    threads = set()
+
+    def recording(vx, vy, cfg):
+        threads.add(threading.get_ident())
+        return kernel_field(vx, vy, cfg)
+
+    monkeypatch.setattr(coincidence, "kernel_field", recording)
+    monkeypatch.setattr(scansim.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("TWINFOCAL_THREADS", "64")
+    plan = line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33)
+    scan(plan, CFG8, Slit(width=2e-7), QuadratureSpec(radial_nodes=16))
+    assert 1 < len(threads) <= 4
+
+
+def test_a_pass_runs_at_most_one_chunk_per_row():
+    """``Chunks`` clamps every pass by its rows: eight threads over three
+    rows run three chunks, for panel rows and point offsets alike, and
+    rejoin them in index order."""
+    chunks_seen = []
+
+    def record(chunk, work):
+        chunks_seen.append(chunk.tolist())
+        return chunk
+
+    with coincidence.Chunks(8) as chunks:
+        assert np.array_equal(chunks(record, np.arange(3)), np.arange(3))
+        assert np.array_equal(chunks.map(lambda chunk: record(chunk, None), np.arange(3)),
+                              np.arange(3))
+    assert sorted(chunks_seen) == [[0], [0], [1], [1], [2], [2]]
 
 
 def test_thread_count_rejects_bad_values(monkeypatch):
@@ -513,7 +547,8 @@ def test_thread_count_rejects_bad_values(monkeypatch):
     with pytest.raises(ConfigError):
         scan(plan, CFG8, Delta())
     monkeypatch.setenv("TWINFOCAL_THREADS", "100000")
-    assert scansim._thread_count() == 100000
+    monkeypatch.setattr(scansim.os, "cpu_count", lambda: 4)
+    assert scansim._thread_count() == 4
 
 
 # ----------------------------------------------------------------------------
