@@ -715,12 +715,30 @@ def _dispatch(args, stdout, stderr) -> int:
     return _finish(run.output, *results, stdout, stderr)
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each ``--flag -1mm`` written ``--flag=-1mm``.
+
+    argparse takes a token that begins with ``-`` for a flag, not a value,
+    unless it is a bare negative number; a value with a unit, such as
+    ``--t12 -100fs``, would fail as "expected one argument".  A token that
+    begins with ``-`` and a digit or a point after a long flag without
+    ``=`` becomes that flag's value, so it reaches the value parser.
+    """
+    tokens: list[str] = []
+    for token in argv:
+        if tokens and re.match(r"-[0-9.]", token) and re.fullmatch(r"--[^=]+", tokens[-1]):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    return tokens
+
+
 def main(argv: Sequence[str] | None = None,
          stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _dispatch(args, stdout, stderr)
     except (ConfigError, ValueError) as exc:

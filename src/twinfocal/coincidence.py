@@ -119,7 +119,6 @@ __all__ = [
     "Slit",
     "Grating",
     "Raster",
-    "SampleTransmittance",
     "DispersionModel",
     "QuadratureSpec",
     "wavenumber_K",
@@ -287,6 +286,10 @@ class DispersionModel:
             raise ConfigError("phase-matching angle psi must lie in (0, pi/2)")
         check_positive(self.L, "crystal length")
 
+    def n_along(self, omega: float) -> float:
+        """Extraordinary index ``n_e(omega, psi)`` along the phase-matching angle."""
+        return self.n_e(omega, self.psi)
+
 
 def _index_value(func, label: str, *args) -> float:
     try:
@@ -358,9 +361,8 @@ def longitudinal_k(branch: str, disp: DispersionModel, omega: float,
         u_inv = inv_group_velocity(disp.n_o, omega)
         return K + nu * u_inv - k_perp * k_perp / (2.0 * K)
     if branch == "extraordinary":
-        n_along = lambda w: disp.n_e(w, disp.psi)  # noqa: E731
-        K = wavenumber_K(n_along, omega)
-        u_inv = inv_group_velocity(n_along, omega)
+        K = wavenumber_K(disp.n_along, omega)
+        u_inv = inv_group_velocity(disp.n_along, omega)
         walkoff = walkoff_Ne(disp.n_e, omega, disp.psi)
         quad = (k_perp * k_perp / (2.0 * K)) * (walkoff / math.tan(disp.psi) - 1.0)
         return K + nu * u_inv - walkoff * k_perp * math.cos(disp.theta_e) + quad
@@ -382,16 +384,14 @@ def gate(t12: float | None, disp: DispersionModel, omega_o: float, omega_e: floa
         raise ConfigError("arrival-time offset t12 must be finite")
     if _index_value(disp.n_o, "n_o", omega_o) < 1.0:
         raise ConfigError("n_o must be >= 1 at the ordinary carrier")
-    n_along = lambda w: disp.n_e(w, disp.psi)  # noqa: E731
-    if _index_value(n_along, "n_e", omega_e) < 1.0:
+    if _index_value(disp.n_along, "n_e", omega_e) < 1.0:
         raise ConfigError("n_e must be >= 1 at the extraordinary carrier")
     return 1.0 if 0.0 < t12 < delay_window(disp, omega_o, omega_e) else 0.0
 
 
 def delay_window(disp: DispersionModel, omega_o: float, omega_e: float) -> float:
     """Width ``D * L`` [s] of the coincidence gate; <= 0 means it never opens."""
-    n_along = lambda w: disp.n_e(w, disp.psi)  # noqa: E731
-    mismatch = inv_group_velocity(disp.n_o, omega_o) - inv_group_velocity(n_along, omega_e)
+    mismatch = inv_group_velocity(disp.n_o, omega_o) - inv_group_velocity(disp.n_along, omega_e)
     return mismatch * disp.L
 
 

@@ -17,6 +17,8 @@ per-call checks of the optics functions.
 import math
 import numbers
 
+__all__ = ["ConfigError", "NumericalError", "QuadratureError", "ScanRangeError"]
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent user input (config file, flags, parameters)."""

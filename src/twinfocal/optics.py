@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, check_positive
+from .errors import ConfigError, check_positive
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -80,7 +80,11 @@ class MicroscopeConfig:
 
     A geometry is refused unless its carrier frequencies and ``r0`` are
     finite and positive, and ``eta0_inv_sq`` finite with a positive real
-    part: no response of it could be evaluated otherwise.
+    part: no response of it could be evaluated otherwise.  It is refused
+    too unless ``r0``'s two closed forms, ``sqrt(c lambda_p f_p^2 /
+    (pi omega_p w0^2))`` and ``lambda_p f_p / (sqrt(2) pi w0)``, agree to
+    1e-12 relative; they are the same expression regrouped, and part only
+    where ``w0**2`` is subnormal.
     """
 
     lambda_p: float = 351e-9
@@ -133,6 +137,12 @@ class MicroscopeConfig:
         for value in (self.omega_p, self.omega_o, self.omega_e,
                       eta.real, math.hypot(eta.real, eta.imag)):
             check_positive(value, "carrier frequencies, r0 and eta0_inv_sq")
+        # the two closed forms of r0 part where w0**2 is subnormal
+        value = math.sqrt(_r0_squared(self))
+        alt = self.lambda_p * self.f_p / (math.sqrt(2.0) * math.pi * self.w0)
+        if not abs(value - alt) <= 1e-12 * value:
+            raise ConfigError(f"w0 = {self.w0!r} is too small: r0's closed forms "
+                              "disagree beyond 1e-12 relative")
 
     # -- derived carriers -------------------------------------------------
 
@@ -187,16 +197,10 @@ def sigma_p_sq(cfg: MicroscopeConfig) -> complex:
 def r0(cfg: MicroscopeConfig) -> float:
     """Focused pump spot radius at the crystal [m].
 
-    Computed as ``sqrt(c lambda_p f_p^2 / (pi omega_p w0^2))`` and
-    cross-checked against the equivalent closed form
-    ``lambda_p f_p / (sqrt(2) pi w0)``; the two must agree to 1e-12
-    relative (they are the same expression regrouped).
+    ``sqrt(c lambda_p f_p^2 / (pi omega_p w0^2))``, which
+    ``MicroscopeConfig`` checks against ``lambda_p f_p / (sqrt(2) pi w0)``.
     """
-    value = math.sqrt(_r0_squared(cfg))
-    alt = cfg.lambda_p * cfg.f_p / (math.sqrt(2.0) * math.pi * cfg.w0)
-    if abs(value - alt) > 1e-12 * value:
-        raise NumericalError("r0 closed forms disagree beyond 1e-12 relative")
-    return value
+    return math.sqrt(_r0_squared(cfg))
 
 
 def eta0_inv_sq(cfg: MicroscopeConfig) -> complex:

@@ -36,7 +36,6 @@ __all__ = [
     "psf_confocal",
     "psf_twin",
     "fwhm",
-    "response_fwhm",
     "width_reduction",
 ]
 

@@ -368,6 +368,18 @@ def test_params_rejects_a_geometry_the_model_cannot_evaluate(tmp_path, key, valu
         "error: carrier frequencies, r0 and eta0_inv_sq must be positive and finite"]
 
 
+def test_params_refuses_a_waist_whose_r0_closed_forms_disagree(tmp_path):
+    """w0**2 subnormal: r0's two closed forms part, an input error."""
+    cfg = write_config(tmp_path, "microscope.w0 = 1e-157\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("params", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: w0 = 1e-157 is too small: r0's closed forms disagree beyond 1e-12 relative"]
+
+
 def test_params_no_pump_gaussian_flag():
     code, out, _ = run_cli("params", "--no-pump-gaussian")
     assert code == 0
@@ -614,6 +626,33 @@ def test_scan_t12_flag_requires_dispersion():
     code, _, err = run_cli("scan", "--t12", "120fs")
     assert code == 2
     assert "dispersion" in err
+
+
+def test_negative_flag_value_without_equals_sign(tmp_path):
+    """``--t12 -100fs`` is ``--t12=-100fs``: a negative t12 closes the gate."""
+    cfg = write_config(tmp_path, "dispersion.n_o = 1.60\ndispersion.n_e = 1.55\n"
+                                 "dispersion.psi = 49 deg\nscan.samples = 17\n")
+    spaced = run_cli("scan", "--config", cfg, "--t12", "-100fs")
+    assert spaced == run_cli("scan", "--config", cfg, "--t12=-100fs")
+    code, out, err = spaced
+    assert code == 0
+    assert "t12_s=-1.000e-13" in err
+    assert {line.split(",")[1] for line in out.splitlines()[1:]} == {"0.000000000e+00"}
+
+
+def test_negative_waist_without_equals_sign_reaches_the_config_check():
+    spaced = run_cli("compare", "--waists", "-1mm")
+    assert spaced == run_cli("compare", "--waists=-1mm")
+    assert spaced == (2, "", "error: w0 must be strictly positive, got -0.001\n")
+
+
+@pytest.mark.parametrize("argv", [("scan", "--t12", "--out", "x.csv"),
+                                  ("compare", "--waists", "--points", "5")])
+def test_flag_followed_by_a_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 _FLAG_VALUES = {"instrument": "confocal", "geometry": "grid", "direction": "y",

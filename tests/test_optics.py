@@ -89,6 +89,24 @@ def test_geometry_without_a_finite_pump_focus_is_refused(geometry):
         MicroscopeConfig(**geometry)
 
 
+def test_r0_closed_forms_agree_for_every_admitted_waist():
+    """Tiny waists are refused at construction, or r0 has its closed form;
+    from about 2.5e-158 to 7.9e-157 m w0**2 is subnormal and the two
+    forms part, which is an input error, not a numerical one."""
+    refused = 0
+    for w0 in np.logspace(-170, -140, 301):
+        try:
+            cfg = MicroscopeConfig(w0=float(w0))
+        except ConfigError:
+            refused += 1
+            continue
+        alt = cfg.lambda_p * cfg.f_p / (math.sqrt(2.0) * math.pi * cfg.w0)
+        assert r0(cfg) == pytest.approx(alt, rel=1e-12, abs=0.0)
+    assert 0 < refused < 301
+    with pytest.raises(ConfigError, match="r0's closed forms disagree"):
+        MicroscopeConfig(w0=1e-157)
+
+
 def test_pump_gaussian_must_be_a_bool():
     """A truthy string does not switch the envelope on: only bools,
     numpy's included, are accepted."""
