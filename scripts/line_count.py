@@ -10,7 +10,8 @@ not a comment and not a docstring: the lines of every token other than
 comments and line breaks count, less the lines of the docstrings of the
 module, its classes and its functions, which ``ast`` finds.  A module
 present on one side only counts 0 on the other.  The last row is the
-total, and its net is the change the working tree makes to ``REV``.
+total, and its net is the change the working tree makes to ``REV``.  A
+``REV`` that git does not know prints one error line and exits 2.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ def count_worktree() -> dict[str, int]:
 
 def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
-    before, after = count_at(rev), count_worktree()
+    try:
+        before = count_at(rev)
+    except subprocess.CalledProcessError:
+        print(f"error: unknown revision {rev!r}", file=sys.stderr)
+        return 2
+    after = count_worktree()
     rows = [(name, before.get(name, 0), after.get(name, 0))
             for name in sorted(before.keys() | after.keys())]
     rows.append(("total", sum(before.values()), sum(after.values())))

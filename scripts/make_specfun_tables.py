@@ -1,14 +1,14 @@
-"""Build the fixed-degree coefficient tables of ``twinfocal.specfun``.
+"""Build the fixed-degree series tables of ``twinfocal.specfun``.
 
 Run from the repository root::
 
     python scripts/make_specfun_tables.py
 
-It prints the tables as Python literals, ready to paste into
+It prints the ``_SERIES`` table as a Python literal, ready to paste into
 ``src/twinfocal/specfun.py``, followed by the magnitude sum of each
-series table and the worst absolute error of each branch against the
+series row and the worst absolute error of each branch against the
 60-digit reference over [0, 50].  A tier-1 test reruns ``build_tables``
-and checks that it reproduces the committed tables exactly.
+and checks that it reproduces the committed table exactly.
 
 Series branch, ``|x| <= 12``.  With ``q = x^2/4`` both functions are
 ``1 + q g_n(q)``: ``J0(x)`` for ``n = 0`` and ``2 J1(x)/x`` for ``n = 1``.
@@ -25,11 +25,8 @@ exact rationals and every power coefficient is rounded once.  The power
 basis is well conditioned on ``|t| <= 1``: its coefficients sum to 1.06
 in magnitude for ``n = 0`` and 0.50 for ``n = 1``.
 
-Hankel branch, ``|x| > 12``.
-``J_n(x) = sqrt(2/(pi x)) [cos(w) P - sin(w) Q]``, ``w = x - (n/2 + 1/4) pi``,
-``P = sum_j (-1)^j a_2j / x^2j``, ``Q = sum_j (-1)^j a_(2j+1) / x^(2j+1)``,
-with the exact rationals ``a_k = prod_{i<=k} (4 n^2 - (2i - 1)^2) / (8 i)``
-rounded once to double.  Terms up to ``k = HANKEL_ORDER`` are kept.
+The Hankel branch, ``|x| > 12``, needs no reference: ``specfun``
+computes its coefficients at import from their exact integer ratios.
 """
 
 from __future__ import annotations
@@ -48,10 +45,6 @@ from conftest import reference_jn  # noqa: E402
 # noise level of double-precision node values: more terms add noise, not
 # accuracy.
 SERIES_DEGREE = 18
-# Smallest Hankel term at x = 12: k = 24 for n = 0 and k = 25 for n = 1
-# (about 6e-12 before the 0.23 prefactor).  Of the orders 22 to 26, 24
-# gives the smallest worst error at the switchover (8.2e-13, J0).
-HANKEL_ORDER = 24
 _NODES = 48
 _NEUMANN_FLOOR = 1e-40
 
@@ -102,26 +95,9 @@ def _series_table(n: int) -> tuple[float, ...]:
     return tuple(float(a) for a in power)
 
 
-def _hankel_tables(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    mu = 4 * n * n
-    a = Fraction(1)
-    signed = [a]
-    for k in range(1, HANKEL_ORDER + 1):
-        a = a * (mu - (2 * k - 1) ** 2) / (8 * k)
-        signed.append(a if (k // 2) % 2 == 0 else -a)
-    p = tuple(float(c) for c in signed[0::2])
-    q = tuple(float(c) for c in signed[1::2])
-    return p, q
-
-
-def build_tables() -> dict[str, tuple]:
-    """The specfun tables, keyed by their module names, indexed by n."""
-    hankel = [_hankel_tables(n) for n in (0, 1)]
-    return {
-        "_SERIES": tuple(_series_table(n) for n in (0, 1)),
-        "_HANKEL_P": tuple(h[0] for h in hankel),
-        "_HANKEL_Q": tuple(h[1] for h in hankel),
-    }
+def build_tables() -> tuple[tuple[float, ...], ...]:
+    """``specfun._SERIES``: the series table, indexed by n."""
+    return tuple(_series_table(n) for n in (0, 1))
 
 
 def _literal(name: str, table: tuple) -> str:
@@ -152,10 +128,9 @@ def _branch_errors() -> list[str]:
 
 
 def main() -> None:
-    tables = build_tables()
-    for name, table in tables.items():
-        print(_literal(name, table))
-    for n, row in enumerate(tables["_SERIES"]):
+    table = build_tables()
+    print(_literal("_SERIES", table))
+    for n, row in enumerate(table):
         print(f"# _SERIES[{n}]: sum |a_k| = {math.fsum(abs(a) for a in row):.3f}")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     print("\n".join(_branch_errors()))

@@ -21,7 +21,8 @@ its field's default.  Flags override single keys: ``--out`` sets
 ``output.csv``, ``--svg`` ``output.svg``, ``--no-pump-gaussian``
 ``microscope.pump_gaussian = false`` and ``--t12`` ``dispersion.t12``;
 each ``scan.*`` key has a same-named flag (``scan.half_range_x`` is
-``--half-range-x``).
+``--half-range-x``).  A flag's value replaces its key's value before the
+section is built and checked.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 numerical
 failure, 4 I/O error.
@@ -319,8 +320,10 @@ def _build_section(section: str, values: dict[str, object]):
     return cls(**kwargs)
 
 
-def parse_run_config(text: str) -> RunConfig:
-    """Parse flat ``key = value`` configuration text into a RunConfig."""
+def parse_run_config(text: str, overrides: dict[str, object] | None = None) -> RunConfig:
+    """Parse flat ``key = value`` configuration text into a RunConfig.  Each
+    parsed value in ``overrides`` replaces its key's value before any
+    section is built."""
     raw: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
@@ -341,6 +344,7 @@ def parse_run_config(text: str) -> RunConfig:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"config line {line_no}: key '{key}': {exc}") from exc
+    raw.update(overrides or {})
     return RunConfig(**{
         section: _build_section(section, {key: value for key, value in raw.items()
                                           if key.startswith(section + ".")})
@@ -686,14 +690,7 @@ def _load_run_config(args) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{flag}: {exc}") from exc
     text = Path(args.config).read_text(encoding="utf-8") if args.config is not None else ""
-    run = parse_run_config(text)
-    for key, value in overrides.items():
-        section, name = key.split(".", 1)
-        part = getattr(run, section)
-        if part is None:
-            raise ConfigError(f"{_SCHEMA[key][1]} needs a {section} section in the config")
-        run = dataclasses.replace(run, **{section: dataclasses.replace(part, **{name: value})})
-    return run
+    return parse_run_config(text, overrides)
 
 
 def _dispatch(args, stdout, stderr) -> int:

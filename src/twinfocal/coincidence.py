@@ -437,10 +437,6 @@ class QuadratureSpec:
             raise ConfigError("target relative tolerance must lie in (0, 0.1)")
 
 
-# One frozen spec for calls without one: a new one costs a point scan 1.5%.
-_DEFAULT_QUADRATURE = QuadratureSpec()
-
-
 @lru_cache(maxsize=64)
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -655,7 +651,7 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
         return _Lattice(coherent, 1.0, 0.0, 0.0, np.ones((1, 1)))
     if isinstance(sample, TwoPoint):
         return _Lattice(coherent, sample.separation, -0.5, 0.0, np.ones((1, 2)))
-    quad = quad or _DEFAULT_QUADRATURE
+    quad = quad or QuadratureSpec()
     n, tol = quad.radial_nodes, quad.target_rel_tol
     if isinstance(sample, Slit):
         half = 0.5 * sample.width

@@ -29,11 +29,11 @@ at a fixed degree, so every value depends on its own argument alone:
   point and the identities hold to rounding, so no point needs a
   second form.
 
-The coefficient tables are written by ``scripts/make_specfun_tables.py``
-from the 60-digit reference of the test suite (series coefficients)
-and from exact rationals (Hankel coefficients).  Measured against that
-reference on 2001 points of [0, 50] plus 12 and the doubles on either
-side of it, the largest absolute errors are
+The series tables are written by ``scripts/make_specfun_tables.py``
+from the 60-digit reference of the test suite.  The Hankel coefficients
+are computed at import, each rounded once from its exact integer ratio.
+Measured against that reference on 2001 points of [0, 50] plus 12 and
+the doubles on either side of it, the largest absolute errors are
 
     ============  ==========  ==========
     function      ``<= 12``   ``> 12``
@@ -68,9 +68,8 @@ __all__ = ["bessel_j0", "bessel_j1", "airy_amp"]
 # Branch switchover: polynomial in t below, Hankel expansion above.
 _SERIES_CUTOFF = 12.0
 
-# Coefficient tables indexed by n, written by scripts/make_specfun_tables.py.
-# _SERIES[n]: power-basis coefficients of g_n in t = x^2/72 - 1.
-# _HANKEL_P[n], _HANKEL_Q[n]: coefficients of P and x Q in 1/x^2.
+# _SERIES[n]: power-basis coefficients of g_n in t = x^2/72 - 1, written by
+# scripts/make_specfun_tables.py.
 _SERIES = (
     (  # n = 0
         -0.053002331904983484,
@@ -115,68 +114,30 @@ _SERIES = (
         3.0505968121966967e-12,
     ),
 )
-_HANKEL_P = (
-    (  # n = 0
-        1.0,
-        -0.0703125,
-        0.112152099609375,
-        -0.5725014209747314,
-        6.074042001273483,
-        -110.01714026924674,
-        3038.090510922384,
-        -118838.42625678325,
-        6252951.493434797,
-        -425939216.5047669,
-        36468400807.06556,
-        -3833534661393.9443,
-        485401468685290.06,
-    ),
-    (  # n = 1
-        1.0,
-        0.1171875,
-        -0.144195556640625,
-        0.6765925884246826,
-        -6.883914268109947,
-        121.59789187653587,
-        -3302.2722944808525,
-        127641.2726461746,
-        -6656367.718817688,
-        450278600.3050393,
-        -38338575207.427895,
-        4011838599133.1978,
-        -506056850331472.6,
-    ),
-)
-_HANKEL_Q = (
-    (  # n = 0
-        -0.125,
-        0.0732421875,
-        -0.22710800170898438,
-        1.7277275025844574,
-        -24.380529699556064,
-        551.3358961220206,
-        -18257.755474293175,
-        832859.3040162893,
-        -50069589.531988926,
-        3836255180.2304335,
-        -364901081884.98334,
-        42189715702840.97,
-    ),
-    (  # n = 1
-        0.375,
-        -0.1025390625,
-        0.2775764465332031,
-        -1.993531733751297,
-        27.248827311268542,
-        -603.8440767050702,
-        19718.37591223663,
-        -890297.8767070678,
-        53104110.10968523,
-        -4043620325.107754,
-        382701134659.8606,
-        -44064814178522.79,
-    ),
-)
+
+# Hankel's coefficients for J_n (Abramowitz & Stegun 9.2.5, 9.2.9-10):
+# a_k = prod_{i<=k} (4 n^2 - (2i - 1)^2) / (8 i), each rounded once from its
+# exact integer ratio.  P = sum_j (-1)^j a_2j / x^2j and
+# x Q = sum_j (-1)^j a_(2j+1) / x^2j, so a_k is added where k % 4 < 2.
+# Smallest Hankel term at x = 12: k = 24 for n = 0 and k = 25 for n = 1
+# (about 6e-12 before the 0.23 prefactor).  Of the orders 22 to 26, 24
+# gives the smallest worst error at the switchover (8.2e-13, J0).
+_HANKEL_ORDER = 24
+
+
+def _hankel_tables(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The coefficients of ``P`` and ``x Q`` in ``1/x^2`` for ``J_n``."""
+    num = den = 1
+    signed = [1.0]
+    for k in range(1, _HANKEL_ORDER + 1):
+        num *= 4 * n * n - (2 * k - 1) ** 2
+        den *= 8 * k
+        signed.append(num / den if k % 4 < 2 else -num / den)
+    return tuple(signed[0::2]), tuple(signed[1::2])
+
+
+# _HANKEL_P[n], _HANKEL_Q[n]: the coefficients of P and x Q for J_n.
+_HANKEL_P, _HANKEL_Q = zip(*(_hankel_tables(n) for n in (0, 1)))
 
 
 # ============================================================================

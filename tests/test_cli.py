@@ -623,9 +623,24 @@ def test_scan_out_file_moves_report_to_stdout(tmp_path, n_o, n_e):
 
 
 def test_scan_t12_flag_requires_dispersion():
-    code, _, err = run_cli("scan", "--t12", "120fs")
-    assert code == 2
-    assert "dispersion" in err
+    """``--t12`` alone sets one dispersion key, so the section misses the
+    others like a config with only ``dispersion.t12``."""
+    flagged = run_cli("scan", "--t12", "120fs")
+    assert flagged == (2, "", "error: missing required key 'dispersion.n_o' "
+                              "when dispersion is configured\n")
+
+
+def test_flag_value_replaces_the_key_before_the_section_is_checked(tmp_path):
+    """A flag rescues a config whose own value of its key is invalid: the
+    section is checked once, with the flag's value."""
+    base = "sample.kind = two_point\nsample.separation = 0.5um\nscan.samples = 17\n"
+    bad = write_config(tmp_path, base + "scan.threshold = 2\n")
+    assert run_cli("scan", "--config", bad) == (2, "", "error: threshold must lie in (0, 1)\n")
+    good = tmp_path / "good.cfg"
+    good.write_text(base + "scan.threshold = 0.5\n", encoding="utf-8")
+    rescued = run_cli("scan", "--config", bad, "--threshold", "0.5")
+    assert rescued[0] == 0
+    assert rescued == run_cli("scan", "--config", str(good))
 
 
 def test_negative_flag_value_without_equals_sign(tmp_path):

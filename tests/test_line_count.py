@@ -40,3 +40,10 @@ def test_worktree_counts_every_package_module():
     counts = load_script().count_worktree()
     assert "errors.py" in counts and "cli.py" in counts
     assert all(n > 0 for n in counts.values())
+
+
+def test_unknown_revision_is_one_error_line(capsys):
+    assert load_script().main(["no-such-revision"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown revision 'no-such-revision'\n"

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -209,14 +210,25 @@ def test_workspace_alignment_give_back_and_overflow():
 
 
 def test_tables_match_their_generator():
-    """The committed coefficient tables are exactly what
+    """The committed series table is exactly what
     scripts/make_specfun_tables.py builds."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "make_specfun_tables.py"
     spec = importlib.util.spec_from_file_location("make_specfun_tables", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    for name, table in module.build_tables().items():
-        assert getattr(specfun, name) == table, name
+    assert specfun._SERIES == module.build_tables()
+
+
+def test_hankel_tables_match_the_closed_form():
+    """Each Hankel coefficient is the double nearest Abramowitz & Stegun's
+    closed form ``a_k = prod_{i<=k} (4 n^2 - (2i - 1)^2) / (k! 8^k)``
+    (9.2.9-10), with ``P_j = (-1)^j a_2j`` and ``Q_j = (-1)^j a_(2j+1)``
+    for k up to 24."""
+    for n in (0, 1):
+        a = [Fraction(math.prod(4 * n * n - (2 * i - 1) ** 2 for i in range(1, k + 1)),
+                      math.factorial(k) * 8 ** k) for k in range(25)]
+        assert specfun._HANKEL_P[n] == tuple(float((-1) ** j * a[2 * j]) for j in range(13))
+        assert specfun._HANKEL_Q[n] == tuple(float((-1) ** j * a[2 * j + 1]) for j in range(12))
 
 
 def test_scalar_and_array_return_types():
