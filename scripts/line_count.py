@@ -75,9 +75,10 @@ def main(argv: list[str]) -> int:
             for name in sorted(before.keys() | after.keys())]
     rows.append(("total", sum(before.values()), sum(after.values())))
     width = max(len(name) for name, _, _ in rows)
-    print(f"{'module':<{width}}  {rev:>10}  {'worktree':>10}  {'net':>6}")
+    column = max(10, len(rev))  # a full sha is 40 characters
+    print(f"{'module':<{width}}  {rev:>{column}}  {'worktree':>10}  {'net':>6}")
     for name, old, new in rows:
-        print(f"{name:<{width}}  {old:>10}  {new:>10}  {new - old:>+6}")
+        print(f"{name:<{width}}  {old:>{column}}  {new:>10}  {new - old:>+6}")
     return 0
 
 

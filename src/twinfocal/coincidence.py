@@ -90,13 +90,18 @@ units, minus the offset's residual: ``offset / pitch`` rounded to a
 multiple of ``2**-44``, less its integer shift.  The offsets of one
 residual class share a dense box of keys, and ``_lattice_table`` folds
 the boxes to one row per distinct key, so each pass integrates every
-displacement once.  What stays exact: a value depends on its key alone,
-and an offset's sum, one ``np.dot`` over its lit cells in pixel order, on
-its own cells alone, so a scan is bit-identical for any number of
-threads or split of the rows and equal bit for bit to one-offset
-``amplitude`` calls; the convergence rule and the ``QuadratureError``
-(first failing offset, in the order given) are the same as for one
-offset at a time.
+displacement once.  After the first pass each offset drops from its
+finer passes the lit cells whose first-pass values provably lie close
+enough to the truth: a twin panel whose nearest point lies ``d`` from the
+offset integrates to at most ``area * exp(-2 Re(eta0_inv_sq) d^2)``, and
+the dropped cells' summed error bound stays within 1e-3 of the smallest
+error node doubling accepts (``integrate_sample``).  What stays exact: a
+value depends on its key alone, and an offset's sum, one ``np.dot`` over
+its lit cells in pixel order, and the cells it drops, on its own cells
+and mass alone, so a scan is bit-identical for any number of threads or
+split of the rows and equal bit for bit to one-offset ``amplitude``
+calls; the convergence rule and the ``QuadratureError`` (first failing
+offset, in the order given) are the same as for one offset at a time.
 """
 
 from __future__ import annotations
@@ -151,6 +156,17 @@ _DOUBLING_CHECKS = 2
 # 0.115-0.136 s on classical_extended, and peak RSS within 0.2 MiB of this
 # budget's, so a smaller budget saves no memory.
 _KERNEL_POINT_BUDGET = 4 * 96 ** 2
+
+# Fewest kernel points a chunk of a panel pass is given (``Chunks``): a
+# smaller pass runs on the calling thread alone.  Measured in-process on the
+# six twin_extended benchmark jobs at 2 threads (2 vCPUs; calibrated job
+# medians summed, seeds 13 and 11, 15 and 25 rounds): with no clamp 96.9 and
+# 98.3 ms, at 2**16 89.3 and 93.2, at 2**17 87.1 and 95.3, at 2**18 88.0 and
+# 94.2, and with every pass on one thread 86.8 and 93.3.  The slit line
+# (9.0-9.8 ms against 7.5-8.1) and the 16x16 raster grid (8.2-8.6 against
+# 6.6-7.4), whose passes all fall below 2**17, gain most; the raster lines,
+# whose fine passes exceed it, and the grating are level within the noise.
+_MIN_POINTS_PER_CHUNK = 1 << 17
 
 # Workspace bytes per point of a kernel call (see ``Chunks``), for both
 # kernels of ``sample_amplitudes``.  The twin kernel of a degenerate pair
@@ -521,7 +537,9 @@ def default_truncation_radius(cfg: MicroscopeConfig, target_rel_tol: float = 1e-
 
 @dataclass(frozen=True)
 class _Lattice:
-    """Weighted cells ``pitch`` [m] apart (see ``_sample_lattice``)."""
+    """Weighted cells ``pitch`` [m] apart (see ``_sample_lattice``).  The
+    kernel they are integrated against obeys ``|kern(v)| <= exp(-decay
+    |v|^2)``."""
 
     coherent: bool
     pitch: float
@@ -534,6 +552,7 @@ class _Lattice:
     n_y: int = 0
     target_rel_tol: float = 0.0
     reach: float = math.inf
+    decay: float = 0.0
 
     def table(self, offsets: np.ndarray):
         """Admit a scan of this lattice at ``offsets``: the one step, after
@@ -564,12 +583,16 @@ def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
     gx, gy = half_x * base_x, half_y * base_y
     step = max(1, _KERNEL_POINT_BUDGET // (n_x * n_y))
     work = _workspace()
-    sums = []
+    sums = [np.zeros(0)]  # a pass whose offsets dropped every cell reads no row
     for lo in range(0, points.shape[0], step):
         work.clear()
-        sums.append(np.einsum("i,j,kij->k", half_x * wx, half_y * wy, kern(
-            points[lo:lo + step, 0, None, None] + gx[None, :, None],
-            points[lo:lo + step, 1, None, None] + gy[None, None, :])))
+        values = kern(points[lo:lo + step, 0, None, None] + gx[None, :, None],
+                      points[lo:lo + step, 1, None, None] + gy[None, None, :])
+        # one dot product per node row, so a row's sum does not depend on its
+        # place in the call, as ``(values @ wy) @ wx`` would; ``values @ wy``
+        # would hand panels of 96^2 points to OpenBLAS's threaded matrix-vector
+        # product, whose worker competes with the scan's threads
+        sums.append((np.dot(values, half_y * wy) * (half_x * wx)).sum(axis=1))
     return np.concatenate(sums)
 
 
@@ -583,16 +606,19 @@ class Chunks:
     evaluated it.
 
     ``map(func, items)`` runs ``func(chunk)`` on pool threads, one per
-    chunk (point cells).  Calling it, ``chunks(func, items)``, runs one pass
-    over panel rows as ``func(chunk, work)``: the calling thread works the
-    first chunk itself and a pool of ``threads - 1`` threads the rest.  The
+    chunk (point cells).  Calling it, ``chunks(func, items, points)``, runs
+    one pass over panel rows of ``points`` kernel points each as
+    ``func(chunk, work)``: the calling thread works the first chunk itself
+    and a pool of ``threads - 1`` threads the rest.  The
     calling thread also allocates the chunks' workspaces, as one buffer,
     the first time a pass has that many chunks, each sized for the largest
     kernel call of a pass (``_KERNEL_POINT_BUDGET`` points); later passes
-    reuse them.  Pool threads then allocate only per-row factors, einsum's
-    fixed buffers and, in a call that straddles the Bessel branch switch,
-    each branch's gathered points; a lone panel larger than the budget
-    allocates what does not fit.  No pool starts at one thread or for a
+    reuse them.  Pool threads then allocate only per-row factors, the
+    contraction's per-row sums and, in a call that straddles the Bessel
+    branch switch, each branch's gathered points; a lone panel larger than
+    the budget allocates what does not fit.  Each chunk of a pass gets at
+    least ``_MIN_POINTS_PER_CHUNK`` kernel points, so a smaller pass runs
+    on the calling thread alone.  No pool starts at one thread or for a
     single chunk.  Leaving the ``with`` block waits for the pool threads
     and drops the workspaces.
     """
@@ -610,21 +636,24 @@ class Chunks:
             self._pool.shutdown()
         self._work.clear()
 
-    def _split(self, items: np.ndarray) -> list[np.ndarray]:
-        return np.array_split(items, min(self.threads, items.shape[0]))
-
     def _executor(self, workers: int) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=workers)
         return self._pool
 
+    @staticmethod
+    def _split(items: np.ndarray, count: int) -> list[np.ndarray]:
+        return np.array_split(items, max(1, min(count, items.shape[0])))
+
     def map(self, func, items: np.ndarray) -> np.ndarray:
         if self.threads == 1:
             return func(items)
-        return np.concatenate(list(self._executor(self.threads).map(func, self._split(items))))
+        return np.concatenate(list(self._executor(self.threads).map(
+            func, self._split(items, self.threads))))
 
-    def __call__(self, func, items: np.ndarray) -> np.ndarray:
-        chunks = self._split(items)
+    def __call__(self, func, items: np.ndarray, points: int) -> np.ndarray:
+        chunks = self._split(items, min(self.threads,
+                                        items.shape[0] * points // _MIN_POINTS_PER_CHUNK))
         if len(self._work) < len(chunks):
             size = _KERNEL_POINT_BUDGET * _WORK_BYTES_PER_POINT
             # numpy aligns to 16 bytes: start the chunks at a 64-byte address
@@ -653,9 +682,13 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
         return _Lattice(coherent, sample.separation, -0.5, 0.0, np.ones((1, 2)))
     quad = quad or QuadratureSpec()
     n, tol = quad.radial_nodes, quad.target_rel_tol
+    # both Airy factors of the twin kernel, and the classical responses, are
+    # at most 1 in magnitude: only the twin pump envelope decays
+    decay = 2.0 * eta0_inv_sq(cfg).real if coherent and cfg.pump_gaussian else 0.0
     if isinstance(sample, Slit):
         half = 0.5 * sample.width
-        return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n, tol)
+        return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n, tol,
+                        decay=decay)
     if isinstance(sample, Grating):
         radius = quad.truncation_radius or default_truncation_radius(cfg, tol)
         reach, half = radius / sample.period, 0.5 * sample.duty * sample.period
@@ -663,13 +696,13 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
         _check_table_cells(2.0 * np.ceil(reach) + 2.0)
         return _Lattice(coherent, sample.period, -math.ceil(reach), 0.0,
                         np.broadcast_to(1.0, (1, 2 * math.ceil(reach) + 2)),
-                        half, radius, n, quad.angular_nodes, tol, reach + 1.0)
+                        half, radius, n, quad.angular_nodes, tol, reach + 1.0, decay)
     if isinstance(sample, Raster):
         rows, cols = sample.grid.shape
         half = 0.5 * sample.pitch
         return _Lattice(coherent, sample.pitch, -0.5 * (cols - 1), -0.5 * (rows - 1),
                         sample.grid if coherent else np.abs(sample.grid) ** 2,
-                        half, half, n, n, tol)
+                        half, half, n, n, tol, decay=decay)
     raise ConfigError(f"unsupported sample: {sample!r}")
 
 
@@ -788,33 +821,69 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
     ``n``, because the benchmark's traced slit self-check
     (``slit_kernel_points``) pins a twin ``Slit`` integral at exactly
     ``6 n^2`` kernel points until it is restated as an upper bound.
+
+    Far cells drop from the finer passes.  ``|kern(v)| <= exp(-decay
+    |v|^2)`` (``_Lattice.decay``: ``2 Re(eta0_inv_sq)`` for the twin
+    kernel, whose Airy factors are at most 1; 0 for a flat pump and the
+    classical responses), so a panel whose nearest point lies ``d`` from
+    the offset integrates, at any node count, to at most ``b = area *
+    exp(-decay d^2)``, and a cell's first-pass term lies within ``2 |w| b``
+    of its true one.  After the first pass (and the twin mass pass) each
+    offset drops its cells in ascending ``2 |w| b``, ties together, while
+    their sum stays within 1e-3 of the smallest error node doubling
+    accepts for it, ``10 * target_rel_tol`` of 1% of its mass.  A dropped
+    cell adds its first-pass value to every later sum, and later passes
+    integrate only the rows of kept cells.  The decision reads only the
+    offset's own cells and mass, so it keeps the scan bit-identical across
+    threads and to one-offset calls.  With ``decay`` 0 every bound is the
+    cell's area, which no cell of weight near 1 meets, and when no cell of
+    the scan can meet the limit the cells are not walked for it.
     """
     points, windows = table
     result = np.zeros(offsets.shape[0], dtype=complex)
     if not np.any(lattice.weight):
         return result
+    # no node count takes a row's panel integral beyond its area times the
+    # kernel's envelope at the panel point nearest the offset
+    gap = np.maximum(points - (lattice.half_x, lattice.half_y), 0.0)
+    bound = 4.0 * lattice.half_x * lattice.half_y * np.exp(-lattice.decay * (gap * gap).sum(axis=1))
+    cutoff = None  # per offset, the least slack of a cell it keeps, once decided
+    first = None  # the first pass's value of every table row
+
+    def slack(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """How far each lit cell's first-pass term may lie from the truth."""
+        return 2.0 * np.abs(weight) * bound[rows]
+
+    def cells(members: np.ndarray):
+        """``windows(members)``, with each lit cell's drop flag (None: none)."""
+        for block, rows, weight in windows(members):
+            yield block, rows, weight, (None if cutoff is None
+                                        else slack(rows, weight) < cutoff[block, None])
 
     def rows_of(members: np.ndarray) -> np.ndarray:
-        """The table rows that the lit cells of ``members`` read."""
+        """The table rows that the kept lit cells of ``members`` read."""
         needed = np.zeros(points.shape[0], dtype=bool)
-        for _, rows, _ in windows(members):
-            needed[rows] = True
+        for _, rows, _, drop in cells(members):
+            needed[rows if drop is None else rows[~drop]] = True
         return np.flatnonzero(needed)
 
     def sums(kernel, n_x: int, n_y: int, members: np.ndarray, read, weigh=lambda w: w):
-        """Each offset of ``members`` summed over its lit cells, integrating ``read``."""
+        """Each offset of ``members`` summed over its lit cells, integrating
+        ``read``, and the table of row values; a dropped cell adds its
+        first-pass value."""
         def integrate(chunk: np.ndarray, work: Workspace) -> np.ndarray:
             with work.use():
                 return _panel_sum(chunk, lattice.half_x, lattice.half_y, n_x, n_y, kernel)
 
-        integrals = chunks(integrate, points[read])
+        integrals = chunks(integrate, points[read], n_x * n_y)
         values = np.empty(points.shape[0], dtype=integrals.dtype)
         values[read] = integrals
         out = np.empty(offsets.shape[0], dtype=complex)
-        for block, rows, weight in windows(members):
+        for block, rows, weight, drop in cells(members):
+            terms = values[rows] if drop is None else np.where(drop, first[rows], values[rows])
             weight = weigh(weight)
-            out[block] = [np.dot(weight, row) for row in values[rows]]
-        return out[members]
+            out[block] = [np.dot(weight, row) for row in terms]
+        return out[members], values
 
     def magnitude(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         values = kern(vx, vy)
@@ -825,11 +894,22 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
         ladder.insert(0, (lattice.n_x // 2, lattice.n_y // 2))
     pending = np.arange(offsets.shape[0])
     read = rows_of(pending)
-    coarse = sums(kern, *ladder[0], pending, read)
-    mass = (sums(magnitude, *ladder[0], pending, read, np.abs).real
+    coarse, first = sums(kern, *ladder[0], pending, read)
+    mass = (sums(magnitude, *ladder[0], pending, read, np.abs)[0].real
             if lattice.coherent else coarse.real)
+    limit = 1e-3 * (10.0 * lattice.target_rel_tol) * (0.01 * mass)
+    lit = np.abs(lattice.weight[lattice.weight != 0])
+    if 2.0 * lit.min() * bound[read].min() <= limit.max():  # else no cell can drop
+        cutoff = np.empty(offsets.shape[0])
+        for block, rows, weight in windows(pending):
+            # the slack at which the ascending sum first passes the limit:
+            # every smaller one drops, ties together
+            ascending = np.sort(slack(rows, weight), axis=1)
+            cutoff[block] = np.where(np.cumsum(ascending, axis=1) > limit[block, None],
+                                     ascending, np.inf).min(axis=1)
+        read = rows_of(pending)
     for n_x, n_y in ladder[1:]:
-        fine = sums(kern, n_x, n_y, pending, read)
+        fine = sums(kern, n_x, n_y, pending, read)[0]
         scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
         error = np.abs(fine - coarse)
         done = (scale == 0.0) | (error <= 10.0 * lattice.target_rel_tol * scale)

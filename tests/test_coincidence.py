@@ -601,8 +601,10 @@ def integrate(sample, offsets, spec, kern):
 def test_kernel_calls_stay_within_point_budget():
     """Every pass evaluates the kernel for many panel displacements per
     call, and no call exceeds the point budget unless it holds one panel.
-    Each pass covers every distinct displacement of the scan once, and
-    every offset keeps the value of its own one-offset integral."""
+    The coarse and mass passes cover every distinct displacement of the
+    scan once, the fine pass at most every one (the cells far out on the
+    pump envelope keep their first-pass values), and every offset keeps
+    the value of its own one-offset integral."""
     budget = coincidence._KERNEL_POINT_BUDGET
     kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
     offsets = np.column_stack([np.linspace(-6e-7, 6e-7, 9), np.full(9, 1e-7)])
@@ -621,15 +623,21 @@ def test_kernel_calls_stay_within_point_budget():
         calls = []
 
         def recording(vx, vy):
-            calls.append((vx.shape[0], np.broadcast(vx, vy).size))
+            calls.append((vx.shape[0], np.broadcast(vx, vy).size, vx.shape[1]))
             return kern(vx, vy)
 
         batched = integrate(sample, offsets, spec, recording)
-        assert all(points <= budget or panels == 1 for panels, points in calls)
-        # coarse, mass and fine passes (1 + 1 + 4 panel sizes) over every
-        # table row; no offset needs a second doubling here
-        assert sum(points for _, points in calls) == 6 * table_rows(sample, offsets, spec) * panel_points
-        oversized += [points for _, points in calls if points > budget]
+        assert all(points <= budget or panels == 1 for panels, points, _ in calls)
+        # coarse and mass passes over every table row, then a fine pass of
+        # four panel sizes over at most every row; no offset needs a second
+        # doubling here
+        rows = table_rows(sample, offsets, spec)
+        first = sum(points for _, points, n in calls if n == spec.radial_nodes)
+        fine = sum(points for _, points, n in calls if n == 2 * spec.radial_nodes)
+        assert first == 2 * rows * panel_points
+        assert 0 < fine <= 4 * rows * panel_points
+        assert first + fine == sum(points for _, points, _ in calls)
+        oversized += [points for _, points, _ in calls if points > budget]
         one_by_one = []
         for row in offsets:
             one_by_one.append(integrate(sample, row[None, :], spec, recording)[0])
@@ -639,7 +647,7 @@ def test_kernel_calls_stay_within_point_budget():
     # distances |x| of the mirror-symmetric offsets
     calls.clear()
     integrate(Slit(2e-7), offsets, QuadratureSpec(radial_nodes=16), recording)
-    assert calls[0] == (5, 5 * 16 * 16)
+    assert calls[0] == (5, 5 * 16 * 16, 16)
 
 
 def test_incoherent_integral_is_its_own_mass(monkeypatch):
@@ -670,6 +678,61 @@ def test_incoherent_integral_is_its_own_mass(monkeypatch):
         one_by_one = [coincidence.sample_amplitudes(sample, row[None, :], CFG8, spec,
                                                     response)[0] for row in offsets]
         assert np.array_equal(batched, np.array(one_by_one))
+
+
+def test_far_cells_keep_their_first_pass_value(monkeypatch):
+    """A raster with one lit pixel under the offset and one 1.4 um away, far
+    out on the pump envelope.  The far pixel drops from the finer passes:
+    twice its bound ``area * exp(-2 Re(eta0_inv_sq) d^2)``, recomputed here
+    from the distance ``d`` of its nearest point, is within 1e-3 of the
+    smallest error node doubling accepts (``10 * target_rel_tol * 1%`` of
+    the offset's mass), and the near pixel's is not.  Its row is absent
+    from the passes after the first two, and the value differs from the
+    all-cells sum at the final count by at most that bound.  An offset so
+    far out that every bound underflows reads no row after the first
+    pass."""
+    pitch, spec = 2e-7, QuadratureSpec(radial_nodes=16)
+    grid = np.zeros((1, 8), dtype=complex)
+    grid[0, 0], grid[0, 7] = 1.0, 0.5j
+    sample = Raster(pitch=pitch, grid=grid)
+    offsets = np.array([[-3.5 * pitch, 0.0]])
+    passes = []
+    original = coincidence._panel_sum
+
+    def recording(points, half_x, half_y, n_x, n_y, kern):
+        passes.append((n_x, points.copy()))
+        return original(points, half_x, half_y, n_x, n_y, kern)
+
+    monkeypatch.setattr(coincidence, "_panel_sum", recording)
+    kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
+    value = integrate(sample, offsets, spec, kern)[0]
+    points, (rows,) = table_windows(sample, offsets, spec)
+    near, far = rows  # pixel order: the pixel under the offset first
+    assert np.array_equal(points[far], [0.0, 7 * pitch])
+    final = max(n for n, _ in passes)
+    assert final > spec.radial_nodes
+    for n, evaluated in passes:
+        expected = [near, far] if n == spec.radial_nodes else [near]
+        assert sorted(map(tuple, evaluated)) == sorted(map(tuple, points[expected]))
+
+    half = 0.5 * pitch
+    mass = np.dot(np.abs(grid[0, [0, 7]]), original(
+        points[rows], half, half, 16, 16, lambda vx, vy: np.abs(kern(vx, vy))))
+    limit = 1e-3 * (10.0 * spec.target_rel_tol) * (0.01 * mass)
+    decay = 2.0 * eta0_inv_sq(CFG8).real
+    slack = [2.0 * abs(w) * pitch ** 2 * math.exp(-decay * max(0.0, d - half) ** 2)
+             for w, d in ((grid[0, 0], 0.0), (grid[0, 7], 7 * pitch))]
+    assert slack[1] <= limit < slack[0]
+    weights = grid[0, [0, 7]]
+    kept = np.dot(weights, [original(points[[near]], half, half, final, final, kern)[0],
+                            original(points[[far]], half, half, 16, 16, kern)[0]])
+    every_cell = np.dot(weights, original(points[rows], half, half, final, final, kern))
+    assert value == kept and abs(value - every_cell) <= slack[1]
+
+    passes.clear()
+    assert integrate(sample, np.array([[0.0, 6e-6]]), spec, kern)[0] == 0.0
+    # both pixels lie at one canonical displacement (0.7, 6) um from it
+    assert [len(evaluated) for _, evaluated in passes] == [1, 1, 0]
 
 
 CONFOCAL_GRATING_NOT_CONVERGED = (
@@ -726,7 +789,8 @@ def test_chunk_workspaces_hand_out_64_byte_aligned_arrays():
         return chunk
 
     with coincidence.Chunks(2) as chunks:
-        assert np.array_equal(chunks(carve, np.arange(6)), np.arange(6))
+        rows = np.arange(6)
+        assert np.array_equal(chunks(carve, rows, coincidence._MIN_POINTS_PER_CHUNK), rows)
     assert len(addresses) == 8
     assert all(address % 64 == 0 for address in addresses)
 

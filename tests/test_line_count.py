@@ -47,3 +47,20 @@ def test_unknown_revision_is_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown revision 'no-such-revision'\n"
+
+
+def test_full_sha_sits_over_its_counts(capsys, monkeypatch):
+    """CI passes the base revision as a 40-character sha: the revision
+    column widens to it, so each count ends where its heading ends."""
+    script = load_script()
+    sha = "0123456789abcdef" * 2 + "01234567"
+    monkeypatch.setattr(script, "count_at", lambda rev: {"cli.py": 1, "errors.py": 22222})
+    assert script.main([sha]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert rows[-1].startswith("total")
+    ends = [header.index(sha) + len(sha), header.index("worktree") + len("worktree"),
+            len(header)]
+    for row in rows:
+        fields = row.split()
+        starts = [row.index(field, end - len(field)) for field, end in zip(fields[1:], ends)]
+        assert [start + len(field) for start, field in zip(starts, fields[1:])] == ends

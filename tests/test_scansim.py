@@ -306,8 +306,9 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
     offset (-0.9, -1.5) um needs the second node doubling while the
     offsets evaluated beside it pass the first.  Each offset still gets
     the value of its own one-offset integral.  The scan evaluates every
-    distinct panel displacement once per pass, and refines only the
-    displacements of the offsets that fail the first check."""
+    distinct panel displacement once in each of its first two passes and
+    at most once in each later pass, and refines only the displacements
+    of the offsets that fail the first check."""
     grid = np.zeros((4, 4))
     grid[1, 3] = grid[2, 0] = 1.0
     sample = Raster(pitch=2e-7, grid=grid)
@@ -321,11 +322,19 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
         points.append(np.broadcast(vx, vy).size)
         return kernel_field(vx, vy, cfg)
 
-    monkeypatch.setattr(coincidence, "kernel_field", counting)
+    passes = []
+    original = coincidence._panel_sum
+
+    def recording(points, half_x, half_y, n_x, n_y, kern):
+        passes.append((n_x, [tuple(p) for p in points]))
+        return original(points, half_x, half_y, n_x, n_y, kern)
+
+    monkeypatch.setattr(coincidence, "_panel_sum", recording)
     plan = ScanPlan(geometry=geometry, instrument=Instrument.TWIN_PHOTON)
     image = scan(plan, CFG8, sample, spec)
     batched = image.values.ravel() * image.peak_value_raw
-    scan_points = sum(points)
+    scan_passes = list(passes)
+    monkeypatch.setattr(coincidence, "kernel_field", counting)
     per_offset, refined = [], []
     for pt in offsets:
         points.clear()
@@ -334,7 +343,7 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
         refined.append(len(points) == 4)
     assert np.allclose(batched, np.array(per_offset), rtol=1e-14, atol=0)
     lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
-    _, blocks = coincidence._lattice_table(lattice, offsets)
+    table, blocks = coincidence._lattice_table(lattice, offsets)
     windows = [None] * offsets.shape[0]
     for block, entries, _ in blocks(np.arange(offsets.shape[0])):
         for i, entry in zip(block, entries):
@@ -342,7 +351,13 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
     rows = np.unique(np.concatenate(windows))
     refined_rows = np.unique(np.concatenate([w for w, r in zip(windows, refined) if r]))
     assert 0 < refined_rows.size < rows.size < sum(w.size for w in windows)
-    assert scan_points == 6 * 144 * rows.size + 16 * 144 * refined_rows.size
+    index = {tuple(p): k for k, p in enumerate(table)}
+    evaluated = {n: [index[p] for nodes, points in scan_passes if nodes == n for p in points]
+                 for n in (12, 24, 48)}
+    assert sorted(evaluated[12]) == sorted(list(rows) * 2)  # coarse and mass
+    for n, allowed in ((24, rows), (48, refined_rows)):
+        assert 0 < len(evaluated[n]) == len(set(evaluated[n]))
+        assert set(evaluated[n]) <= set(allowed)
     monkeypatch.setattr(coincidence, "_DOUBLING_CHECKS", 1)
     with pytest.raises(QuadratureError, match="node"):
         scan(plan, CFG8, sample, spec)
@@ -371,9 +386,10 @@ def test_far_offsets_key_without_overflow(monkeypatch):
 def test_mirror_symmetric_scan_evaluates_each_displacement_once(monkeypatch):
     """A line scan with mirror-symmetric offsets over a point-symmetric
     raster meets each canonical displacement ``sorted(|dx|, |dy|)`` at
-    several offsets and panels.  Every pass integrates each of them once,
-    across the rows split between threads.  Pitch and offsets are binary
-    fractions, so equal displacements are equal to the last bit."""
+    several offsets and panels.  The coarse and mass passes integrate each
+    of them once, across the rows split between threads, and the fine pass
+    at most once.  Pitch and offsets are binary fractions, so equal
+    displacements are equal to the last bit."""
     pitch = 2.0 ** -22
     grid = np.zeros((4, 4))
     grid[0, 1] = grid[3, 2] = grid[1, 3] = grid[2, 0] = 1.0
@@ -396,12 +412,14 @@ def test_mirror_symmetric_scan_evaluates_each_displacement_once(monkeypatch):
     monkeypatch.setattr(coincidence, "_panel_sum", recording)
     monkeypatch.setenv("TWINFOCAL_THREADS", "2")
     monkeypatch.setattr(scansim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(coincidence, "_MIN_POINTS_PER_CHUNK", 1)  # every pass splits
     scan(ScanPlan(geometry=geometry, instrument=Instrument.TWIN_PHOTON), CFG8, sample,
          QuadratureSpec(radial_nodes=12))
     assert len(passes) == 6  # coarse and mass at 12 nodes, fine at 24, one chunk per thread
-    for n_x, count in ((12, 2), (24, 1)):
-        rows = [tuple(p) for nodes, points in passes if nodes == n_x for p in points]
-        assert sorted(rows) == sorted(list(canonical) * count)
+    rows = [tuple(p) for nodes, points in passes if nodes == 12 for p in points]
+    assert sorted(rows) == sorted(list(canonical) * 2)
+    fine = [tuple(p) for nodes, points in passes if nodes == 24 for p in points]
+    assert len(fine) == len(set(fine)) and set(fine) <= canonical
 
 
 # ----------------------------------------------------------------------------
@@ -434,6 +452,7 @@ def test_thread_count_determinism(monkeypatch):
         (twin_grid, TwoPoint(2.5e-7), {"t12": 0.5 * OPEN_WINDOW, "disp": OPEN_DISP}),
         (line_plan(Instrument.CONFOCAL, half_range=6e-7, samples=33), TwoPoint(2.5e-7), {}),
     ]
+    monkeypatch.setattr(coincidence, "_MIN_POINTS_PER_CHUNK", 1)  # pools for every pass
     for plan, sample, options in cases:
         monkeypatch.delenv("TWINFOCAL_THREADS", raising=False)
         baseline = scan(plan, CFG8, sample, **options)
@@ -445,9 +464,10 @@ def test_thread_count_determinism(monkeypatch):
 
 
 def test_calling_thread_works_a_chunk_of_every_pass(monkeypatch):
-    """At two threads an extended scan evaluates its kernel on exactly two
-    threads, the calling thread one of them, so the pool holds one worker.
-    At one thread no pool starts and the values are the same."""
+    """At two threads an extended scan whose passes are split (the clamp
+    set to 1 point) evaluates its kernel on exactly two threads, the
+    calling thread one of them, so the pool holds one worker.  At one
+    thread no pool starts and the values are the same."""
     threads = []
 
     def recording(vx, vy, cfg):
@@ -459,6 +479,7 @@ def test_calling_thread_works_a_chunk_of_every_pass(monkeypatch):
 
     monkeypatch.setattr(coincidence, "kernel_field", recording)
     monkeypatch.setattr(scansim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(coincidence, "_MIN_POINTS_PER_CHUNK", 1)
     plan = line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=17)
     spec = QuadratureSpec(radial_nodes=16)
     monkeypatch.setenv("TWINFOCAL_THREADS", "2")
@@ -491,6 +512,7 @@ def test_workspaces_stay_with_their_chunks_under_thread_switching(monkeypatch):
                                     (Instrument.TWIN_PHOTON, non_degenerate))]
     monkeypatch.delenv("TWINFOCAL_THREADS", raising=False)
     baselines = [scan(plan, cfg, sample, spec).values.tobytes() for plan, cfg in runs]
+    monkeypatch.setattr(coincidence, "_MIN_POINTS_PER_CHUNK", 1)  # every pass splits
     monkeypatch.setattr(scansim.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("TWINFOCAL_THREADS", "4")
     interval = sys.getswitchinterval()
@@ -505,8 +527,8 @@ def test_workspaces_stay_with_their_chunks_under_thread_switching(monkeypatch):
 
 def test_threads_are_clamped_to_the_cpu_count(monkeypatch):
     """TWINFOCAL_THREADS beyond the CPU count starts one thread per CPU: an
-    extended scan at 64 threads on 4 CPUs evaluates its kernel on at most
-    4 threads."""
+    extended scan at 64 threads on 4 CPUs, its passes split whatever their
+    size, evaluates its kernel on at most 4 threads."""
     threads = set()
 
     def recording(vx, vy, cfg):
@@ -515,6 +537,7 @@ def test_threads_are_clamped_to_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(coincidence, "kernel_field", recording)
     monkeypatch.setattr(scansim.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(coincidence, "_MIN_POINTS_PER_CHUNK", 1)
     monkeypatch.setenv("TWINFOCAL_THREADS", "64")
     plan = line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=33)
     scan(plan, CFG8, Slit(width=2e-7), QuadratureSpec(radial_nodes=16))
@@ -523,8 +546,8 @@ def test_threads_are_clamped_to_the_cpu_count(monkeypatch):
 
 def test_a_pass_runs_at_most_one_chunk_per_row():
     """``Chunks`` clamps every pass by its rows: eight threads over three
-    rows run three chunks, for panel rows and point offsets alike, and
-    rejoin them in index order."""
+    rows, each worth a chunk's kernel points, run three chunks, for panel
+    rows and point offsets alike, and rejoin them in index order."""
     chunks_seen = []
 
     def record(chunk, work):
@@ -532,7 +555,8 @@ def test_a_pass_runs_at_most_one_chunk_per_row():
         return chunk
 
     with coincidence.Chunks(8) as chunks:
-        assert np.array_equal(chunks(record, np.arange(3)), np.arange(3))
+        rows = np.arange(3)
+        assert np.array_equal(chunks(record, rows, coincidence._MIN_POINTS_PER_CHUNK), rows)
         assert np.array_equal(chunks.map(lambda chunk: record(chunk, None), np.arange(3)),
                               np.arange(3))
     assert sorted(chunks_seen) == [[0], [0], [1], [1], [2], [2]]
@@ -649,3 +673,43 @@ def test_min_resolvable_separation_guards():
     with pytest.raises(ScanRangeError, match="upper bracket"):
         min_resolvable_separation(CFG12, Instrument.TWIN_PHOTON,
                                   threshold=0.9999999)
+
+
+def test_a_pass_too_small_to_pay_starts_no_pool(monkeypatch):
+    """``Chunks`` gives each chunk of a panel pass at least
+    ``_MIN_POINTS_PER_CHUNK`` kernel points.  A twin slit line at two
+    threads, whose passes all fall below that, constructs no
+    ``ThreadPoolExecutor`` and evaluates its kernel on the calling thread
+    alone.  A pass of four rows holding the clamp's points runs as one
+    chunk; holding twice as many, as two, and that starts the one pool."""
+    constructed, threads = [], set()
+    executor = coincidence.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        constructed.append(kwargs)
+        return executor(*args, **kwargs)
+
+    def recording(vx, vy, cfg):
+        threads.add(threading.get_ident())
+        return kernel_field(vx, vy, cfg)
+
+    monkeypatch.setattr(coincidence, "ThreadPoolExecutor", counting)
+    monkeypatch.setattr(coincidence, "kernel_field", recording)
+    monkeypatch.setattr(scansim.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("TWINFOCAL_THREADS", "2")
+    plan = line_plan(Instrument.TWIN_PHOTON, half_range=6e-7, samples=17)
+    scan(plan, CFG8, Slit(width=2e-7), QuadratureSpec(radial_nodes=16))
+    assert constructed == [] and threads == {threading.get_ident()}
+
+    chunks_seen = []
+
+    def record(chunk, work):
+        chunks_seen.append(chunk.tolist())
+        return chunk
+
+    least, rows = coincidence._MIN_POINTS_PER_CHUNK, np.arange(4)
+    with coincidence.Chunks(2) as chunks:
+        assert np.array_equal(chunks(record, rows, least // 4), rows)
+        assert chunks_seen == [[0, 1, 2, 3]] and constructed == []
+        assert np.array_equal(chunks(record, rows, least // 2), rows)
+    assert sorted(chunks_seen[1:]) == [[0, 1], [2, 3]] and len(constructed) == 1
