@@ -1,0 +1,134 @@
+"""Show that the benchmark job outputs of the working tree match those of a
+git revision, and do not depend on the thread count.
+
+Run from the repository root::
+
+    python scripts/same_outputs.py REV
+
+``REV`` is extracted with ``git archive`` into a temporary directory, which
+is removed afterwards.  In that tree and in the working tree, one fresh
+interpreter per ``TWINFOCAL_THREADS`` value (1 and 2) runs every job of
+every benchmark workload once, at seeds 7 and 11, through the runners of
+``bench/run.py``'s ``Workload``, and hashes each job's raw output: the exit
+code, stdout and stderr of a command line, the bytes of an array, the bits
+of a float, or the type and message of an exception.  The script prints
+each job whose output differs between ``REV`` and the working tree, then
+each whose working-tree output differs between the thread counts, then a
+summary line.  Only the second kind breaks the package's promise of
+bit-identical output for any thread count, so only it exits 1; a
+revision git does not know, or a tree whose jobs cannot be run, exits 2.
+It only reads ``bench/``; the runners write their config files under
+``.bench_work/`` of their own tree and remove them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (7, 11)
+THREADS = (1, 2)
+
+# A fresh interpreter in which ``digests(tree)`` of this file runs.
+CHILD = "import runpy, sys; runpy.run_path(sys.argv[1])['digests'](sys.argv[2])"
+
+
+def output_bytes(output) -> bytes:
+    """A job's raw output as bytes that change whenever the output does."""
+    if isinstance(output, Exception):
+        return f"{type(output).__name__}: {output}".encode()
+    if isinstance(output, float):
+        return output.hex().encode()
+    if isinstance(output, tuple):  # a command line: exit code, stdout, stderr
+        return repr(output).encode()
+    return repr((output.dtype.str, output.shape)).encode() + output.tobytes()
+
+
+def digests(tree: str) -> None:
+    """Run every benchmark job of ``tree`` once per seed and print one JSON
+    object: job (``workload seed name``) to the SHA-256 of its output."""
+    sys.path.insert(0, str(Path(tree) / "bench"))
+    import run  # the benchmark of ``tree``, on the path only now
+
+    tf = run.load_package()
+    found = {}
+    for name in run.workloads.WORKLOAD_NAMES:
+        for seed in SEEDS:
+            wl = run.Workload(name, seed, tf)
+            try:
+                for job, runner in zip(wl.jobs, wl.runners):
+                    try:
+                        output = runner()
+                    except Exception as exc:  # a job that raises has that as its output
+                        output = exc
+                    found[f"{name} {seed} {job.name}"] = hashlib.sha256(
+                        output_bytes(output)).hexdigest()
+            finally:
+                wl.close()
+    print(json.dumps(found))
+
+
+def run_tree(tree: Path, threads: int) -> dict[str, str]:
+    """The output digests of every job of ``tree`` at ``threads`` threads."""
+    env = dict(os.environ, TWINFOCAL_THREADS=str(threads))
+    done = subprocess.run([sys.executable, "-c", CHILD, __file__, str(tree)], cwd=tree,
+                          env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def compare(outputs: dict[tuple[str, int], dict[str, str]]) -> tuple[list, list]:
+    """Jobs that moved and jobs that split, from the digests of each
+    ``(side, threads)`` run, ``side`` being ``"rev"`` or ``"worktree"``.
+
+    A job moved, as ``(threads, job)``, when its digest at ``threads``
+    differs between the sides, or it runs on one side only; it split when
+    its working-tree digests differ between the thread counts.
+    """
+    moved = sorted((threads, job) for threads in THREADS
+                   for job in outputs["rev", threads].keys() | outputs["worktree", threads].keys()
+                   if outputs["rev", threads].get(job) != outputs["worktree", threads].get(job))
+    split = sorted(job for job in outputs["worktree", THREADS[0]]
+                   if any(outputs["worktree", threads].get(job)
+                          != outputs["worktree", THREADS[0]][job] for threads in THREADS[1:]))
+    return moved, split
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/same_outputs.py REV", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as scratch:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True)
+        if archive.returncode != 0:
+            print(f"error: unknown revision {rev!r}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout, check=True)
+        try:
+            outputs = {(side, threads): run_tree(tree, threads)
+                       for side, tree in (("rev", Path(scratch)), ("worktree", ROOT))
+                       for threads in THREADS}
+        except subprocess.CalledProcessError as exc:
+            sys.stderr.write(exc.stderr)
+            print(f"error: the jobs of {exc.cmd[-1]} could not be run", file=sys.stderr)
+            return 2
+    moved, split = compare(outputs)
+    for threads, job in moved:
+        print(f"differs from {rev} at TWINFOCAL_THREADS={threads}: {job}")
+    for job in split:
+        print(f"differs between thread counts in the working tree: {job}")
+    total = len(outputs["worktree", THREADS[0]])
+    print(f"{total} job outputs (seeds {' and '.join(map(str, SEEDS))}) at each of "
+          f"TWINFOCAL_THREADS {' and '.join(map(str, THREADS))}: {len(moved)} of "
+          f"{total * len(THREADS)} differ from {rev}, {len(split)} differ between thread counts")
+    return 1 if split else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

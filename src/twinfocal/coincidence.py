@@ -93,15 +93,19 @@ the boxes to one row per distinct key, so each pass integrates every
 displacement once.  After the first pass each offset drops from its
 finer passes the lit cells whose first-pass values provably lie close
 enough to the truth: a twin panel whose nearest point lies ``d`` from the
-offset integrates to at most ``area * exp(-2 Re(eta0_inv_sq) d^2)``, and
-the dropped cells' summed error bound stays within 1e-3 of the smallest
-error node doubling accepts (``integrate_sample``).  What stays exact: a
-value depends on its key alone, and an offset's sum, one ``np.dot`` over
-its lit cells in pixel order, and the cells it drops, on its own cells
-and mass alone, so a scan is bit-identical for any number of threads or
-split of the rows and equal bit for bit to one-offset ``amplitude``
-calls; the convergence rule and the ``QuadratureError`` (first failing
-offset, in the order given) are the same as for one offset at a time.
+offset integrates to at most ``area * exp(-2 Re(eta0_inv_sq) d^2)``, so a
+cell's first-pass term lies within its slack, ``2 |w|`` times that, of
+the truth.  A cell drops when ``m`` times its slack is within the
+offset's limit, 1e-3 of the smallest error node doubling accepts, ``m``
+being the number of the offset's cells whose slack alone is within it;
+so the dropped slacks sum to at most the limit (``integrate_sample``).
+What stays exact: a value depends on its key alone, and an offset's sum,
+one ``np.dot`` over its lit cells in pixel order, and each cell's drop,
+on the offset's own cells and mass alone, so a scan is bit-identical for
+any number of threads or split of the rows and equal bit for bit to
+one-offset ``amplitude`` calls; the convergence rule and the
+``QuadratureError`` (first failing offset, in the order given) are the
+same as for one offset at a time.
 """
 
 from __future__ import annotations
@@ -464,6 +468,14 @@ def _twin_alphas(cfg: MicroscopeConfig) -> tuple[float, float]:
     return cfg.omega_o * scale, cfg.omega_e * scale
 
 
+def _pump_rate(cfg: MicroscopeConfig) -> complex:
+    """``c`` of the twin kernel's pump envelope ``exp(-|v|^2 c / 2)``: the
+    pump amplitude, the Gaussian term of ``eta0_inv_sq`` at the doubled
+    coordinate, with its Fresnel phase undoubled."""
+    eta = eta0_inv_sq(cfg)
+    return complex(4.0 * eta.real, eta.imag)
+
+
 def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
     """Complex coincidence kernel ``K`` at displacement components [m].
 
@@ -498,9 +510,7 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
         radius *= alpha_e
         amp *= airy_amp(radius, out=radius)
     if cfg.pump_gaussian:
-        # pump amplitude at the doubled coordinate, undoubled Fresnel phase
-        eta = eta0_inv_sq(cfg)
-        c = complex(4.0 * eta.real, eta.imag)
+        c = _pump_rate(cfg)
         along_x, along_y = np.exp(-0.5 * xx * c), np.exp(-0.5 * yy * c)
         out = work.out(radius, dtype=complex)
         field = along_x * along_y if out is None else np.multiply(along_x, along_y, out=out)
@@ -683,8 +693,9 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
     quad = quad or QuadratureSpec()
     n, tol = quad.radial_nodes, quad.target_rel_tol
     # both Airy factors of the twin kernel, and the classical responses, are
-    # at most 1 in magnitude: only the twin pump envelope decays
-    decay = 2.0 * eta0_inv_sq(cfg).real if coherent and cfg.pump_gaussian else 0.0
+    # at most 1 in magnitude: only the twin pump envelope decays, as
+    # exp(-|v|^2 Re(c) / 2)
+    decay = 0.5 * _pump_rate(cfg).real if coherent and cfg.pump_gaussian else 0.0
     if isinstance(sample, Slit):
         half = 0.5 * sample.width
         return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n, tol,
@@ -738,8 +749,8 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
     coord = coord[order]
     first = np.append(0, 1 + np.flatnonzero(np.diff(
         (coord - np.floor(coord)).view(complex).ravel())))
-    span = np.maximum.reduceat(coord, first) + lattice.weight.shape[::-1]
-    span -= np.minimum.reduceat(coord, first)
+    high = np.maximum.reduceat(coord, first)
+    span = high + lattice.weight.shape[::-1] - np.minimum.reduceat(coord, first)
     # a class's box holds width x height cells; the bound on their sum is
     # taken in Python floats, which overflow to inf without a warning, and
     # numpy only sums products that cannot overflow
@@ -748,7 +759,6 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
                        else math.inf)
 
     box = span.astype(np.int64)  # each class's box width and height
-    high = np.maximum.reduceat(coord, first)
     residual = high - np.floor(high)
     high -= residual  # each class's largest shift
     sizes = box[:, 0] * box[:, 1]
@@ -823,21 +833,24 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
     ``6 n^2`` kernel points until it is restated as an upper bound.
 
     Far cells drop from the finer passes.  ``|kern(v)| <= exp(-decay
-    |v|^2)`` (``_Lattice.decay``: ``2 Re(eta0_inv_sq)`` for the twin
-    kernel, whose Airy factors are at most 1; 0 for a flat pump and the
-    classical responses), so a panel whose nearest point lies ``d`` from
-    the offset integrates, at any node count, to at most ``b = area *
-    exp(-decay d^2)``, and a cell's first-pass term lies within ``2 |w| b``
-    of its true one.  After the first pass (and the twin mass pass) each
-    offset drops its cells in ascending ``2 |w| b``, ties together, while
-    their sum stays within 1e-3 of the smallest error node doubling
-    accepts for it, ``10 * target_rel_tol`` of 1% of its mass.  A dropped
-    cell adds its first-pass value to every later sum, and later passes
-    integrate only the rows of kept cells.  The decision reads only the
-    offset's own cells and mass, so it keeps the scan bit-identical across
-    threads and to one-offset calls.  With ``decay`` 0 every bound is the
-    cell's area, which no cell of weight near 1 meets, and when no cell of
-    the scan can meet the limit the cells are not walked for it.
+    |v|^2)`` (``_Lattice.decay``: ``2 Re(eta0_inv_sq)``, the decay of the
+    twin kernel's pump envelope (``_pump_rate``), as its Airy factors are
+    at most 1; 0 for a flat pump and the classical responses), so a panel
+    whose nearest point lies ``d`` from the offset integrates, at any node
+    count, to at most ``b = area * exp(-decay d^2)``, and a cell's
+    first-pass term lies within its slack ``2 |w| b`` of its true one.
+    After the first pass (and the twin mass pass) each offset has a limit,
+    1e-3 of the smallest error node doubling accepts for it (``10 *
+    target_rel_tol`` of 1% of its mass), and ``m`` cells whose slack is at
+    most the limit (``m`` 1 if none).  A cell drops when ``m`` times its
+    slack is at most the limit: the dropped cells are among those ``m``, so
+    their slacks sum to at most the limit.  A dropped cell adds its
+    first-pass value to every later sum, and each pass integrates only the
+    rows its offsets' kept cells read.  A drop reads only the offset's own
+    cells and mass, so it keeps the scan bit-identical across threads and
+    to one-offset calls.  With ``decay`` 0 every bound is the cell's area,
+    which no cell of weight near 1 meets, and when no cell of the scan can
+    meet the limit (one comparison) no drop is computed.
     """
     points, windows = table
     result = np.zeros(offsets.shape[0], dtype=complex)
@@ -847,34 +860,32 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
     # kernel's envelope at the panel point nearest the offset
     gap = np.maximum(points - (lattice.half_x, lattice.half_y), 0.0)
     bound = 4.0 * lattice.half_x * lattice.half_y * np.exp(-lattice.decay * (gap * gap).sum(axis=1))
-    cutoff = None  # per offset, the least slack of a cell it keeps, once decided
-    first = None  # the first pass's value of every table row
-
-    def slack(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """How far each lit cell's first-pass term may lie from the truth."""
-        return 2.0 * np.abs(weight) * bound[rows]
+    limit = None  # per offset, the error its dropped cells may sum to, once decided
 
     def cells(members: np.ndarray):
         """``windows(members)``, with each lit cell's drop flag (None: none)."""
         for block, rows, weight in windows(members):
-            yield block, rows, weight, (None if cutoff is None
-                                        else slack(rows, weight) < cutoff[block, None])
+            drop = None
+            if limit is not None:
+                # how far each first-pass term may lie from the truth, and how
+                # many of the offset's cells could drop: each drops within its
+                # share of the limit
+                slack = 2.0 * np.abs(weight) * bound[rows]
+                share = np.maximum(np.count_nonzero(slack <= limit[block, None], axis=1), 1)
+                drop = slack * share[:, None] <= limit[block, None]
+            yield block, rows, weight, drop
 
-    def rows_of(members: np.ndarray) -> np.ndarray:
-        """The table rows that the kept lit cells of ``members`` read."""
-        needed = np.zeros(points.shape[0], dtype=bool)
-        for _, rows, _, drop in cells(members):
-            needed[rows if drop is None else rows[~drop]] = True
-        return np.flatnonzero(needed)
-
-    def sums(kernel, n_x: int, n_y: int, members: np.ndarray, read, weigh=lambda w: w):
+    def sums(kernel, n_x: int, n_y: int, members: np.ndarray, weigh=lambda w: w):
         """Each offset of ``members`` summed over its lit cells, integrating
-        ``read``, and the table of row values; a dropped cell adds its
-        first-pass value."""
+        the rows its kept cells read, and the table of row values; a
+        dropped cell adds its first-pass value."""
         def integrate(chunk: np.ndarray, work: Workspace) -> np.ndarray:
             with work.use():
                 return _panel_sum(chunk, lattice.half_x, lattice.half_y, n_x, n_y, kernel)
 
+        read = np.zeros(points.shape[0], dtype=bool)
+        for _, rows, _, drop in cells(members):
+            read[rows if drop is None else rows[~drop]] = True
         integrals = chunks(integrate, points[read], n_x * n_y)
         values = np.empty(points.shape[0], dtype=integrals.dtype)
         values[read] = integrals
@@ -893,23 +904,14 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
     if not lattice.coherent:  # incoherent integrals start lower (see above)
         ladder.insert(0, (lattice.n_x // 2, lattice.n_y // 2))
     pending = np.arange(offsets.shape[0])
-    read = rows_of(pending)
-    coarse, first = sums(kern, *ladder[0], pending, read)
-    mass = (sums(magnitude, *ladder[0], pending, read, np.abs)[0].real
+    coarse, first = sums(kern, *ladder[0], pending)  # and every row's first-pass value
+    mass = (sums(magnitude, *ladder[0], pending, np.abs)[0].real
             if lattice.coherent else coarse.real)
     limit = 1e-3 * (10.0 * lattice.target_rel_tol) * (0.01 * mass)
-    lit = np.abs(lattice.weight[lattice.weight != 0])
-    if 2.0 * lit.min() * bound[read].min() <= limit.max():  # else no cell can drop
-        cutoff = np.empty(offsets.shape[0])
-        for block, rows, weight in windows(pending):
-            # the slack at which the ascending sum first passes the limit:
-            # every smaller one drops, ties together
-            ascending = np.sort(slack(rows, weight), axis=1)
-            cutoff[block] = np.where(np.cumsum(ascending, axis=1) > limit[block, None],
-                                     ascending, np.inf).min(axis=1)
-        read = rows_of(pending)
+    if 2.0 * np.abs(lattice.weight[lattice.weight != 0]).min() * bound.min() > limit.max():
+        limit = None  # no cell can drop
     for n_x, n_y in ladder[1:]:
-        fine = sums(kern, n_x, n_y, pending, read)[0]
+        fine = sums(kern, n_x, n_y, pending)[0]
         scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
         error = np.abs(fine - coarse)
         done = (scale == 0.0) | (error <= 10.0 * lattice.target_rel_tol * scale)
@@ -919,7 +921,6 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
         keep = ~done
         moved = error[keep] / scale[keep]
         pending, coarse, mass = pending[keep], fine[keep], mass[keep]
-        read = rows_of(pending)
     raise QuadratureError("amplitude quadrature did not converge: node doubling moved the "
                           f"result by {moved[0]:.3e} relative "
                           f"(target {lattice.target_rel_tol:.1e}); raise the node counts")

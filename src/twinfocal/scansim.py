@@ -73,11 +73,18 @@ __all__ = [
 
 
 # Scan size limit, about 1000 times the 33x33 grid of the CLI defaults, and
-# the peak memory per offset of a point-sample scan, whose kernel arrays
-# span a whole chunk: the largest tracemalloc peak over line and grid scans
-# of 2e5 offsets, every instrument, one point and two.
+# the peak memory per offset of a scan.  A point-sample scan, whose kernel
+# arrays span a whole chunk, peaked at 176 B (tracemalloc, line and grid
+# scans of 2e5 offsets, every instrument, one point and two).  An extended
+# scan needs more: off the lattice each offset is a residual class of its
+# own, with its own table cells.  A slit, one cell per offset, peaked at
+# 305 B per offset (tracemalloc, whole scans of off-lattice lines and grids:
+# twin and confocal at 2**16 and 2**18 offsets, twin at 2**20, the kernel
+# replaced by a constant), 285 to 289 B of it building the table, which
+# takes 1.2 s at 2**20 offsets.  Each further cell of an offset costs up to
+# ``coincidence._BYTES_PER_TABLE_CELL``.
 _MAX_OFFSETS = 1 << 20
-_BYTES_PER_OFFSET = 176
+_BYTES_PER_OFFSET = 320
 
 
 def _check_scan_size(count: int) -> None:

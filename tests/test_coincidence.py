@@ -403,6 +403,30 @@ def test_on_axis_kernel_is_the_unseparated_envelope():
         assert kernel_field(ys, np.zeros_like(ys), cfg).tobytes() == expected.tobytes()
 
 
+NON_DEGENERATE = MicroscopeConfig(w0=8e-3, lambda_p=351e-9, lambda_o=600e-9,
+                                  lambda_e=1.0 / (1.0 / 351e-9 - 1.0 / 600e-9))
+
+
+@pytest.mark.parametrize("cfg", [
+    MicroscopeConfig(w0=1e-3), CFG8, MicroscopeConfig(w0=12e-3),
+    MicroscopeConfig(w0=8e-3, pump_gaussian=False), NON_DEGENERATE,
+], ids=["w0_1mm", "w0_8mm", "w0_12mm", "flat_pump", "non_degenerate"])
+def test_kernel_stays_under_the_envelope_the_drop_assumes(cfg):
+    """The far-cell drop of ``integrate_sample`` bounds a panel integral by
+    its area times ``exp(-decay d^2)``, with the ``decay`` of the twin
+    lattice.  That holds only if ``|kernel_field(v)| <= exp(-decay |v|^2)``
+    everywhere: checked on random displacements within 6 r0, denser near
+    the axis where both are close to 1."""
+    rng = np.random.default_rng(20261020)
+    radius = 6.0 * r0(cfg) * rng.random(100_000)
+    angle = 2.0 * np.pi * rng.random(radius.size)
+    vx, vy = radius * np.cos(angle), radius * np.sin(angle)
+    decay = coincidence._sample_lattice(Slit(1e-7), cfg, None, True).decay
+    assert (decay > 0.0) == cfg.pump_gaussian
+    envelope = np.exp(-decay * (vx * vx + vy * vy))
+    assert np.all(np.abs(kernel_field(vx, vy, cfg)) <= envelope * (1.0 + 1e-12))
+
+
 def test_two_point_closed_form():
     sep = 1e-6
     sample = TwoPoint(sep)
@@ -733,6 +757,65 @@ def test_far_cells_keep_their_first_pass_value(monkeypatch):
     assert integrate(sample, np.array([[0.0, 6e-6]]), spec, kern)[0] == 0.0
     # both pixels lie at one canonical displacement (0.7, 6) um from it
     assert [len(evaluated) for _, evaluated in passes] == [1, 1, 0]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_dropped_cells_stay_within_the_limit_on_random_rasters(seed, monkeypatch):
+    """Seeded complex 6x6 rasters, half their pixels lit, on an off-lattice
+    line from the centre out to the far tail of the pump envelope.  Each
+    offset is integrated on its own (a scan gives the same bits), recording
+    the rows of every pass: a lit cell whose row no finer pass reads was
+    dropped.  Recomputed here from the panel's nearest point, with ``limit
+    = 1e-3 * 10 * target_rel_tol * 1%`` of the offset's mass, every dropped
+    cell's slack ``2 |w| area exp(-2 Re(eta0_inv_sq) d^2)``, times the
+    number of the offset's cells whose slack is at most ``limit``, is at
+    most ``limit``; so the dropped slacks sum to at most ``limit``, and the
+    value lies within ``limit`` of the every-cell sum at its final count."""
+    pitch, spec = 2e-7, QuadratureSpec(radial_nodes=12)
+    rng = np.random.default_rng(seed)
+    grid = np.where(rng.random((6, 6)) < 0.5, 0.0,
+                    rng.uniform(0.05, 1.0, (6, 6)) * np.exp(2j * np.pi * rng.random((6, 6))))
+    sample = Raster(pitch=pitch, grid=grid)
+    offsets = np.column_stack([np.linspace(0.0, 2.2e-6, 12), np.full(12, 0.37 * pitch)])
+    passes = []
+    original = coincidence._panel_sum
+
+    def recording(points, half_x, half_y, n_x, n_y, kern):
+        passes.append((n_x, points.copy()))
+        return original(points, half_x, half_y, n_x, n_y, kern)
+
+    monkeypatch.setattr(coincidence, "_panel_sum", recording)
+    kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
+    half, decay = 0.5 * pitch, 2.0 * eta0_inv_sq(CFG8).real
+    weights = grid[grid != 0]  # pixel order, as the windows hand out cells
+    values, dropped_anywhere, kept_anywhere = [], 0, 0
+    for offset in offsets:
+        passes.clear()
+        values.append(integrate(sample, offset[None, :], spec, kern)[0])
+        coarse, mass_pass, *finer = passes
+        assert coarse[0] == mass_pass[0] == spec.radial_nodes and finer
+        points, (rows,) = table_windows(sample, offset[None, :], spec)
+        read = {tuple(p) for p in finer[0][1]}
+        assert all({tuple(p) for p in evaluated} == read for _, evaluated in finer)
+        dropped = np.array([tuple(points[row]) not in read for row in rows])
+
+        mass = np.dot(np.abs(weights), original(
+            points[rows], half, half, spec.radial_nodes, spec.radial_nodes,
+            lambda vx, vy: np.abs(kern(vx, vy))))
+        limit = 1e-3 * (10.0 * spec.target_rel_tol) * (0.01 * mass)
+        gap = np.maximum(points[rows] - half, 0.0)
+        slack = 2.0 * np.abs(weights) * pitch ** 2 * np.exp(-decay * (gap * gap).sum(axis=1))
+        share = max(1, np.count_nonzero(slack <= limit))
+        assert np.all(slack[dropped] * share <= limit * (1.0 + 1e-12))
+        assert slack[dropped].sum() <= limit * (1.0 + 1e-12)
+        final = max(n for n, _ in finer)
+        every_cell = np.dot(weights, original(points[rows], half, half, final, final, kern))
+        assert abs(values[-1] - every_cell) <= limit
+        dropped_anywhere += np.count_nonzero(dropped)
+        kept_anywhere += np.count_nonzero(~dropped)
+    # the line reaches both cells that drop and cells that must not
+    assert dropped_anywhere and kept_anywhere
+    assert np.array_equal(integrate(sample, offsets, spec, kern), values)
 
 
 CONFOCAL_GRATING_NOT_CONVERGED = (

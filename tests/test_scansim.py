@@ -90,6 +90,25 @@ def test_scan_size_limit_names_count_and_memory():
     Grid(nx=1024, ny=1024)
 
 
+@pytest.mark.parametrize("geometry", [
+    Grid(1.0123e-6, 0.9871e-6, 512, 512), Line((0.6, 0.8), 1.0123e-6, 1 << 18),
+], ids=["grid", "diagonal_line"])
+def test_extended_scan_table_stays_within_the_bytes_per_offset(geometry):
+    """The memory per offset that the scan size limit quotes covers
+    extended scans: off the lattice every offset is a residual class of its
+    own, and building a slit's table over 2**18 such offsets stays within
+    ``offsets * _BYTES_PER_OFFSET`` (tracemalloc peak)."""
+    offsets = geometry.offsets()
+    lattice = coincidence._sample_lattice(Slit(0.5e-6), CFG8, None, True)
+    tracemalloc.start()
+    try:
+        lattice.table(offsets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= offsets.shape[0] * scansim._BYTES_PER_OFFSET
+
+
 @pytest.mark.parametrize("plan, sample", [
     # about 1e6 residual classes of a 32 x 32 box each, about 160 GiB
     (ScanPlan(Grid(nx=1024, ny=1024)), Raster(pitch=1e-7, grid=np.ones((32, 32)))),
