@@ -74,15 +74,17 @@ offsets, and the classical images the same way with the instrument's
 intensity response, integrated incoherently; it decides what the threads
 split (``Chunks`` splits it), and every amplitude, rate and image goes
 through it.  ``twin_rates`` alone forms the rate ``gate * |A|^2``.
-Every sample lowers to weighted cells of one square lattice
-(``_sample_lattice``).  Point samples (``Delta``, ``TwoPoint``) lower to
-zero-size unit cells ``p_k``: ``A(y) = sum_k K(p_k - y)`` (``point_sum``,
-which evaluates the kernel once per point over all offsets).
+A grating, periodic in x and constant in y, is a sum over its
+diffraction orders, one transfer value of the instrument per order
+(``grating_orders``, ``grating_sum``).  Every other sample lowers to
+weighted cells of one square lattice (``_sample_lattice``).  Point
+samples (``Delta``, ``TwoPoint``) lower to zero-size unit cells ``p_k``:
+``A(y) = sum_k K(p_k - y)`` (``point_sum``, which evaluates the kernel
+once per point over all offsets).
 
 Integration: the integrand is smooth on the transmitting region of every
 schematic sample shipped here.  A slit is one panel cell of pitch
-``width``, a raster its pixels, a grating stripes of pitch ``period``
-along x that follow the offset in y.  A cell's Gauss-Legendre
+``width``, a raster its pixels.  A cell's Gauss-Legendre
 integral depends only on ``(|dx|, |dy|)`` of the cell from the offset,
 sorted for square cells, as the kernels are radial and the nodes
 symmetric.  Its key is the integer cell difference, exact in lattice
@@ -118,9 +120,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError, check_integers, check_positive, check_size
+from .errors import (
+    ConfigError, QuadratureError, check_integers, check_positive, check_real, check_size)
 from .optics import SPEED_OF_LIGHT, MicroscopeConfig, eta0_inv_sq, r0
-from .specfun import Workspace, _workspace, airy_amp
+from .specfun import Workspace, _workspace, airy_amp, bessel_j0
 
 __all__ = [
     "Delta",
@@ -183,11 +186,28 @@ _MIN_POINTS_PER_CHUNK = 1 << 17
 _WORK_BYTES_PER_POINT = 42
 
 # Most kernel points one panel may hold at the last node doubling, about
-# 192 MiB of kernel arrays, like the largest scan; the default grating
-# stripe needs 192 x 1536 = 294 912.  Peak memory per point is the
-# tracemalloc peak of one 512 x 512 panel of the twin kernel.
+# 192 MiB of kernel arrays, like the largest scan; the default square panel
+# needs 192 x 192 = 36 864.  Peak memory per point is the tracemalloc peak
+# of one 512 x 512 panel of the twin kernel.
 _MAX_PANEL_POINTS = 1 << 21
 _BYTES_PER_KERNEL_POINT = 96
+
+# Most diffraction orders m >= 0 a grating may keep (``grating_orders``),
+# and the bytes each holds outside the blocks of ``_KERNEL_POINT_BUDGET``
+# points: its frequency, weight and transfer values on the ladder.  The
+# twin kernel at w0 = 8 mm keeps 40 orders of a 2 um grating and the
+# widefield response 6; 65 536 is a period of about 3.3 mm for that twin
+# kernel and 23 mm for the widefield response.
+_MAX_ORDERS = 1 << 16
+_BYTES_PER_ORDER = 64
+
+# Twin orders stop where the Gaussian bound on those beyond falls below
+# this share of the kernel's scale ``2 pi / |c|`` (``grating_orders``).
+_ORDER_TAIL = 2.0 ** -56
+
+# Largest ``q r`` at which a grating's twin transform evaluates
+# ``bessel_j0``; the special-function tests cover [0, _MAX_BESSEL_ARG].
+_MAX_BESSEL_ARG = 1e5
 
 # ``offset / pitch``, the only term with float error (cell centres are
 # exact in lattice units), is rounded to a multiple of 2**-_KEY_BITS.  That
@@ -248,6 +268,7 @@ class Grating:
 
     def __post_init__(self) -> None:
         check_positive(self.period, "grating period")
+        check_real(self.duty, "grating duty cycle")
         if not (0.0 < self.duty < 1.0):
             raise ConfigError("grating duty cycle must lie in (0, 1)")
 
@@ -302,6 +323,8 @@ class DispersionModel:
     def __post_init__(self) -> None:
         if not callable(self.n_o) or not callable(self.n_e):
             raise ConfigError("n_o and n_e must be callables")
+        check_real(self.psi, "phase-matching angle psi")
+        check_real(self.theta_e, "emission angle theta_e")
         if not (0.0 < self.psi < 0.5 * math.pi):
             raise ConfigError("phase-matching angle psi must lie in (0, pi/2)")
         check_positive(self.L, "crystal length")
@@ -424,10 +447,16 @@ class QuadratureSpec:
     """Node counts and domain controls for the amplitude integral.
 
     ``radial_nodes`` Gauss-Legendre nodes resolve each compact support
-    dimension (slit side, stripe width, pixel side); ``angular_nodes``
-    cover the extended dimension of stripe panels.  ``truncation_radius``
-    bounds how far the kernel envelope is followed on extended samples
-    (None picks the default described in :func:`default_truncation_radius`).
+    dimension (slit side, pixel side), each side of the confocal
+    transfer's fan and each radial panel of the twin transfer of a
+    grating (``grating_orders``).  ``truncation_radius`` is the radius
+    ``R`` of that twin transfer with a Gaussian pump (None picks
+    :func:`default_truncation_radius`); nothing else is truncated.
+    ``angular_nodes`` covered the stripe panels gratings were integrated
+    on before they became sums over their diffraction orders, and governs
+    nothing now; it is still read, checked and counted in the point cap,
+    so that every config file and spec accepted or refused before still
+    is.
 
     The counts are the requested ones of node doubling; the ladder of
     passes is described at ``integrate_sample``.  No pass exceeds four
@@ -444,13 +473,15 @@ class QuadratureSpec:
         check_integers(counts, "quadrature node counts")
         if min(counts) < 8:
             raise ConfigError("quadrature node counts must be at least 8")
-        # the largest panel (a grating stripe, or a square) at the last doubling
+        # the largest panel at the last doubling; angular_nodes still counts,
+        # so that every spec refused before still is
         points = (2 ** _DOUBLING_CHECKS) ** 2 * self.radial_nodes * max(counts)
         check_size(points, _MAX_PANEL_POINTS,
                    f"quadrature of {points} kernel points per panel at the last node doubling",
                    _BYTES_PER_KERNEL_POINT, "evaluating one panel")
         if self.truncation_radius is not None:
             check_positive(self.truncation_radius, "truncation radius")
+        check_real(self.target_rel_tol, "target relative tolerance")
         # Node doubling accepts a discrepancy of 10 * target_rel_tol of the
         # result scale; at 1 or more it would accept any result.
         if not (0.0 < 10.0 * self.target_rel_tol < 1.0):
@@ -520,19 +551,20 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
 
 
 def default_truncation_radius(cfg: MicroscopeConfig, target_rel_tol: float = 1e-8) -> float:
-    """Kernel support radius for extended samples.
+    """Radius ``R`` of the twin kernel's transform on a grating
+    (``grating_orders``).
 
     The smaller of ``6 r0`` and the third Airy zero of the wider airy_amp
     factor, provided the pump spot intensity ``exp(-(R/r0)^2)`` left at
     the cut stays below the target tolerance; otherwise ``6 r0`` wins.
-    Without a pump Gaussian only the Airy cut applies.
+    Without a pump Gaussian only the Airy cut applies, though no grating
+    reads it then: its transform is closed.
 
     The rule is stated for the undoubled spot.  The twin kernel's
     envelope ``exp(-2 |v|^2/r0^2)`` is narrower (``|K|`` is down to
-    exp(-72) at ``6 r0``, the rate to exp(-144)), so the radius still
-    bounds it with room to spare.  It is kept as it is because grating
-    scans of the classical instruments share it and their outputs must
-    not move.
+    exp(-72) at ``6 r0``, the rate to exp(-144)), so the radius bounds it
+    with room to spare; it is kept, so twin grating images stay where
+    the stripe panels cut at it left them.
     """
     alpha_o, alpha_e = _twin_alphas(cfg)
     airy_cut = _AIRY_ZERO_3 / min(alpha_o, alpha_e)
@@ -561,7 +593,6 @@ class _Lattice:
     n_x: int = 0
     n_y: int = 0
     target_rel_tol: float = 0.0
-    reach: float = math.inf
     decay: float = 0.0
 
     def table(self, offsets: np.ndarray):
@@ -678,14 +709,13 @@ class Chunks:
 
 def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
                     quad: QuadratureSpec | None, coherent: bool) -> _Lattice:
-    """Any sample as a grid of weighted cells, cell ``[i, j]`` centred
-    ``(x0 + j, y0 + i)`` pitches from the origin: unit points (no size, no
-    nodes) for point samples, else the panel ``|g_x| <= half_x``,
+    """A point or panel sample as a grid of weighted cells, cell ``[i, j]``
+    centred ``(x0 + j, y0 + i)`` pitches from the origin: unit points (no
+    size, no nodes) for point samples, else the panel ``|g_x| <= half_x``,
     ``|g_y| <= half_y`` [m] with ``n_x`` by ``n_y`` nodes, integrated to
     ``target_rel_tol`` (``quad``, the default spec if None).  Raster pixels
-    weigh ``t``, or ``|t|^2`` for incoherent integrals.  A grating (finite
-    ``reach``) folds every offset to its residual, which keeps the stripes
-    from ``floor`` to ``ceil`` of ``R / period`` away."""
+    weigh ``t``, or ``|t|^2`` for incoherent integrals.  A grating has no
+    cells: it is a sum over its diffraction orders (``grating_orders``)."""
     if isinstance(sample, Delta):
         return _Lattice(coherent, 1.0, 0.0, 0.0, np.ones((1, 1)))
     if isinstance(sample, TwoPoint):
@@ -699,21 +729,13 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
     if isinstance(sample, Slit):
         half = 0.5 * sample.width
         return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n, tol,
-                        decay=decay)
-    if isinstance(sample, Grating):
-        radius = quad.truncation_radius or default_truncation_radius(cfg, tol)
-        reach, half = radius / sample.period, 0.5 * sample.duty * sample.period
-        # every residual class holds all the stripes: count them before any array
-        _check_table_cells(2.0 * np.ceil(reach) + 2.0)
-        return _Lattice(coherent, sample.period, -math.ceil(reach), 0.0,
-                        np.broadcast_to(1.0, (1, 2 * math.ceil(reach) + 2)),
-                        half, radius, n, quad.angular_nodes, tol, reach + 1.0, decay)
+                        decay)
     if isinstance(sample, Raster):
         rows, cols = sample.grid.shape
         half = 0.5 * sample.pitch
         return _Lattice(coherent, sample.pitch, -0.5 * (cols - 1), -0.5 * (rows - 1),
                         sample.grid if coherent else np.abs(sample.grid) ** 2,
-                        half, half, n, n, tol, decay=decay)
+                        half, half, n, n, tol, decay)
     raise ConfigError(f"unsupported sample: {sample!r}")
 
 
@@ -735,15 +757,11 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
     weights)``: the table rows of each offset's lit cells, a row each in
     pixel order.  Offsets whose lattice coordinates overflow, and too many
     cells, are refused before any box exists."""
-    periodic = math.isfinite(lattice.reach)
     largest = float(np.abs(offsets).max())
     if not largest / lattice.pitch * 2.0 ** _KEY_BITS < math.inf:
         raise ConfigError(f"sample pitch {lattice.pitch!r} m is too small for scan offsets "
                           f"up to {largest!r} m: their lattice coordinates overflow")
     coord = np.rint(offsets / lattice.pitch * 2.0 ** _KEY_BITS) * 2.0 ** -_KEY_BITS
-    if periodic:  # a grating folds every offset to its residual along x
-        coord[:, 1] = 0.0
-        coord -= np.floor(coord)
     # the members of a residual class differ by exact integer shifts
     order = np.argsort((coord - np.floor(coord)).view(complex).ravel())
     coord = coord[order]
@@ -763,14 +781,10 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
     high -= residual  # each class's largest shift
     sizes = box[:, 0] * box[:, 1]
     start = np.cumsum(sizes) - sizes  # each class's first box cell
-    if periodic:  # every grating offset has shift 0 and keeps the stripes within reach
-        near = np.abs(lattice.x0 + np.arange(box[0, 0]) - residual[:, :1]) < lattice.reach
-        masks, lit_id = np.unique(near, axis=0, return_inverse=True)
-        lits = [(np.flatnonzero(mask), lattice.weight[0, mask]) for mask in masks]
-    else:  # the lit cells of a box depend on its width alone
-        ty, tx = np.nonzero(lattice.weight)
-        widths, lit_id = np.unique(box[:, 0], return_inverse=True)
-        lits = [(ty * width + tx, lattice.weight[ty, tx]) for width in widths]
+    # the lit cells of a box depend on its width alone
+    ty, tx = np.nonzero(lattice.weight)
+    widths, lit_id = np.unique(box[:, 0], return_inverse=True)
+    lits = [(ty * width + tx, lattice.weight[ty, tx]) for width in widths]
     klass = np.repeat(np.arange(first.size), np.diff(np.append(first, coord.shape[0])))
     corner = (high[klass] - (coord - residual[klass])).astype(np.int64)
     back = np.argsort(order)  # each offset's place among the sorted ones
@@ -851,6 +865,14 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
     to one-offset calls.  With ``decay`` 0 every bound is the cell's area,
     which no cell of weight near 1 meets, and when no cell of the scan can
     meet the limit (one comparison) no drop is computed.
+
+    What the drop costs the accuracy contract: a dropped cell keeps its
+    first-pass value in every later pass, so it cancels from ``fine -
+    coarse``.  The accepted result therefore lies within the offset's
+    limit of the result the same passes give without drops, and a
+    convergence decision can differ from theirs only where the error
+    without drops lies within that limit of the threshold it is held to.
+    The limit is 1e-3 of the smallest error node doubling accepts.
     """
     points, windows = table
     result = np.zeros(offsets.shape[0], dtype=complex)
@@ -927,6 +949,238 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
 
 
 # ============================================================================
+# gratings
+# ============================================================================
+
+def _lens_transfer(q: np.ndarray, alpha_1: float, alpha_2: float) -> np.ndarray:
+    """Transform ``integral airy_amp(alpha_1 |v|) airy_amp(alpha_2 |v|)
+    exp(i q . v) d^2 v`` at the frequencies ``|q|`` [1/m].
+
+    ``airy_amp(alpha r)`` is the transform of the disc of radius ``alpha``
+    over ``pi alpha^2``, so the product transforms to ``4 / (alpha_1^2
+    alpha_2^2)`` times the area the two discs share when their centres lie
+    ``|q|`` apart: ``pi min(alpha)^2`` up to ``|alpha_1 - alpha_2|``, 0 from
+    ``alpha_1 + alpha_2`` on.  With equal radii ``beta`` it is the disc
+    OTF, ``(4 pi / beta^2) (2/pi) (acos s - s sqrt(1 - s^2))``,
+    ``s = |q| / (2 beta)``."""
+    q = np.abs(q)
+    area = np.where(q <= abs(alpha_1 - alpha_2), math.pi * min(alpha_1, alpha_2) ** 2, 0.0)
+    part = (q > abs(alpha_1 - alpha_2)) & (q < alpha_1 + alpha_2)
+    d = q[part]
+    # four times the area of the triangle of the centres and a crossing
+    # point; each half-angle at a centre from its sine and cosine, which
+    # stays accurate where the discs touch
+    kite = np.sqrt((alpha_1 + alpha_2 - d) * (d + alpha_1 - alpha_2) * (d - alpha_1 + alpha_2)
+                   * (d + alpha_1 + alpha_2))
+    area[part] = (alpha_1 ** 2 * np.arctan2(kite, d * d + alpha_1 ** 2 - alpha_2 ** 2)
+                  + alpha_2 ** 2 * np.arctan2(kite, d * d + alpha_2 ** 2 - alpha_1 ** 2)
+                  - 0.5 * kite)
+    return area * (4.0 / (alpha_1 * alpha_2) ** 2)
+
+
+def _disc_otf(s: np.ndarray) -> np.ndarray:
+    """``(2/pi) (acos s - s sqrt(1 - s^2))`` for ``0 <= s <= 1``, 0 beyond."""
+    s = np.minimum(s, 1.0)
+    return (2.0 / math.pi) * (np.arccos(s) - s * np.sqrt(1.0 - s * s))
+
+
+def _smooth_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` Gauss-Legendre nodes and weights on [0, 1] through the map
+    ``t -> t^2 (3 - 2 t)``, whose derivative vanishes at both ends: a
+    ``(1 - x)^(3/2)`` or ``sqrt(x)`` endpoint becomes a smooth one."""
+    base, weight = _gl_nodes(n)
+    t = 0.5 * (base + 1.0)
+    return t * t * (3.0 - 2.0 * t), 3.0 * weight * t * (1.0 - t)
+
+
+def _otf_autocorrelation(s: np.ndarray, n: int) -> np.ndarray:
+    """``C(s) = integral O(|k|) O(|s - k|) d^2 k`` of the disc OTF ``O``
+    (``_disc_otf``) at every ``s`` (``0 <= s < 2``), ``n`` nodes a side.
+
+    The integrand is a cone at 0 and at ``s``, and falls to 0 as
+    ``(1 - r)^(3/2)`` on the two unit circles.  The line ``k_x = s / 2``
+    splits the lens where both are positive into mirror halves; the half
+    about 0 is integrated, above the axis, as a fan ``p + lam (b - p)``
+    from ``p`` (0 while 0 lies in the lens, the lens centre ``s / 2``
+    beyond) over its boundary ``b``: the split line up to the corner
+    ``(s / 2, sqrt(1 - s^2 / 4))`` and the unit arc about ``s`` from the
+    corner on, ``k = (s + cos psi, sin psi)``.  The cone at 0 then lies at
+    ``lam = 0`` and the edge at ``lam = 1``; every variable takes the
+    nodes of ``_smooth_nodes``.  An area element of the fan is ``lam``
+    times the boundary's cross product with ``b - p``."""
+    t, w = _smooth_nodes(n)
+
+    def fan(s, apex, bx, by, cross):
+        kx = apex[:, :, None] + t * (bx - apex)[:, :, None]
+        ky = t * by[:, :, None]
+        values = _disc_otf(np.hypot(kx, ky)) * _disc_otf(np.hypot(s[:, :, None] - kx, ky))
+        return (values * (cross * w)[:, :, None] * (w * t)).sum(axis=(1, 2))
+
+    s = s[:, None]
+    apex = np.where(s <= 1.0, 0.0, 0.5 * s)
+    corner = np.arccos(-0.5 * s)
+    psi = corner + (math.pi - corner) * t
+    total = fan(s, apex, s + np.cos(psi), np.sin(psi),
+                (math.pi - corner) * (1.0 + (s - apex) * np.cos(psi)))
+    inside = s[:, 0] <= 1.0  # beyond, the split line runs through the apex
+    s = s[inside]
+    height = np.sqrt(1.0 - 0.25 * s * s)
+    total[inside] += fan(s, np.zeros_like(s), np.broadcast_to(0.5 * s, (s.size, n)), height * t,
+                         np.broadcast_to(0.5 * s * height, (s.size, n)))
+    return 4.0 * total
+
+
+@dataclass(frozen=True)
+class _Orders:
+    """A grating's diffraction orders ``m >= 0`` (``grating_orders``):
+    their frequencies ``2 pi m / period`` [1/m], their weights ``c_0`` and
+    ``2 c_m`` with ``c_m = duty sinc(m duty)``, and ``transfer(freq)``,
+    the instrument's transfer value at each."""
+
+    freq: np.ndarray
+    weight: np.ndarray
+    transfer: Callable[[np.ndarray], np.ndarray]
+
+
+def _converged(evaluate, counts: list[int], tol: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``transfer(freq)`` from ``evaluate(freq, n) -> (values, mass)`` on
+    the node ladder ``counts``: a value is kept once it moves by at most
+    ``10 * tol`` of the larger of itself and 1% of the first pass's mass
+    from one rung to the next, and refined again otherwise, as the panel
+    integrals are (``integrate_sample``); the first value, in order of
+    frequency, still moving at the last rung raises the
+    ``QuadratureError``."""
+    def transfer(freq: np.ndarray) -> np.ndarray:
+        coarse, mass = evaluate(freq, counts[0])
+        result = np.empty_like(coarse)
+        pending = np.arange(freq.size)
+        for n in counts[1:]:
+            fine = evaluate(freq[pending], n)[0]
+            scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
+            error = np.abs(fine - coarse)
+            done = error <= 10.0 * tol * scale
+            result[pending[done]] = fine[done]
+            if np.all(done):
+                return result
+            moved = error[~done] / scale[~done]
+            pending, coarse = pending[~done], fine[~done]
+        raise QuadratureError("amplitude quadrature did not converge: node doubling moved the "
+                              f"result by {moved[0]:.3e} relative "
+                              f"(target {tol:.1e}); raise the node counts")
+    return transfer
+
+
+def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec | None,
+                   airy_power: int | None) -> _Orders:
+    """The diffraction orders of ``sample`` that an instrument passes, and
+    its transfer value at each (see ``grating_sum``).  The orders are
+    counted and refused beyond ``_MAX_ORDERS`` before any is evaluated.
+
+    ``airy_power`` None is the twin kernel ``K`` (``kernel_field``);
+    2 and 4 are the widefield and confocal responses ``airy_amp(beta
+    r)^p``, ``beta = 2 pi a / (lambda_o f)``.
+    * Widefield: the disc OTF (``_lens_transfer``), 0 from ``2 beta`` on.
+    * Confocal: the OTF's autocorrelation, ``(16 / beta^2) C(q / (2
+      beta))`` (``_otf_autocorrelation``), 0 from ``4 beta`` on, on the
+      incoherent ladder of ``integrate_sample`` (``n // 2`` to ``4 n``
+      nodes a side); its mass is its value at 0, as the response is
+      non-negative.
+    * Twin, flat pump: the two Airy factors' ``_lens_transfer``, 0 from
+      ``S = alpha_o + alpha_e`` on.
+    * Twin, Gaussian pump: ``Khat(q) = 2 pi integral_0^R K(r) J0(q r) r
+      dr`` with ``R`` the truncation radius, in equal panels of ``n``
+      Gauss-Legendre nodes that each span a phase ``(q_max + S) r`` of at
+      most ``n``, on the coherent ladder (``n`` to ``4 n``), with the mass
+      ``2 pi integral |K| r dr``.  ``K`` is the pump Gaussian
+      ``exp(-|v|^2 c / 2)`` times the Airy factors, whose transform lies
+      in the disc ``|q| <= S`` and integrates to ``4 pi^2``, so ``|Khat(q)|
+      <= (2 pi / |c|) exp(-rho (q - S)^2 / 2)``, ``rho = Re(1/c)``, beyond
+      ``S``.  Orders stop at ``q_max = S + sqrt(2 ln(1/eps) / rho)``,
+      ``eps = _ORDER_TAIL``: with ``|c_m| <= 1 / (pi m)`` and the Mills
+      bound on the Gaussian sum, the orders beyond add at most ``(4 / pi)
+      eps`` of ``2 pi / |c|``.  ``q_max R`` is refused beyond
+      ``_MAX_BESSEL_ARG``, the range over which ``bessel_j0`` is tested.
+    """
+    quad = quad or QuadratureSpec()
+    n, tol = quad.radial_nodes, quad.target_rel_tol
+    if airy_power is not None:
+        beta = 2.0 * math.pi * cfg.a / (cfg.lambda_o * cfg.f)
+        cut = beta * airy_power
+    else:
+        alpha_o, alpha_e = _twin_alphas(cfg)
+        cut = alpha_o + alpha_e
+        if cfg.pump_gaussian:
+            c = _pump_rate(cfg)
+            cut += math.sqrt(2.0 * math.log(1.0 / _ORDER_TAIL) * abs(c) ** 2 / c.real)
+            radius = quad.truncation_radius or default_truncation_radius(cfg, tol)
+            if not cut * radius <= _MAX_BESSEL_ARG:
+                raise ConfigError(
+                    f"grating transform would evaluate J0 at {cut * radius:.3g}, beyond "
+                    f"{_MAX_BESSEL_ARG:g}; lower quadrature.truncation_radius")
+    # orders m >= 0 with 2 pi m / period < cut: the rest transfer nothing
+    count = math.ceil(cut * sample.period / (2.0 * math.pi)) if \
+        cut * sample.period < math.inf else math.inf
+    check_size(count, _MAX_ORDERS, f"grating of {count:.4g} diffraction orders",
+               _BYTES_PER_ORDER, "evaluating them")
+    m = np.arange(count)
+    weight = sample.duty * np.sinc(m * sample.duty)
+    weight[1:] *= 2.0
+    freq = (2.0 * math.pi / sample.period) * m
+    if airy_power == 2:
+        return _Orders(freq, weight, lambda q: _lens_transfer(q, beta, beta))
+    if airy_power == 4:
+        def autocorrelation(q: np.ndarray, nodes: int):
+            step = max(1, _KERNEL_POINT_BUDGET // (2 * nodes * nodes))
+            values = np.concatenate([_otf_autocorrelation(q[lo:lo + step] / (2.0 * beta), nodes)
+                                     for lo in range(0, q.size, step)]) * (16.0 / beta ** 2)
+            return values, values[0]
+        ladder = [n // 2] + [n << k for k in range(_DOUBLING_CHECKS + 1)]
+        return _Orders(freq, weight, _converged(autocorrelation, ladder, tol))
+    if not cfg.pump_gaussian:
+        return _Orders(freq, weight, lambda q: _lens_transfer(q, alpha_o, alpha_e))
+    panels = math.ceil((cut + alpha_o + alpha_e) * radius / n)
+
+    def hankel(q: np.ndarray, nodes: int):
+        base, w = _gl_nodes(nodes)
+        half = 0.5 * radius / panels
+        r = ((2 * np.arange(panels) + 1)[:, None] * half + half * base).ravel()
+        weight_r = (2.0 * math.pi * half) * np.tile(w, panels) * r
+        kernel = kernel_field(r, 0.0, cfg) * weight_r
+        step = max(1, _KERNEL_POINT_BUDGET // r.size)
+        values = [(bessel_j0(np.multiply.outer(q[lo:lo + step], r)) * kernel).sum(axis=1)
+                  for lo in range(0, q.size, step)]
+        return np.concatenate(values), np.abs(kernel).sum()
+
+    ladder = [n << k for k in range(_DOUBLING_CHECKS + 1)]
+    return _Orders(freq, weight, _converged(hankel, ladder, tol))
+
+
+def grating_sum(orders: _Orders, offsets: np.ndarray, chunks: "Chunks") -> np.ndarray:
+    """``sum_m w_m T_m cos(g_m y_x)`` over the orders of ``grating_orders``
+    at every scan offset ``y`` (rows of ``offsets``).
+
+    A grating is periodic in x and constant in y, ``t(u) = sum_m c_m
+    exp(i g_m u_x)``, so ``integral t(u) kern(u - y) d^2 u`` is ``sum_m
+    c_m T(|g_m|) exp(i g_m y_x)``, ``T`` the transform of the radial
+    kernel (Goodman, *Introduction to Fourier Optics*, ch. 6); the orders
+    ``+-m`` pair to the cosine.  The transfer values are evaluated once,
+    on the calling thread; ``chunks.map`` splits the offsets, and each
+    offset's sum over the orders is one reduction of its own row, so it
+    is the same for any split and thread count."""
+    coefficient = orders.weight * orders.transfer(orders.freq)
+
+    def assemble(chunk: np.ndarray) -> np.ndarray:
+        step = max(1, _KERNEL_POINT_BUDGET // orders.freq.size)
+        sums = [np.zeros(0, dtype=complex)]
+        for lo in range(0, chunk.shape[0], step):
+            phase = np.multiply.outer(chunk[lo:lo + step, 0], orders.freq)
+            sums.append((np.cos(phase) * coefficient).sum(axis=1, dtype=complex))
+        return np.concatenate(sums)
+
+    return chunks.map(assemble, offsets)
+
+
+# ============================================================================
 # amplitude and rate
 # ============================================================================
 
@@ -957,7 +1211,8 @@ def point_sum(lattice: _Lattice, offsets: np.ndarray, kern) -> np.ndarray:
 
 def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
                       cfg: MicroscopeConfig, quad: QuadratureSpec | None,
-                      response=None, chunks: Chunks | None = None) -> np.ndarray:
+                      response=None, chunks: Chunks | None = None,
+                      airy_power: int | None = None) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` at every scan offset ``y`` (rows
     of ``offsets``), with the kernel and the coherence of the instrument.
 
@@ -966,25 +1221,40 @@ def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
     amplitude ``A(y)``.  A classical instrument passes its intensity
     response ``response(r, cfg, out)`` (``psf.psf_widefield``,
     ``psf.psf_confocal``), evaluated at the radius ``|u - y|`` and
-    integrated incoherently, against ``|t|^2``: the result is the image.
-    ``chunks`` splits the work between threads (``Chunks``; one thread if
-    None).  The sample is lowered and admitted (``_Lattice.table``) before
-    any kernel call.  Point cells of the sample's lattice hand
-    ``chunks.map`` their offsets (``point_sum``), panel cells hand
-    ``chunks`` their table rows (``integrate_sample``).
+    integrated incoherently, against ``|t|^2``, and the response's power
+    of ``airy_amp`` (2 and 4), which a grating's transfer values need: the
+    result is the image.  ``chunks`` splits the work between threads
+    (``Chunks``; one thread if None).  The sample is lowered and admitted
+    (``_admit``) before any kernel call.
     """
+    return _admit(sample, offsets, cfg, quad, response, airy_power)(chunks or Chunks())
+
+
+def _admit(sample: SampleTransmittance, offsets: np.ndarray, cfg: MicroscopeConfig,
+           quad: QuadratureSpec | None, response, airy_power: int | None):
+    """Lower ``sample`` and refuse it, with its offsets, before any kernel
+    call; return ``run(chunks)``, which evaluates the scan.  A grating
+    hands its orders to ``grating_sum``, point cells their offsets to
+    ``chunks.map`` (``point_sum``) and panel cells their table rows to
+    ``chunks`` (``integrate_sample``)."""
+    if isinstance(sample, Grating):
+        if response is not None and airy_power not in (2, 4):
+            raise ConfigError("a classical grating image needs the response's airy_power, "
+                              f"2 or 4, got {airy_power!r}")
+        orders = grating_orders(sample, cfg, quad, None if response is None else airy_power)
+        return lambda chunks: grating_sum(orders, offsets, chunks)
+
     def kern(vx, vy):
         if response is None:
             return kernel_field(vx, vy, cfg)
         radius = np.add(vx * vx, vy * vy, out=_workspace().out(vx, vy))
         return response(np.sqrt(radius, out=radius), cfg, out=radius)
 
-    chunks = chunks or Chunks()
     lattice = _sample_lattice(sample, cfg, quad, response is None)
     table = lattice.table(offsets)
     if table is None:  # point cells have no nodes
-        return chunks.map(lambda chunk: point_sum(lattice, chunk, kern), offsets)
-    return integrate_sample(lattice, offsets, table, kern, chunks)
+        return lambda chunks: chunks.map(lambda chunk: point_sum(lattice, chunk, kern), offsets)
+    return lambda chunks: integrate_sample(lattice, offsets, table, kern, chunks)
 
 
 def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
@@ -995,16 +1265,15 @@ def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
     offset ``y`` (rows of ``offsets``).  Without a dispersion model the
     gate is 1.  A closed gate returns zeros without any kernel call, but
     only after the sample is lowered and admitted with its offsets
-    (``_Lattice.table``), so it refuses exactly what an open gate
-    refuses."""
+    (``_admit``), so it refuses exactly what an open gate refuses."""
     # The gate is the same at every offset but is evaluated per offset;
     # the benchmark's traced self-check counts these calls.
     gates = 1.0 if disp is None else np.array(
         [gate(t12, disp, cfg.omega_o, cfg.omega_e) for _ in offsets])
+    run = _admit(sample, offsets, cfg, quad, None, None)
     if not np.any(gates):
-        _sample_lattice(sample, cfg, quad, True).table(offsets)
         return np.zeros(offsets.shape[0])
-    amps = sample_amplitudes(sample, offsets, cfg, quad, chunks=chunks)
+    amps = run(chunks or Chunks())
     return gates * (amps.real * amps.real + amps.imag * amps.imag)
 
 

@@ -8,9 +8,10 @@ inputs were fine but the computation could not be completed reliably.
 
 Each input rule is stated once, here, and raises ``ConfigError``:
 ``check_size`` refuses a count above its limit (NaN included) and gives
-the memory it would need, ``check_positive`` a quantity that is not
-positive and finite, and ``check_integers`` a count that is not an
-integer.  They are plain Python comparisons, cheap enough for the
+the memory it would need (in three digits from 1e15 MiB on),
+``check_real`` a value that is not a real number, ``check_positive`` one
+that is not positive and finite either, and ``check_integers`` a count
+that is not an integer.  They are plain Python comparisons, cheap enough for the
 per-call checks of the optics functions.
 """
 
@@ -44,13 +45,25 @@ def check_size(count, limit: int, subject: str, unit_bytes: int,
     estimates the memory of ``work`` at ``unit_bytes`` per unit.
     """
     if not count <= limit:
-        raise ConfigError(
-            f"{subject} exceeds the limit of {limit}; "
-            f"{work} would need about {count * unit_bytes / 2**20:,.0f} MiB")
+        mib = count * unit_bytes / 2**20
+        raise ConfigError(f"{subject} exceeds the limit of {limit}; {work} would need about "
+                          + (f"{mib:,.0f} MiB" if mib < 1e15 else f"{mib:.3g} MiB"))
+
+
+def check_real(value, subject: str) -> None:
+    """Refuse a ``value`` that is not a real number (numpy's too), or is a
+    bool: a string, None, a complex number or an array."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{subject} must be a real number, got {value!r}")
 
 
 def check_positive(value: float, subject: str) -> None:
-    """Refuse a ``value`` that is not positive and finite, NaN included."""
+    """Refuse a ``value`` that is not a real number (``check_real``), or not
+    positive and finite, NaN included.  A float (numpy's ``float64`` is
+    one) skips the slower check against ``numbers.Real``: the optics
+    functions check their arguments on every call."""
+    if not isinstance(value, float):
+        check_real(value, subject)
     if not (value > 0.0) or not math.isfinite(value):
         raise ConfigError(f"{subject} must be positive and finite")
 

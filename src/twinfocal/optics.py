@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_positive
+from .errors import ConfigError, check_positive, check_real
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -100,6 +100,10 @@ class MicroscopeConfig:
     pump_gaussian: bool = True
 
     def __post_init__(self) -> None:
+        names = ("lambda_p", "lambda_o", "lambda_e", "a", "f", "f_p", "w0", "s0", "s1", "d")
+        for name in names:  # None picks a default from the others for these four
+            if getattr(self, name) is not None or name not in ("lambda_o", "lambda_e", "s0", "d"):
+                check_real(getattr(self, name), name)
         if self.lambda_o is None:
             object.__setattr__(self, "lambda_o", 2.0 * self.lambda_p)
         if self.lambda_e is None:
@@ -108,7 +112,7 @@ class MicroscopeConfig:
             object.__setattr__(self, "s0", self.f)
         if self.d is None:
             object.__setattr__(self, "d", self.f_p)
-        for name in ("lambda_p", "lambda_o", "lambda_e", "a", "f", "f_p", "w0", "s0", "s1", "d"):
+        for name in names:
             value = getattr(self, name)
             if not (value > 0.0):
                 raise ConfigError(f"{name} must be strictly positive, got {value!r}")

@@ -9,7 +9,9 @@ widefield and confocal instruments image incoherently, integrating
 with the raw peak kept for reference.
 
 Every scan goes through ``coincidence.sample_amplitudes``, a twin scan by
-way of ``coincidence.twin_rates``, which lowers every sample to weighted
+way of ``coincidence.twin_rates``.  A grating is a sum over its
+diffraction orders, one transfer value of the instrument per order
+(``coincidence.grating_orders``); every other sample lowers to weighted
 cells of one lattice.  Point samples (``Delta``, ``TwoPoint``) lower to
 zero-size cells, evaluated as arrays with one kernel call per point over
 a chunk of offsets: the twin rate is ``|sum_k K(p_k - y)|^2``, the
@@ -23,9 +25,9 @@ offset, on the ladder of node counts described at
 larger plans are rejected with a ``ConfigError`` when the ``Line`` or
 ``Grid`` is built, and so are half ranges beyond 1 m, before any
 arithmetic on them.  A sample whose cells reach beyond 1 m from the
-axis, a pitch too small for the offsets and a scan table of too many
-cells are refused the same way before any kernel call
-(``coincidence._Lattice.table``).  A twin scan whose gate is closed does
+axis, a pitch too small for the offsets, a scan table of too many
+cells and a grating of too many orders are refused the same way before
+any kernel call (``coincidence._admit``).  A twin scan whose gate is closed does
 no kernel work, but lowers and admits its sample all the same, so it
 refuses exactly what an open gate refuses.
 
@@ -46,7 +48,8 @@ from typing import Union
 import numpy as np
 
 from .errors import (
-    ConfigError, NumericalError, ScanRangeError, check_integers, check_positive, check_size)
+    ConfigError, NumericalError, ScanRangeError, check_integers, check_positive, check_real,
+    check_size)
 from .optics import MicroscopeConfig
 from .psf import _bisect, psf_confocal, psf_twin, psf_widefield, response_fwhm
 from .coincidence import (
@@ -114,6 +117,10 @@ class Line:
     samples: int = 129
 
     def __post_init__(self) -> None:
+        if np.ndim(self.direction) != 1 or np.size(self.direction) != 2:
+            raise ConfigError(f"scan direction must be a unit 2-vector, got {self.direction!r}")
+        for component in self.direction:
+            check_real(component, "scan direction components")
         if not all(math.isfinite(c) for c in self.direction) or \
                 abs(math.hypot(*self.direction) - 1.0) > 1e-9:
             raise ConfigError("scan direction must be a unit 2-vector")
@@ -202,6 +209,11 @@ def _thread_count() -> int:
     return min(n or cpus, cpus)
 
 
+# The power of ``airy_amp`` in each classical response (``psf``), which
+# the transfer values of a grating need.
+_AIRY_POWER = {Instrument.WIDEFIELD: 2, Instrument.CONFOCAL: 4}
+
+
 def _instrument_psf(instrument: Instrument):
     if instrument is Instrument.WIDEFIELD:
         return psf_widefield
@@ -226,8 +238,9 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
         if plan.instrument is Instrument.TWIN_PHOTON:
             values = twin_rates(sample, offsets, cfg, quad, t12, disp, chunks)
         else:
-            values = np.abs(sample_amplitudes(sample, offsets, cfg, quad,
-                                              _instrument_psf(plan.instrument), chunks))
+            values = np.abs(sample_amplitudes(
+                sample, offsets, cfg, quad, _instrument_psf(plan.instrument), chunks,
+                _AIRY_POWER[plan.instrument]))
     peak = float(values.max()) if values.size else 0.0
     if peak > 0.0:
         values = values / peak

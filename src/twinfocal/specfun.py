@@ -43,7 +43,11 @@ the doubles on either side of it, the largest absolute errors are
     2 J1(x)/x     9.2e-15     9.1e-14
     ============  ==========  ==========
 
-and both Hankel maxima sit at the first double above 12.
+and both Hankel maxima sit at the first double above 12.  J0 is also
+measured from 50 to 1e5, the largest argument a grating's twin transfer
+values reach (``coincidence._MAX_BESSEL_ARG``), on 2001 geometrically
+spaced points, against Hankel's expansion summed to 1e-40 in 60-digit
+decimals: the largest error there is 2.0e-14.
 
 All functions accept floats or numpy arrays and return the matching kind.
 An array is split between the branches by a boolean mask (gathered by
@@ -309,7 +313,7 @@ def bessel_j0(x):
     -------
     float or ndarray
         J0(x).  Even in ``x`` exactly: the sign is dropped before
-        evaluation.  Absolute error <= 1e-12 for ``|x| <= 50``.
+        evaluation.  Absolute error <= 1e-12 for ``|x| <= 1e5``.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     out = _reduced(0, x)

@@ -51,6 +51,46 @@ def reference_j0(x: float) -> float:
     return reference_jn(0, x)
 
 
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459230781640628")
+
+
+def _decimal_cos(x: Decimal) -> Decimal:
+    """cos(x) by its Taylor series after reduction to [-pi, pi]."""
+    x -= 2 * _PI * (x / (2 * _PI)).to_integral_value()
+    term = total = Decimal(1)
+    k = 0
+    while abs(term) > _DECIMAL_TINY:
+        k += 2
+        term = -term * x * x / (k * (k - 1))
+        total += term
+    return total
+
+
+def reference_j0_far(x: float) -> float:
+    """J0(x) for 50 <= x, where the ascending series would need ever more
+    digits, by Hankel's asymptotic expansion in 60-digit decimals, summed
+    until its terms fall below 1e-40 (they do near k = 80 at x = 50,
+    before they start to grow near k = 2 x), with cosine and sine from
+    their Taylor series: the family of the package's large-argument
+    branch, without its float rounding, its tangent form or its 24-term
+    cut."""
+    xd = Decimal(repr(float(x)))
+    assert xd >= 50
+    chi = xd - _PI / 4
+    p = q = Decimal(0)
+    term = Decimal(1)  # a_k / x^k, a_k = prod_{i<=k} -(2i - 1)^2 / (8 i)
+    k = 0
+    while abs(term) > Decimal(10) ** -40:
+        if k % 2 == 0:
+            p += term if k % 4 == 0 else -term
+        else:
+            q += term if k % 4 == 1 else -term
+        k += 1
+        term = -term * (2 * k - 1) ** 2 / (8 * k * xd)
+    root = (2 / (_PI * xd)).sqrt()
+    return float(root * (p * _decimal_cos(chi) - q * _decimal_cos(chi - _PI / 2)))
+
+
 def reference_j1(x: float) -> float:
     return reference_jn(1, x)
 

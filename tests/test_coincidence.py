@@ -526,12 +526,15 @@ def test_amplitude_edge_cases():
 
 
 def test_every_sample_kind_lowers_to_one_lattice():
-    """Point and extended samples lower through one function: point cells
+    """Point and panel samples lower through one function: point cells
     have neither size nor nodes, panel cells carry the requested nodes,
-    and every lattice carries the coherence it was lowered for."""
+    and every lattice carries the coherence it was lowered for.  A
+    grating has no cells: it lowers to its diffraction orders."""
     spec = QuadratureSpec(radial_nodes=16, angular_nodes=64)
-    for sample in (Delta(), TwoPoint(3e-7), Slit(2e-7), Grating(period=2e-6),
-                   Raster(pitch=1e-7, grid=np.eye(3))):
+    with pytest.raises(ConfigError, match="unsupported sample"):
+        coincidence._sample_lattice(Grating(period=2e-6), CFG8, spec, True)
+    assert coincidence.grating_orders(Grating(period=2e-6), CFG8, spec, 2).freq.size == 6
+    for sample in (Delta(), TwoPoint(3e-7), Slit(2e-7), Raster(pitch=1e-7, grid=np.eye(3))):
         point = isinstance(sample, (Delta, TwoPoint))
         for coherent in (True, False):
             lattice = coincidence._sample_lattice(sample, CFG8, spec, coherent)
@@ -574,10 +577,12 @@ def test_amplitude_stable_under_node_counts():
         assert abs(a_default - a_dense) / abs(a_dense) <= 1e-10
 
 
-def test_grating_coarse_nodes_raise_quadrature_error():
-    spec = QuadratureSpec(radial_nodes=8, angular_nodes=8)
+def test_coarse_nodes_raise_quadrature_error():
+    """A 1 um slit at 8 nodes still moves by 6.9e-4 of its amplitude at
+    the last doubling."""
+    spec = QuadratureSpec(radial_nodes=8)
     with pytest.raises(QuadratureError, match="node"):
-        amplitude((0.0, 0.0), CFG8, Grating(period=5e-7, duty=0.5), spec)
+        amplitude((0.0, 0.0), CFG8, Slit(1e-6), spec)
 
 
 def test_far_tail_offset_converges_with_one_more_doubling(monkeypatch):
@@ -637,7 +642,6 @@ def test_kernel_calls_stay_within_point_budget():
     cases = [
         (Slit(2e-7), QuadratureSpec(radial_nodes=16), 16 * 16),
         (Raster(pitch=2e-7, grid=grid), QuadratureSpec(radial_nodes=12), 12 * 12),
-        (Grating(period=2e-6), QuadratureSpec(angular_nodes=64), 48 * 64),
         # one fine-pass panel of the slit exceeds the budget
         (Slit(2e-7), QuadratureSpec(radial_nodes=math.isqrt(budget) // 2 + 1),
          (math.isqrt(budget) // 2 + 1) ** 2),
@@ -818,28 +822,27 @@ def test_dropped_cells_stay_within_the_limit_on_random_rasters(seed, monkeypatch
     assert np.array_equal(integrate(sample, offsets, spec, kern), values)
 
 
-CONFOCAL_GRATING_NOT_CONVERGED = (
-    r"^amplitude quadrature did not converge: node doubling moved the result by 1\.061e-02 "
+CONFOCAL_SLIT_NOT_CONVERGED = (
+    r"^amplitude quadrature did not converge: node doubling moved the result by 1\.869e-03 "
     r"relative \(target 1\.0e-08\); raise the node counts$")
 
 
-@pytest.mark.parametrize("radial, angular, passes, error", [
-    # needs all three checks: (4, 8) against (8, 16), then (8, 16) against
-    # (16, 32), and converges at (16, 32) against (32, 64)
-    (8, 16, [(4, 8), (8, 16), (16, 32), (32, 64)], None),
+@pytest.mark.parametrize("width, radial, passes, error", [
+    # needs all three checks: 4 against 8 nodes, then 8 against 16, and
+    # converges at 16 against 32
+    (1e-6, 8, [(4, 4), (8, 8), (16, 16), (32, 32)], None),
     # odd counts: the ladder starts at n // 2 and the last pass is 4 n
-    (9, 16, [(4, 8), (9, 16), (18, 32), (36, 64)], None),
-    # fails all three checks; the last one compares the same passes as
-    # two checks from the requested counts did, so the message is too
-    (8, 8, [(4, 4), (8, 8), (16, 16), (32, 32)], CONFOCAL_GRATING_NOT_CONVERGED),
+    (1e-6, 9, [(4, 4), (9, 9), (18, 18), (36, 36)], None),
+    # fails all three checks; the message is the last one's
+    (2e-6, 8, [(4, 4), (8, 8), (16, 16), (32, 32)], CONFOCAL_SLIT_NOT_CONVERGED),
 ], ids=["three_checks", "odd_counts", "fails_three_checks"])
-def test_incoherent_ladder_starts_at_half_the_counts(radial, angular, passes, error):
-    """A confocal grating climbs the node ladder from half the requested
+def test_incoherent_ladder_starts_at_half_the_counts(width, radial, passes, error):
+    """A confocal slit climbs the node ladder from half the requested
     counts, one pass per rung, and no pass exceeds four times the counts.
     A converged value agrees with a dense spec's; a failure raises the
     ``QuadratureError`` of the first failing offset."""
-    sample, offsets = Grating(period=5e-7), np.zeros((1, 2))
-    spec = QuadratureSpec(radial_nodes=radial, angular_nodes=angular)
+    sample, offsets = Slit(width), np.zeros((1, 2))
+    spec = QuadratureSpec(radial_nodes=radial)
     shapes = []
 
     def recording(r, cfg, out=None):
@@ -853,11 +856,10 @@ def test_incoherent_ladder_starts_at_half_the_counts(radial, angular, passes, er
     else:
         value = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording)
         dense = coincidence.sample_amplitudes(
-            sample, offsets, CFG8, QuadratureSpec(radial_nodes=32, angular_nodes=64),
-            psf_confocal)
+            sample, offsets, CFG8, QuadratureSpec(radial_nodes=64), psf_confocal)
         assert abs(value[0] - dense[0]) <= 1e-7 * abs(dense[0])
     assert shapes == passes
-    assert all(n_x <= 4 * radial and n_y <= 4 * angular for n_x, n_y in shapes)
+    assert all(n_x <= 4 * radial and n_y <= 4 * radial for n_x, n_y in shapes)
 
 
 def test_chunk_workspaces_hand_out_64_byte_aligned_arrays():
@@ -933,23 +935,15 @@ def test_on_lattice_table_of_a_large_target_stays_small(side, limit_mib):
     assert peak <= limit_mib * 2**20
 
 
-def cell_displacements(sample, offset, spec):
+def cell_displacements(sample, offset):
     """Centres [m] of the cells a one-offset integral of ``sample`` covers,
-    in pixel order, minus ``offset``: every lit raster pixel, the slit,
-    or the grating stripes from ``floor`` to ``ceil`` of the truncation
-    radius either side of the offset, centred on it along y."""
+    in pixel order, minus ``offset``: every lit raster pixel, or the slit."""
     if isinstance(sample, Slit):
-        centres = np.zeros((1, 2))
-    elif isinstance(sample, Raster):
-        nrows, ncols = sample.grid.shape
-        ii, jj = np.nonzero(sample.grid)
-        centres = np.column_stack([(jj - 0.5 * (ncols - 1)) * sample.pitch,
-                                   (ii - 0.5 * (nrows - 1)) * sample.pitch])
-    else:
-        radius = default_truncation_radius(CFG8, spec.target_rel_tol)
-        orders = np.arange(math.floor((offset[0] - radius) / sample.period),
-                           math.ceil((offset[0] + radius) / sample.period) + 1)
-        centres = np.column_stack([orders * sample.period, np.full(orders.size, offset[1])])
+        return np.zeros((1, 2)) - offset
+    nrows, ncols = sample.grid.shape
+    ii, jj = np.nonzero(sample.grid)
+    centres = np.column_stack([(jj - 0.5 * (ncols - 1)) * sample.pitch,
+                               (ii - 0.5 * (nrows - 1)) * sample.pitch])
     return centres - offset
 
 
@@ -959,10 +953,9 @@ def test_table_values_match_direct_panel_sums():
     displacement, on an on-lattice grid where mathematically equal
     displacements differ by an ulp or two.  Far out on the Gaussian tail
     a rounding of a few ulps moves a value by more than that relative to
-    itself (5e-13 on a stripe integral of 2e-118 here), so values there
-    are held to 1e-13 of the largest panel integral instead.  Each
-    offset's window holds the cells of its one-offset integral, in pixel
-    order."""
+    itself, so values there are held to 1e-13 of the largest panel
+    integral instead.  Each offset's window holds the cells of its
+    one-offset integral, in pixel order."""
     kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
     xs = np.linspace(-1.5e-6, 1.5e-6, 16)
     lattice_grid = np.column_stack([np.tile(xs, 16), np.repeat(xs, 16)])
@@ -972,12 +965,11 @@ def test_table_values_match_direct_panel_sums():
     cases = [
         (Raster(pitch=2e-7, grid=grid), lattice_grid, QuadratureSpec(radial_nodes=12)),
         (Slit(3e-7), line, QuadratureSpec(radial_nodes=16)),
-        (Grating(period=2e-6, duty=0.4), line, QuadratureSpec(angular_nodes=64)),
     ]
     for sample, offsets, spec in cases:
         lattice = coincidence._sample_lattice(sample, CFG8, spec, True)
         points, rows = table_windows(sample, offsets, spec)
-        true = [cell_displacements(sample, offset, spec) for offset in offsets]
+        true = [cell_displacements(sample, offset) for offset in offsets]
         assert [r.size for r in rows] == [t.shape[0] for t in true]
         assert table_rows(sample, offsets, spec) < sum(r.size for r in rows)
         size = (lattice.half_x, lattice.half_y, lattice.n_x, lattice.n_y)

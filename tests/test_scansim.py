@@ -112,11 +112,7 @@ def test_extended_scan_table_stays_within_the_bytes_per_offset(geometry):
 @pytest.mark.parametrize("plan, sample", [
     # about 1e6 residual classes of a 32 x 32 box each, about 160 GiB
     (ScanPlan(Grid(nx=1024, ny=1024)), Raster(pitch=1e-7, grid=np.ones((32, 32)))),
-    # about 2e4 stripes in each of 1024 residual classes
-    (line_plan(Instrument.CONFOCAL, samples=1024), Grating(period=1e-10)),
-    # about 2e20 stripes, more than an array may hold, on one residual class
-    (ScanPlan(Line(samples=16)), Grating(period=1e-26)),
-], ids=["raster_grid", "fine_grating", "tiny_period_grating"])
+], ids=["raster_grid"])
 def test_scan_table_limit_names_count_and_memory(plan, sample):
     """An extended scan whose table would hold more than the cell cap is
     refused with the count and the memory, before any table exists."""
@@ -131,6 +127,27 @@ def test_scan_table_limit_names_count_and_memory(plan, sample):
     count = int(re.search(r"table of (\d+) cells", str(info.value)).group(1))
     assert count > coincidence._MAX_TABLE_CELLS
     assert f"about {count * coincidence._BYTES_PER_TABLE_CELL / 2**20:,.0f} MiB" in str(info.value)
+
+
+@pytest.mark.parametrize("instrument", list(Instrument))
+def test_grating_order_count_is_bounded(instrument):
+    """A grating keeps its orders ``2 pi m / period`` below the
+    instrument's cut; more than ``_MAX_ORDERS`` of them are refused with
+    the count and the memory before any transfer value is evaluated, and
+    a period below the resolution keeps order 0 alone: a flat image."""
+    cut = {Instrument.WIDEFIELD: 2, Instrument.CONFOCAL: 4, Instrument.TWIN_PHOTON: None}
+    limit = coincidence._MAX_ORDERS
+    orders = coincidence.grating_orders(Grating(period=2e-6), CFG8, None, cut[instrument])
+    count = orders.freq.size
+    assert count == {Instrument.WIDEFIELD: 6, Instrument.CONFOCAL: 12,
+                     Instrument.TWIN_PHOTON: 40}[instrument]
+    period = 2e-6 * (limit + 1) / (count - 1)
+    with pytest.raises(ConfigError, match=r"grating of (\S+) diffraction orders exceeds the "
+                                          r"limit of 65536; .* about \d+ MiB") as info:
+        scan(line_plan(instrument, samples=16), CFG8, Grating(period=period))
+    assert float(re.search(r"grating of (\S+) diff", str(info.value)).group(1)) > limit
+    flat = scan(line_plan(instrument, samples=16), CFG8, Grating(period=1e-26))
+    assert np.all(np.abs(flat.values - 1.0) <= 1e-8)
 
 
 def test_table_limit_refuses_a_nan_count():
@@ -155,7 +172,9 @@ FAR_SAMPLE = r"sample reach from the axis must be at most 1 m, got "
      r"scan half range must be at most 1 m, got 1e\+300"),
     # sample cells too far to square; refused before any kernel call
     (ScanPlan(Line(samples=16)), Slit(width=1e300), FAR_SAMPLE + r"5e\+299"),
-    (ScanPlan(Line(samples=16)), Grating(period=1e300), FAR_SAMPLE + r"2\.25\d*e\+300"),
+    # a grating has no cells to reach out: it is refused for its orders
+    (ScanPlan(Line(samples=16)), Grating(period=1e300),
+     r"grating of 1\.99e\+307 diffraction orders exceeds the limit of 65536"),
     (ScanPlan(Line(samples=16)), Raster(pitch=1e300, grid=np.ones((2, 2))),
      FAR_SAMPLE + r"1e\+300"),
     (ScanPlan(Line(samples=16)), TwoPoint(1e300), FAR_SAMPLE + r"5e\+299"),

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import reference_j0, reference_j1, reference_jn
+from conftest import reference_j0, reference_j0_far, reference_j1, reference_jn
 
-from twinfocal import specfun
+from twinfocal import coincidence, specfun
 from twinfocal.specfun import airy_amp, bessel_j0, bessel_j1
 
 # Classic frozen values (series-verified to 50 digits by the reference
@@ -52,6 +52,16 @@ def test_accuracy_against_reference_series_both_branches():
         assert abs(v0 - reference_j0(float(x))) <= 1e-12
         assert abs(v1 - r1) <= 1e-12
         assert abs(a - (2.0 * r1 / x if x else 1.0)) <= 1e-12
+
+
+def test_j0_accuracy_up_to_the_grating_bound():
+    """Absolute error <= 1e-12 from 50 up to ``coincidence._MAX_BESSEL_ARG``,
+    the largest ``q r`` at which a grating's twin transfer values call
+    ``bessel_j0``, and at the bound itself."""
+    bound = coincidence._MAX_BESSEL_ARG
+    xs = np.concatenate([np.geomspace(50.0, bound, 2001), [np.nextafter(bound, 0.0)]])
+    for x, value in zip(xs, bessel_j0(xs)):
+        assert abs(value - reference_j0_far(float(x))) <= 1e-12
 
 
 def test_accuracy_at_the_half_angle_poles():
