@@ -1,5 +1,5 @@
-"""Count the code lines of ``src/twinfocal`` per module, at a git revision
-and in the working tree.
+"""Count the code lines of ``src/twinfocal`` per module, and of
+``tests/*.py`` together, at a git revision and in the working tree.
 
 Run from the repository root::
 
@@ -11,7 +11,10 @@ comments and line breaks count, less the lines of the docstrings of the
 module, its classes and its functions, which ``ast`` finds.  A module
 present on one side only counts 0 on the other.  The last row is the
 total, and its net is the change the working tree makes to ``REV``.  A
-``REV`` that git does not know prints one error line and exits 2.
+line of its own after the table gives the same three counts for the
+test modules, by the same rule, so that code moved from the package
+into the tests shows.  A ``REV`` that git does not know prints one
+error line and exits 2.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/twinfocal"
+TESTS = "tests"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -50,23 +54,23 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-def count_at(rev: str) -> dict[str, int]:
-    """Code lines of each module of the package at git revision ``rev``."""
-    names = _git("ls-tree", "--name-only", f"{rev}:{PACKAGE}").split()
-    return {name: code_lines(_git("show", f"{rev}:{PACKAGE}/{name}"))
+def count_at(rev: str, folder: str = PACKAGE) -> dict[str, int]:
+    """Code lines of each module of ``folder`` at git revision ``rev``."""
+    names = _git("ls-tree", "--name-only", f"{rev}:{folder}").split()
+    return {name: code_lines(_git("show", f"{rev}:{folder}/{name}"))
             for name in names if name.endswith(".py")}
 
 
-def count_worktree() -> dict[str, int]:
-    """Code lines of each module of the package in the working tree."""
+def count_worktree(folder: str = PACKAGE) -> dict[str, int]:
+    """Code lines of each module of ``folder`` in the working tree."""
     return {path.name: code_lines(path.read_text(encoding="utf-8"))
-            for path in sorted((ROOT / PACKAGE).glob("*.py"))}
+            for path in sorted((ROOT / folder).glob("*.py"))}
 
 
 def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
     try:
-        before = count_at(rev)
+        before, tests = count_at(rev), count_at(rev, TESTS)
     except subprocess.CalledProcessError:
         print(f"error: unknown revision {rev!r}", file=sys.stderr)
         return 2
@@ -74,6 +78,7 @@ def main(argv: list[str]) -> int:
     rows = [(name, before.get(name, 0), after.get(name, 0))
             for name in sorted(before.keys() | after.keys())]
     rows.append(("total", sum(before.values()), sum(after.values())))
+    rows.append((f"{TESTS}/*.py", sum(tests.values()), sum(count_worktree(TESTS).values())))
     width = max(len(name) for name, _, _ in rows)
     column = max(10, len(rev))  # a full sha is 40 characters
     print(f"{'module':<{width}}  {rev:>{column}}  {'worktree':>10}  {'net':>6}")

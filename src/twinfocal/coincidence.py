@@ -84,12 +84,13 @@ once per point over all offsets).
 
 Integration: the integrand is smooth on the transmitting region of every
 schematic sample shipped here.  A slit is one panel cell of pitch
-``width``, a raster its pixels.  A cell's Gauss-Legendre
-integral depends only on ``(|dx|, |dy|)`` of the cell from the offset,
-sorted for square cells, as the kernels are radial and the nodes
-symmetric.  Its key is the integer cell difference, exact in lattice
-units, minus the offset's residual: ``offset / pitch`` rounded to a
-multiple of ``2**-44``, less its integer shift.  The offsets of one
+``width``, a raster its pixels; every panel is a square one pitch wide,
+with ``n`` nodes a side.  A cell's Gauss-Legendre integral depends only
+on the sorted pair ``(|dx|, |dy|)`` of the cell from the offset, as the
+kernels are radial and the nodes symmetric.  Its key is the integer
+cell difference, exact in lattice units, minus the offset's residual:
+``offset / pitch`` rounded to a multiple of ``2**-44``, less its
+integer shift.  The offsets of one
 residual class share a dense box of keys, and ``_lattice_table`` folds
 the boxes to one row per distinct key, so each pass integrates every
 displacement once.  After the first pass each offset drops from its
@@ -147,7 +148,7 @@ __all__ = [
 _AIRY_ZERO_3 = 10.173468135062722
 
 # Node doublings above the requested counts n, so the largest pass takes
-# 4 n nodes per side (the ladder of passes: ``integrate_sample``).
+# 4 n nodes per side (the ladder of passes: ``_ladder``).
 _DOUBLING_CHECKS = 2
 
 # Most kernel points one call of an extended-sample pass evaluates; a
@@ -287,7 +288,10 @@ class Raster:
 
     def __post_init__(self) -> None:
         check_positive(self.pitch, "raster pitch")
-        grid = np.asarray(self.grid, dtype=complex)
+        try:
+            grid = np.asarray(self.grid, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"raster grid must be an array of numbers: {exc}") from None
         object.__setattr__(self, "grid", grid)
         if grid.ndim != 2 or grid.size == 0:
             raise ConfigError("raster grid must be a non-empty 2D array")
@@ -459,8 +463,11 @@ class QuadratureSpec:
     is.
 
     The counts are the requested ones of node doubling; the ladder of
-    passes is described at ``integrate_sample``.  No pass exceeds four
-    times the counts, and that panel is what the point cap bounds.
+    passes, which the panel integrals and the grating transfers climb
+    alike, is described at ``integrate_sample``.  No pass exceeds four
+    times the counts.  The point cap bounds ``16 radial_nodes
+    max(radial_nodes, angular_nodes)`` kernel points, at least the square
+    panel of the last pass.
     """
 
     radial_nodes: int = 48
@@ -579,19 +586,18 @@ def default_truncation_radius(cfg: MicroscopeConfig, target_rel_tol: float = 1e-
 
 @dataclass(frozen=True)
 class _Lattice:
-    """Weighted cells ``pitch`` [m] apart (see ``_sample_lattice``).  The
-    kernel they are integrated against obeys ``|kern(v)| <= exp(-decay
-    |v|^2)``."""
+    """Weighted cells ``pitch`` [m] apart (see ``_sample_lattice``), each a
+    square panel of half-width ``half`` [m] with ``n`` nodes a side, or a
+    point (no size, 0 nodes).  The kernel they are integrated against obeys
+    ``|kern(v)| <= exp(-decay |v|^2)``."""
 
     coherent: bool
     pitch: float
     x0: float
     y0: float
     weight: np.ndarray
-    half_x: float = 0.0
-    half_y: float = 0.0
-    n_x: int = 0
-    n_y: int = 0
+    half: float = 0.0
+    n: int = 0
     target_rel_tol: float = 0.0
     decay: float = 0.0
 
@@ -603,38 +609,46 @@ class _Lattice:
         lattice coordinates overflow and too many table cells, and the scan
         table it builds is returned.  Point cells have no table: None."""
         rows, cols = self.weight.shape
-        far_x = self.pitch * max(abs(self.x0), abs(self.x0 + cols - 1)) + self.half_x
-        far_y = self.pitch * max(abs(self.y0), abs(self.y0 + rows - 1)) + self.half_y
-        _check_reach(max(far_x, far_y), "sample reach from the axis")
-        return _lattice_table(self, offsets) if self.n_x else None
+        far = max(abs(self.x0), abs(self.x0 + cols - 1), abs(self.y0), abs(self.y0 + rows - 1))
+        _check_reach(self.pitch * far + self.half, "sample reach from the axis")
+        return _lattice_table(self, offsets) if self.n else None
 
 
-def _panel_sum(points: np.ndarray, half_x: float, half_y: float,
-               n_x: int, n_y: int, kern) -> np.ndarray:
-    """Integral of ``kern(d + g)`` over the centred panel ``|g_x| <= half_x``,
-    ``|g_y| <= half_y``, at every displacement ``d`` (rows of ``points``).
+def _in_blocks(func, items: np.ndarray, points: int) -> np.ndarray:
+    """``func`` over consecutive blocks of the rows of ``items``, each of
+    at most ``_KERNEL_POINT_BUDGET`` points at ``points`` per row, and at
+    least one row, with the results joined in order; no rows join to an
+    empty array."""
+    step = max(1, _KERNEL_POINT_BUDGET // points)
+    return np.concatenate([np.zeros(0)] + [func(items[lo:lo + step])
+                                           for lo in range(0, items.shape[0], step)])
 
-    One ``kern`` call covers as many consecutive rows as fit in
-    ``_KERNEL_POINT_BUDGET`` points, and at least one.  A row's value does
-    not depend on how the rows were grouped.  Each call starts with the
-    thread's workspace cleared, as the previous call's values are summed.
+
+def _panel_sum(points: np.ndarray, half: float, n: int, kern) -> np.ndarray:
+    """Integral of ``kern(d + g)`` over the centred square panel ``|g_x|,
+    |g_y| <= half`` with ``n`` nodes a side, at every displacement ``d``
+    (rows of ``points``).
+
+    One ``kern`` call covers a block of rows (``_in_blocks``).  A row's
+    value does not depend on how the rows were grouped.  Each call starts
+    with the thread's workspace cleared, as the previous call's values are
+    summed.
     """
-    base_x, wx = _gl_nodes(n_x)
-    base_y, wy = _gl_nodes(n_y)
-    gx, gy = half_x * base_x, half_y * base_y
-    step = max(1, _KERNEL_POINT_BUDGET // (n_x * n_y))
+    base, w = _gl_nodes(n)
+    g, w = half * base, half * w
     work = _workspace()
-    sums = [np.zeros(0)]  # a pass whose offsets dropped every cell reads no row
-    for lo in range(0, points.shape[0], step):
+
+    def block(rows: np.ndarray) -> np.ndarray:
         work.clear()
-        values = kern(points[lo:lo + step, 0, None, None] + gx[None, :, None],
-                      points[lo:lo + step, 1, None, None] + gy[None, None, :])
+        values = kern(rows[:, 0, None, None] + g[None, :, None],
+                      rows[:, 1, None, None] + g[None, None, :])
         # one dot product per node row, so a row's sum does not depend on its
-        # place in the call, as ``(values @ wy) @ wx`` would; ``values @ wy``
+        # place in the call, as ``(values @ w) @ w`` would; ``values @ w``
         # would hand panels of 96^2 points to OpenBLAS's threaded matrix-vector
         # product, whose worker competes with the scan's threads
-        sums.append((np.dot(values, half_y * wy) * (half_x * wx)).sum(axis=1))
-    return np.concatenate(sums)
+        return (np.dot(values, w) * w).sum(axis=1)
+
+    return _in_blocks(block, points, n * n)
 
 
 class Chunks:
@@ -711,10 +725,11 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
                     quad: QuadratureSpec | None, coherent: bool) -> _Lattice:
     """A point or panel sample as a grid of weighted cells, cell ``[i, j]``
     centred ``(x0 + j, y0 + i)`` pitches from the origin: unit points (no
-    size, no nodes) for point samples, else the panel ``|g_x| <= half_x``,
-    ``|g_y| <= half_y`` [m] with ``n_x`` by ``n_y`` nodes, integrated to
-    ``target_rel_tol`` (``quad``, the default spec if None).  Raster pixels
-    weigh ``t``, or ``|t|^2`` for incoherent integrals.  A grating has no
+    size, no nodes) for point samples, else the square panel ``|g_x|,
+    |g_y| <= half`` [m], one pitch wide, with ``n`` nodes a side,
+    integrated to ``target_rel_tol`` (``quad``, the default spec if
+    None).  Raster pixels weigh ``t``, or ``|t|^2`` for incoherent
+    integrals.  A grating has no
     cells: it is a sum over its diffraction orders (``grating_orders``)."""
     if isinstance(sample, Delta):
         return _Lattice(coherent, 1.0, 0.0, 0.0, np.ones((1, 1)))
@@ -727,15 +742,13 @@ def _sample_lattice(sample: SampleTransmittance, cfg: MicroscopeConfig,
     # exp(-|v|^2 Re(c) / 2)
     decay = 0.5 * _pump_rate(cfg).real if coherent and cfg.pump_gaussian else 0.0
     if isinstance(sample, Slit):
-        half = 0.5 * sample.width
-        return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), half, half, n, n, tol,
-                        decay)
+        return _Lattice(coherent, sample.width, 0.0, 0.0, np.ones((1, 1)), 0.5 * sample.width, n,
+                        tol, decay)
     if isinstance(sample, Raster):
         rows, cols = sample.grid.shape
-        half = 0.5 * sample.pitch
         return _Lattice(coherent, sample.pitch, -0.5 * (cols - 1), -0.5 * (rows - 1),
                         sample.grid if coherent else np.abs(sample.grid) ** 2,
-                        half, half, n, n, tol, decay)
+                        0.5 * sample.pitch, n, tol, decay)
     raise ConfigError(f"unsupported sample: {sample!r}")
 
 
@@ -796,9 +809,8 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
     row, col = np.divmod(np.arange(sizes.sum()) - start[owner], box[owner, 0])
     dx = np.abs((lattice.x0 - high[owner, 0]) + col - residual[owner, 0])
     dy = np.abs((lattice.y0 - high[owner, 1]) + row - residual[owner, 1])
-    if lattice.half_x == lattice.half_y and lattice.n_x == lattice.n_y:
-        dx, dy = np.minimum(dx, dy), np.maximum(dx, dy)
-    distinct, cell_rows = np.unique(dx + 1j * dy, return_inverse=True)
+    distinct, cell_rows = np.unique(np.minimum(dx, dy) + 1j * np.maximum(dx, dy),
+                                    return_inverse=True)
 
     def windows(members: np.ndarray):
         for shape in np.unique(lit_of[members]):
@@ -808,6 +820,39 @@ def _lattice_table(lattice: _Lattice, offsets: np.ndarray):
                 yield block, cell_rows[start_of[block, None] + lit], weight
 
     return np.column_stack([distinct.real, distinct.imag]) * lattice.pitch, windows
+
+
+def _ladder(n: int, coherent: bool) -> list[int]:
+    """Node counts of the passes of node doubling (``integrate_sample``):
+    ``n`` doubled up to ``4 n`` (``_DOUBLING_CHECKS``), from ``n // 2`` on
+    for an incoherent integral."""
+    return [n // 2] * (not coherent) + [n << k for k in range(_DOUBLING_CHECKS + 1)]
+
+
+def _node_doubling(evaluate, counts: list[int], coarse: np.ndarray, mass,
+                   tol: float) -> np.ndarray:
+    """Node doubling (``integrate_sample``) of the values ``coarse``, the
+    first pass at ``counts[0]`` nodes, whose scale stays above 1% of
+    ``mass`` (one per value, or one for all): ``evaluate(pending, n)``
+    gives the values at the indices ``pending`` with ``n`` nodes, for each
+    later count in turn.  The first index still moving at the last count
+    raises the ``QuadratureError``."""
+    result = np.empty_like(coarse)
+    pending = np.arange(coarse.size)
+    floor = np.broadcast_to(0.01 * mass, coarse.shape)
+    for n in counts[1:]:
+        fine = evaluate(pending, n)
+        scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), floor)
+        error = np.abs(fine - coarse)
+        done = error <= 10.0 * tol * scale
+        result[pending[done]] = fine[done]
+        if np.all(done):
+            return result
+        pending, coarse, floor = pending[~done], fine[~done], floor[~done]
+    first = np.argmin(done)  # the first value still moving
+    raise QuadratureError("amplitude quadrature did not converge: node doubling moved the "
+                          f"result by {error[first] / scale[first]:.3e} relative "
+                          f"(target {tol:.1e}); raise the node counts")
 
 
 def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
@@ -821,8 +866,10 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
     distinct displacement the offsets read, split between the threads of
     ``chunks``, each chunk in its own workspace.
 
-    Convergence is judged per offset, on a ladder of node counts, the one
-    statement of it in the package.  A coherent (twin) integral is
+    Convergence is judged per offset, on a ladder of node counts
+    (``_ladder``), by the one loop of node doubling in the package
+    (``_node_doubling``), which also judges the transfer values of a
+    grating's orders (``grating_orders``).  A coherent (twin) integral is
     evaluated with the requested counts ``n`` and then with both counts
     doubled; an incoherent (confocal, widefield) one starts at ``n // 2``
     and then takes ``n``, one check more: on every extended benchmark job
@@ -875,13 +922,13 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
     The limit is 1e-3 of the smallest error node doubling accepts.
     """
     points, windows = table
-    result = np.zeros(offsets.shape[0], dtype=complex)
     if not np.any(lattice.weight):
-        return result
+        return np.zeros(offsets.shape[0], dtype=complex)
     # no node count takes a row's panel integral beyond its area times the
     # kernel's envelope at the panel point nearest the offset
-    gap = np.maximum(points - (lattice.half_x, lattice.half_y), 0.0)
-    bound = 4.0 * lattice.half_x * lattice.half_y * np.exp(-lattice.decay * (gap * gap).sum(axis=1))
+    half = lattice.half
+    gap = np.maximum(points - half, 0.0)
+    bound = 4.0 * half * half * np.exp(-lattice.decay * (gap * gap).sum(axis=1))
     limit = None  # per offset, the error its dropped cells may sum to, once decided
 
     def cells(members: np.ndarray):
@@ -897,18 +944,18 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
                 drop = slack * share[:, None] <= limit[block, None]
             yield block, rows, weight, drop
 
-    def sums(kernel, n_x: int, n_y: int, members: np.ndarray, weigh=lambda w: w):
+    def sums(kernel, n: int, members: np.ndarray, weigh=lambda w: w):
         """Each offset of ``members`` summed over its lit cells, integrating
         the rows its kept cells read, and the table of row values; a
         dropped cell adds its first-pass value."""
         def integrate(chunk: np.ndarray, work: Workspace) -> np.ndarray:
             with work.use():
-                return _panel_sum(chunk, lattice.half_x, lattice.half_y, n_x, n_y, kernel)
+                return _panel_sum(chunk, half, n, kernel)
 
         read = np.zeros(points.shape[0], dtype=bool)
         for _, rows, _, drop in cells(members):
             read[rows if drop is None else rows[~drop]] = True
-        integrals = chunks(integrate, points[read], n_x * n_y)
+        integrals = chunks(integrate, points[read], n * n)
         values = np.empty(points.shape[0], dtype=integrals.dtype)
         values[read] = integrals
         out = np.empty(offsets.shape[0], dtype=complex)
@@ -922,30 +969,15 @@ def integrate_sample(lattice: _Lattice, offsets: np.ndarray, table, kern,
         values = kern(vx, vy)
         return np.abs(values, out=_workspace().out(values))
 
-    ladder = [(lattice.n_x << k, lattice.n_y << k) for k in range(_DOUBLING_CHECKS + 1)]
-    if not lattice.coherent:  # incoherent integrals start lower (see above)
-        ladder.insert(0, (lattice.n_x // 2, lattice.n_y // 2))
-    pending = np.arange(offsets.shape[0])
-    coarse, first = sums(kern, *ladder[0], pending)  # and every row's first-pass value
-    mass = (sums(magnitude, *ladder[0], pending, np.abs)[0].real
-            if lattice.coherent else coarse.real)
+    ladder = _ladder(lattice.n, lattice.coherent)
+    every = np.arange(offsets.shape[0])
+    coarse, first = sums(kern, ladder[0], every)  # and every row's first-pass value
+    mass = sums(magnitude, ladder[0], every, np.abs)[0].real if lattice.coherent else coarse.real
     limit = 1e-3 * (10.0 * lattice.target_rel_tol) * (0.01 * mass)
     if 2.0 * np.abs(lattice.weight[lattice.weight != 0]).min() * bound.min() > limit.max():
         limit = None  # no cell can drop
-    for n_x, n_y in ladder[1:]:
-        fine = sums(kern, n_x, n_y, pending)[0]
-        scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
-        error = np.abs(fine - coarse)
-        done = (scale == 0.0) | (error <= 10.0 * lattice.target_rel_tol * scale)
-        result[pending[done]] = fine[done]
-        if np.all(done):
-            return result
-        keep = ~done
-        moved = error[keep] / scale[keep]
-        pending, coarse, mass = pending[keep], fine[keep], mass[keep]
-    raise QuadratureError("amplitude quadrature did not converge: node doubling moved the "
-                          f"result by {moved[0]:.3e} relative "
-                          f"(target {lattice.target_rel_tol:.1e}); raise the node counts")
+    return _node_doubling(lambda pending, n: sums(kern, n, pending)[0], ladder, coarse, mass,
+                          lattice.target_rel_tol)
 
 
 # ============================================================================
@@ -1042,34 +1074,6 @@ class _Orders:
     transfer: Callable[[np.ndarray], np.ndarray]
 
 
-def _converged(evaluate, counts: list[int], tol: float) -> Callable[[np.ndarray], np.ndarray]:
-    """``transfer(freq)`` from ``evaluate(freq, n) -> (values, mass)`` on
-    the node ladder ``counts``: a value is kept once it moves by at most
-    ``10 * tol`` of the larger of itself and 1% of the first pass's mass
-    from one rung to the next, and refined again otherwise, as the panel
-    integrals are (``integrate_sample``); the first value, in order of
-    frequency, still moving at the last rung raises the
-    ``QuadratureError``."""
-    def transfer(freq: np.ndarray) -> np.ndarray:
-        coarse, mass = evaluate(freq, counts[0])
-        result = np.empty_like(coarse)
-        pending = np.arange(freq.size)
-        for n in counts[1:]:
-            fine = evaluate(freq[pending], n)[0]
-            scale = np.maximum(np.maximum(np.abs(coarse), np.abs(fine)), 0.01 * mass)
-            error = np.abs(fine - coarse)
-            done = error <= 10.0 * tol * scale
-            result[pending[done]] = fine[done]
-            if np.all(done):
-                return result
-            moved = error[~done] / scale[~done]
-            pending, coarse = pending[~done], fine[~done]
-        raise QuadratureError("amplitude quadrature did not converge: node doubling moved the "
-                              f"result by {moved[0]:.3e} relative "
-                              f"(target {tol:.1e}); raise the node counts")
-    return transfer
-
-
 def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec | None,
                    airy_power: int | None) -> _Orders:
     """The diffraction orders of ``sample`` that an instrument passes, and
@@ -1103,6 +1107,19 @@ def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec 
     """
     quad = quad or QuadratureSpec()
     n, tol = quad.radial_nodes, quad.target_rel_tol
+
+    def converged(evaluate, coherent: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """``transfer(freq)`` from ``evaluate(freq, nodes) -> (values,
+        mass)`` by node doubling (``_node_doubling``), frequency by
+        frequency."""
+        counts = _ladder(n, coherent)
+
+        def transfer(freq: np.ndarray) -> np.ndarray:
+            coarse, mass = evaluate(freq, counts[0])
+            return _node_doubling(lambda pending, nodes: evaluate(freq[pending], nodes)[0],
+                                  counts, coarse, mass, tol)
+        return transfer
+
     if airy_power is not None:
         beta = 2.0 * math.pi * cfg.a / (cfg.lambda_o * cfg.f)
         cut = beta * airy_power
@@ -1130,12 +1147,10 @@ def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec 
         return _Orders(freq, weight, lambda q: _lens_transfer(q, beta, beta))
     if airy_power == 4:
         def autocorrelation(q: np.ndarray, nodes: int):
-            step = max(1, _KERNEL_POINT_BUDGET // (2 * nodes * nodes))
-            values = np.concatenate([_otf_autocorrelation(q[lo:lo + step] / (2.0 * beta), nodes)
-                                     for lo in range(0, q.size, step)]) * (16.0 / beta ** 2)
+            values = _in_blocks(lambda block: _otf_autocorrelation(block / (2.0 * beta), nodes),
+                                q, 2 * nodes * nodes) * (16.0 / beta ** 2)
             return values, values[0]
-        ladder = [n // 2] + [n << k for k in range(_DOUBLING_CHECKS + 1)]
-        return _Orders(freq, weight, _converged(autocorrelation, ladder, tol))
+        return _Orders(freq, weight, converged(autocorrelation, False))
     if not cfg.pump_gaussian:
         return _Orders(freq, weight, lambda q: _lens_transfer(q, alpha_o, alpha_e))
     panels = math.ceil((cut + alpha_o + alpha_e) * radius / n)
@@ -1146,13 +1161,11 @@ def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec 
         r = ((2 * np.arange(panels) + 1)[:, None] * half + half * base).ravel()
         weight_r = (2.0 * math.pi * half) * np.tile(w, panels) * r
         kernel = kernel_field(r, 0.0, cfg) * weight_r
-        step = max(1, _KERNEL_POINT_BUDGET // r.size)
-        values = [(bessel_j0(np.multiply.outer(q[lo:lo + step], r)) * kernel).sum(axis=1)
-                  for lo in range(0, q.size, step)]
-        return np.concatenate(values), np.abs(kernel).sum()
+        def transform(block: np.ndarray) -> np.ndarray:
+            return (bessel_j0(np.multiply.outer(block, r)) * kernel).sum(axis=1)
+        return _in_blocks(transform, q, r.size), np.abs(kernel).sum()
 
-    ladder = [n << k for k in range(_DOUBLING_CHECKS + 1)]
-    return _Orders(freq, weight, _converged(hankel, ladder, tol))
+    return _Orders(freq, weight, converged(hankel, True))
 
 
 def grating_sum(orders: _Orders, offsets: np.ndarray, chunks: "Chunks") -> np.ndarray:
@@ -1169,15 +1182,11 @@ def grating_sum(orders: _Orders, offsets: np.ndarray, chunks: "Chunks") -> np.nd
     is the same for any split and thread count."""
     coefficient = orders.weight * orders.transfer(orders.freq)
 
-    def assemble(chunk: np.ndarray) -> np.ndarray:
-        step = max(1, _KERNEL_POINT_BUDGET // orders.freq.size)
-        sums = [np.zeros(0, dtype=complex)]
-        for lo in range(0, chunk.shape[0], step):
-            phase = np.multiply.outer(chunk[lo:lo + step, 0], orders.freq)
-            sums.append((np.cos(phase) * coefficient).sum(axis=1, dtype=complex))
-        return np.concatenate(sums)
+    def assemble(block: np.ndarray) -> np.ndarray:
+        phase = np.multiply.outer(block[:, 0], orders.freq)
+        return (np.cos(phase) * coefficient).sum(axis=1, dtype=complex)
 
-    return chunks.map(assemble, offsets)
+    return chunks.map(lambda chunk: _in_blocks(assemble, chunk, orders.freq.size), offsets)
 
 
 # ============================================================================

@@ -124,6 +124,8 @@ class Line:
         if not all(math.isfinite(c) for c in self.direction) or \
                 abs(math.hypot(*self.direction) - 1.0) > 1e-9:
             raise ConfigError("scan direction must be a unit 2-vector")
+        # a tuple, so that the frozen line compares and hashes as a value
+        object.__setattr__(self, "direction", tuple(map(float, self.direction)))
         _check_half_range(self.half_range, "scan half range")
         check_integers((self.samples,), "scan sample counts")
         if self.samples < 16:

@@ -539,8 +539,8 @@ def test_every_sample_kind_lowers_to_one_lattice():
         for coherent in (True, False):
             lattice = coincidence._sample_lattice(sample, CFG8, spec, coherent)
             assert lattice.coherent == coherent
-            assert lattice.n_x == (0 if point else 16) and (lattice.n_y == 0) == point
-            assert (lattice.half_x == lattice.half_y == 0.0) == point
+            assert lattice.n == (0 if point else 16)
+            assert (lattice.half == 0.0) == point
 
 
 @pytest.mark.parametrize("separation", [3e-7, 0.1 + 0.2, 3 * 2.0 ** -30, 1e300, 5e-324])
@@ -727,9 +727,9 @@ def test_far_cells_keep_their_first_pass_value(monkeypatch):
     passes = []
     original = coincidence._panel_sum
 
-    def recording(points, half_x, half_y, n_x, n_y, kern):
-        passes.append((n_x, points.copy()))
-        return original(points, half_x, half_y, n_x, n_y, kern)
+    def recording(points, half, n, kern):
+        passes.append((n, points.copy()))
+        return original(points, half, n, kern)
 
     monkeypatch.setattr(coincidence, "_panel_sum", recording)
     kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
@@ -745,16 +745,16 @@ def test_far_cells_keep_their_first_pass_value(monkeypatch):
 
     half = 0.5 * pitch
     mass = np.dot(np.abs(grid[0, [0, 7]]), original(
-        points[rows], half, half, 16, 16, lambda vx, vy: np.abs(kern(vx, vy))))
+        points[rows], half, 16, lambda vx, vy: np.abs(kern(vx, vy))))
     limit = 1e-3 * (10.0 * spec.target_rel_tol) * (0.01 * mass)
     decay = 2.0 * eta0_inv_sq(CFG8).real
     slack = [2.0 * abs(w) * pitch ** 2 * math.exp(-decay * max(0.0, d - half) ** 2)
              for w, d in ((grid[0, 0], 0.0), (grid[0, 7], 7 * pitch))]
     assert slack[1] <= limit < slack[0]
     weights = grid[0, [0, 7]]
-    kept = np.dot(weights, [original(points[[near]], half, half, final, final, kern)[0],
-                            original(points[[far]], half, half, 16, 16, kern)[0]])
-    every_cell = np.dot(weights, original(points[rows], half, half, final, final, kern))
+    kept = np.dot(weights, [original(points[[near]], half, final, kern)[0],
+                            original(points[[far]], half, 16, kern)[0]])
+    every_cell = np.dot(weights, original(points[rows], half, final, kern))
     assert value == kept and abs(value - every_cell) <= slack[1]
 
     passes.clear()
@@ -784,9 +784,9 @@ def test_dropped_cells_stay_within_the_limit_on_random_rasters(seed, monkeypatch
     passes = []
     original = coincidence._panel_sum
 
-    def recording(points, half_x, half_y, n_x, n_y, kern):
-        passes.append((n_x, points.copy()))
-        return original(points, half_x, half_y, n_x, n_y, kern)
+    def recording(points, half, n, kern):
+        passes.append((n, points.copy()))
+        return original(points, half, n, kern)
 
     monkeypatch.setattr(coincidence, "_panel_sum", recording)
     kern = lambda vx, vy: kernel_field(vx, vy, CFG8)  # noqa: E731
@@ -804,8 +804,7 @@ def test_dropped_cells_stay_within_the_limit_on_random_rasters(seed, monkeypatch
         dropped = np.array([tuple(points[row]) not in read for row in rows])
 
         mass = np.dot(np.abs(weights), original(
-            points[rows], half, half, spec.radial_nodes, spec.radial_nodes,
-            lambda vx, vy: np.abs(kern(vx, vy))))
+            points[rows], half, spec.radial_nodes, lambda vx, vy: np.abs(kern(vx, vy))))
         limit = 1e-3 * (10.0 * spec.target_rel_tol) * (0.01 * mass)
         gap = np.maximum(points[rows] - half, 0.0)
         slack = 2.0 * np.abs(weights) * pitch ** 2 * np.exp(-decay * (gap * gap).sum(axis=1))
@@ -813,7 +812,7 @@ def test_dropped_cells_stay_within_the_limit_on_random_rasters(seed, monkeypatch
         assert np.all(slack[dropped] * share <= limit * (1.0 + 1e-12))
         assert slack[dropped].sum() <= limit * (1.0 + 1e-12)
         final = max(n for n, _ in finer)
-        every_cell = np.dot(weights, original(points[rows], half, half, final, final, kern))
+        every_cell = np.dot(weights, original(points[rows], half, final, kern))
         assert abs(values[-1] - every_cell) <= limit
         dropped_anywhere += np.count_nonzero(dropped)
         kept_anywhere += np.count_nonzero(~dropped)
@@ -972,7 +971,7 @@ def test_table_values_match_direct_panel_sums():
         true = [cell_displacements(sample, offset) for offset in offsets]
         assert [r.size for r in rows] == [t.shape[0] for t in true]
         assert table_rows(sample, offsets, spec) < sum(r.size for r in rows)
-        size = (lattice.half_x, lattice.half_y, lattice.n_x, lattice.n_y)
+        size = (lattice.half, lattice.n)
         direct = coincidence._panel_sum(np.concatenate(true), *size, kern)
         keyed = coincidence._panel_sum(points, *size, kern)[np.concatenate(rows)]
         assert np.allclose(keyed, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())

@@ -34,10 +34,14 @@ def test_grating_refuses_wrong_types(args, message):
         Grating(*args)
 
 
-@pytest.mark.parametrize("args", [(GRID, 1e-7), ("0.1um", GRID), (None, GRID), (1j, GRID)])
+@pytest.mark.parametrize("args", [(GRID, 1e-7), ("0.1um", GRID), (None, GRID), (1j, GRID),
+                                  (1e-7, [[1, "a"]]), (1e-7, {"a": 1})])
 def test_raster_refuses_wrong_types(args):
-    """Swapped arguments included: the grid is no pitch."""
-    with pytest.raises(ConfigError, match="raster pitch must be a real number"):
+    """Swapped arguments included: the grid is no pitch.  With a real
+    pitch, a grid numpy cannot read as complex numbers is refused."""
+    message = ("raster grid must be an array of numbers" if isinstance(args[0], float)
+               else "raster pitch must be a real number")
+    with pytest.raises(ConfigError, match=message):
         Raster(*args)
 
 
@@ -64,6 +68,10 @@ def test_quadrature_spec_refuses_wrong_types(field, value):
 @pytest.mark.parametrize("direction", [(1.0,), (0.6, 0.8, 0.0), "xy", None, (1.0, "0"),
                                        (1j, 0.0), np.ones((2, 2))])
 def test_line_refuses_a_direction_that_is_no_pair_of_reals(direction):
+    """An array of two reals is accepted and kept as a tuple of floats, so
+    the frozen line compares and hashes as a value."""
     with pytest.raises(ConfigError, match="scan direction"):
         Line(direction=direction)
-    Line(direction=np.array([0.6, 0.8]))
+    line = Line(direction=np.array([0.6, 0.8]))
+    assert line == Line(direction=(0.6, 0.8))
+    assert hash(line) == hash(Line(direction=(0.6, 0.8)))

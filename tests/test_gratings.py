@@ -165,17 +165,20 @@ def test_flat_pump_twin_grating_is_the_widefield_image_at_doubled_frequency():
 def test_transfer_values_that_keep_moving_raise_quadrature_error():
     """Transfer values are kept per order once a doubling moves them by at
     most 10 * tol of their scale; an order still moving at the last rung
-    raises the panel integrals' ``QuadratureError``, with its own move."""
-    def evaluate(freq, nodes):  # order 1 converges at once, order 2 never
-        return np.where(freq == 2.0, 1.0 + 1.0 / nodes, 1.0), 1.0
-
+    raises the panel integrals' ``QuadratureError``, with its own move.
+    Both go through the one loop of node doubling."""
     freq = np.array([1.0, 2.0])
-    transfer = coincidence._converged(evaluate, [8, 16, 32, 64], 1e-8)
+
+    def evaluate(pending, nodes):  # order 1 converges at once, order 2 never
+        return np.where(freq[pending] == 2.0, 1.0 + 1.0 / nodes, 1.0)
+
     with pytest.raises(coincidence.QuadratureError,
                        match=r"moved the result by 1\.515e-02 relative \(target 1\.0e-08\)"):
-        transfer(freq)
-    converged = coincidence._converged(lambda f, n: (np.ones_like(f), 1.0), [8, 16], 1e-8)
-    assert np.array_equal(converged(freq), [1.0, 1.0])
+        coincidence._node_doubling(evaluate, [8, 16, 32, 64], evaluate(np.arange(2), 8), 1.0,
+                                   1e-8)
+    converged = coincidence._node_doubling(lambda pending, n: np.ones(pending.size), [8, 16],
+                                           np.ones(2), 1.0, 1e-8)
+    assert np.array_equal(converged, [1.0, 1.0])
 
 
 def test_grating_refusals_come_before_any_transfer_value():

@@ -363,9 +363,9 @@ def test_batched_extended_scan_mixes_convergence_outcomes(monkeypatch):
     passes = []
     original = coincidence._panel_sum
 
-    def recording(points, half_x, half_y, n_x, n_y, kern):
-        passes.append((n_x, [tuple(p) for p in points]))
-        return original(points, half_x, half_y, n_x, n_y, kern)
+    def recording(points, half, n, kern):
+        passes.append((n, [tuple(p) for p in points]))
+        return original(points, half, n, kern)
 
     monkeypatch.setattr(coincidence, "_panel_sum", recording)
     plan = ScanPlan(geometry=geometry, instrument=Instrument.TWIN_PHOTON)
@@ -443,9 +443,9 @@ def test_mirror_symmetric_scan_evaluates_each_displacement_once(monkeypatch):
     passes = []
     original = coincidence._panel_sum
 
-    def recording(points, half_x, half_y, n_x, n_y, kern):
-        passes.append((n_x, points))
-        return original(points, half_x, half_y, n_x, n_y, kern)
+    def recording(points, half, n, kern):
+        passes.append((n, points))
+        return original(points, half, n, kern)
 
     monkeypatch.setattr(coincidence, "_panel_sum", recording)
     monkeypatch.setenv("TWINFOCAL_THREADS", "2")
