@@ -12,9 +12,12 @@ every benchmark workload once, at seeds 7 and 11, through the runners of
 ``bench/run.py``'s ``Workload``, and hashes each job's raw output: the exit
 code, stdout and stderr of a command line, the bytes of an array, the bits
 of a float, or the type and message of an exception.  The script prints
-each job whose output differs between ``REV`` and the working tree, then
-each whose working-tree output differs between the thread counts, then a
-summary line.  Only the second kind breaks the package's promise of
+each job whose output differs between ``REV`` and the working tree, with
+the largest move of its values relative to their peak, the largest
+magnitude on either side (``largest_move``; the values of an array, a
+float, or the CSV rows a command line prints), then each job whose
+working-tree output differs between the thread counts, then a summary
+line.  Only the second kind breaks the package's promise of
 bit-identical output for any thread count, so only it exits 1; a
 revision git does not know, or a tree whose jobs cannot be run, exits 2.
 It only reads ``bench/``; the runners write their config files under
@@ -50,9 +53,40 @@ def output_bytes(output) -> bytes:
     return repr((output.dtype.str, output.shape)).encode() + output.tobytes()
 
 
+def output_values(output) -> list[float] | None:
+    """The values of an array or float output, flattened, or the numbers of
+    the rows of a command line's stdout that are all numbers (its CSV
+    table, exact at the benchmark's 17 digits); None for an exception.
+    JSON carries them exactly: a float's repr round-trips."""
+    if isinstance(output, float):
+        return [output]
+    if isinstance(output, tuple):  # a command line: exit code, stdout, stderr
+        values = []
+        for line in output[1].splitlines():
+            try:
+                values += [float(field) for field in line.split(",")]
+            except ValueError:
+                pass  # a header or a report line
+        return values
+    if hasattr(output, "dtype") and output.dtype.kind == "f":
+        return output.ravel().tolist()
+    return None
+
+
+def largest_move(old: list[float] | None, new: list[float] | None) -> float | None:
+    """The largest difference between two outputs' values relative to their
+    peak, the largest magnitude on either side (0 if every value is 0);
+    None unless both are non-empty value lists of one length."""
+    if not old or not new or len(old) != len(new):
+        return None
+    peak = max(map(abs, old + new))
+    return max(abs(a - b) for a, b in zip(old, new)) / peak if peak else 0.0
+
+
 def digests(tree: str) -> None:
     """Run every benchmark job of ``tree`` once per seed and print one JSON
-    object: job (``workload seed name``) to the SHA-256 of its output."""
+    object: job (``workload seed name``) to the SHA-256 of its output and
+    its values (``output_values``)."""
     sys.path.insert(0, str(Path(tree) / "bench"))
     import run  # the benchmark of ``tree``, on the path only now
 
@@ -67,15 +101,16 @@ def digests(tree: str) -> None:
                         output = runner()
                     except Exception as exc:  # a job that raises has that as its output
                         output = exc
-                    found[f"{name} {seed} {job.name}"] = hashlib.sha256(
-                        output_bytes(output)).hexdigest()
+                    found[f"{name} {seed} {job.name}"] = (
+                        hashlib.sha256(output_bytes(output)).hexdigest(), output_values(output))
             finally:
                 wl.close()
     print(json.dumps(found))
 
 
-def run_tree(tree: Path, threads: int) -> dict[str, str]:
-    """The output digests of every job of ``tree`` at ``threads`` threads."""
+def run_tree(tree: Path, threads: int) -> dict[str, list]:
+    """The output digest and values of every job of ``tree`` at ``threads``
+    threads."""
     env = dict(os.environ, TWINFOCAL_THREADS=str(threads))
     done = subprocess.run([sys.executable, "-c", CHILD, __file__, str(tree)], cwd=tree,
                           env=env, check=True, capture_output=True, text=True)
@@ -111,16 +146,21 @@ def main(argv: list[str]) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout, check=True)
         try:
-            outputs = {(side, threads): run_tree(tree, threads)
-                       for side, tree in (("rev", Path(scratch)), ("worktree", ROOT))
-                       for threads in THREADS}
+            runs = {(side, threads): run_tree(tree, threads)
+                    for side, tree in (("rev", Path(scratch)), ("worktree", ROOT))
+                    for threads in THREADS}
         except subprocess.CalledProcessError as exc:
             sys.stderr.write(exc.stderr)
             print(f"error: the jobs of {exc.cmd[-1]} could not be run", file=sys.stderr)
             return 2
+    outputs = {key: {job: digest for job, (digest, _) in found.items()}
+               for key, found in runs.items()}
     moved, split = compare(outputs)
     for threads, job in moved:
-        print(f"differs from {rev} at TWINFOCAL_THREADS={threads}: {job}")
+        move = largest_move(*(runs[side, threads].get(job, (None, None))[1]
+                              for side in ("rev", "worktree")))
+        print(f"differs from {rev} at TWINFOCAL_THREADS={threads}: {job}"
+              + ("" if move is None else f" (largest move {move:.2e} of its peak)"))
     for job in split:
         print(f"differs between thread counts in the working tree: {job}")
     total = len(outputs["worktree", THREADS[0]])

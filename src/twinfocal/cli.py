@@ -594,17 +594,19 @@ def cmd_scan(run: RunConfig, stderr) -> Results:
     t12 = None
     report: list[str] = []
     if run.dispersion is not None:
+        # built and checked for every instrument, but only twin images are gated
         disp = run.dispersion.build()
         window = delay_window(disp, cfg.omega_o, cfg.omega_e)
-        if window <= 0.0:
-            stderr.write(
-                "warning: group-delay window D*L <= 0; the coincidence gate "
-                "never opens and the twin-photon image is all zero\n")
         t12 = run.dispersion.t12
         if t12 is None:
             # Center the arrival-time offset in the open window.
             t12 = 0.5 * window if window > 0.0 else 0.0
-        report.append(f"gate: window_s={_fmt(window, 3)} t12_s={_fmt(t12, 3)}")
+        if plan.instrument is Instrument.TWIN_PHOTON:
+            if window <= 0.0:
+                stderr.write(
+                    "warning: group-delay window D*L <= 0; the coincidence gate "
+                    "never opens and the twin-photon image is all zero\n")
+            report.append(f"gate: window_s={_fmt(window, 3)} t12_s={_fmt(t12, 3)}")
 
     image = scan(plan, cfg, run.sample, quad=run.quadrature, t12=t12, disp=disp)
 

@@ -76,7 +76,9 @@ split (``Chunks`` splits it), and every amplitude, rate and image goes
 through it.  ``twin_rates`` alone forms the rate ``gate * |A|^2``.
 A grating, periodic in x and constant in y, is a sum over its
 diffraction orders, one transfer value of the instrument per order
-(``grating_orders``, ``grating_sum``).  Every other sample lowers to
+(``grating_orders``, ``grating_sum``); one bound on the twin kernel's
+pump envelope decides both the orders kept and the radius its transform
+is cut at.  Every other sample lowers to
 weighted cells of one square lattice (``_sample_lattice``).  Point
 samples (``Delta``, ``TwoPoint``) lower to zero-size unit cells ``p_k``:
 ``A(y) = sum_k K(p_k - y)`` (``point_sum``, which evaluates the kernel
@@ -123,7 +125,7 @@ import numpy as np
 
 from .errors import (
     ConfigError, QuadratureError, check_integers, check_positive, check_real, check_size)
-from .optics import SPEED_OF_LIGHT, MicroscopeConfig, eta0_inv_sq, r0
+from .optics import SPEED_OF_LIGHT, MicroscopeConfig, eta0_inv_sq
 from .specfun import Workspace, _workspace, airy_amp, bessel_j0
 
 __all__ = [
@@ -142,10 +144,6 @@ __all__ = [
     "amplitude",
     "coincidence_rate",
 ]
-
-# Third zero of the Airy amplitude (third nonzero root of J1); used to cut
-# off the oscillatory kernel tail when no Gaussian envelope is present.
-_AIRY_ZERO_3 = 10.173468135062722
 
 # Node doublings above the requested counts n, so the largest pass takes
 # 4 n nodes per side (the ladder of passes: ``_ladder``).
@@ -454,20 +452,18 @@ class QuadratureSpec:
     dimension (slit side, pixel side), each side of the confocal
     transfer's fan and each radial panel of the twin transfer of a
     grating (``grating_orders``).  ``truncation_radius`` is the radius
-    ``R`` of that twin transfer with a Gaussian pump (None picks
-    :func:`default_truncation_radius`); nothing else is truncated.
-    ``angular_nodes`` covered the stripe panels gratings were integrated
-    on before they became sums over their diffraction orders, and governs
-    nothing now; it is still read, checked and counted in the point cap,
-    so that every config file and spec accepted or refused before still
-    is.
+    ``R`` of that twin transfer with a Gaussian pump (None: the radius
+    whose envelope tail ``grating_orders`` bounds like its order cutoff);
+    nothing else is truncated.  ``angular_nodes`` governs nothing since
+    gratings became sums over their diffraction orders; config files
+    still set it, so it is still read and checked as an integer of at
+    least 8.
 
     The counts are the requested ones of node doubling; the ladder of
     passes, which the panel integrals and the grating transfers climb
     alike, is described at ``integrate_sample``.  No pass exceeds four
-    times the counts.  The point cap bounds ``16 radial_nodes
-    max(radial_nodes, angular_nodes)`` kernel points, at least the square
-    panel of the last pass.
+    times the counts.  The point cap bounds the square panel of the last
+    pass, ``16 radial_nodes^2`` kernel points.
     """
 
     radial_nodes: int = 48
@@ -480,9 +476,8 @@ class QuadratureSpec:
         check_integers(counts, "quadrature node counts")
         if min(counts) < 8:
             raise ConfigError("quadrature node counts must be at least 8")
-        # the largest panel at the last doubling; angular_nodes still counts,
-        # so that every spec refused before still is
-        points = (2 ** _DOUBLING_CHECKS) ** 2 * self.radial_nodes * max(counts)
+        # the largest panel, at the last doubling
+        points = ((2 ** _DOUBLING_CHECKS) * self.radial_nodes) ** 2
         check_size(points, _MAX_PANEL_POINTS,
                    f"quadrature of {points} kernel points per panel at the last node doubling",
                    _BYTES_PER_KERNEL_POINT, "evaluating one panel")
@@ -555,33 +550,6 @@ def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
         field *= amp
         return field
     return np.asarray(amp, dtype=complex)
-
-
-def default_truncation_radius(cfg: MicroscopeConfig, target_rel_tol: float = 1e-8) -> float:
-    """Radius ``R`` of the twin kernel's transform on a grating
-    (``grating_orders``).
-
-    The smaller of ``6 r0`` and the third Airy zero of the wider airy_amp
-    factor, provided the pump spot intensity ``exp(-(R/r0)^2)`` left at
-    the cut stays below the target tolerance; otherwise ``6 r0`` wins.
-    Without a pump Gaussian only the Airy cut applies, though no grating
-    reads it then: its transform is closed.
-
-    The rule is stated for the undoubled spot.  The twin kernel's
-    envelope ``exp(-2 |v|^2/r0^2)`` is narrower (``|K|`` is down to
-    exp(-72) at ``6 r0``, the rate to exp(-144)), so the radius bounds it
-    with room to spare; it is kept, so twin grating images stay where
-    the stripe panels cut at it left them.
-    """
-    alpha_o, alpha_e = _twin_alphas(cfg)
-    airy_cut = _AIRY_ZERO_3 / min(alpha_o, alpha_e)
-    if not cfg.pump_gaussian:
-        return airy_cut
-    spot = r0(cfg)
-    radius = min(6.0 * spot, airy_cut)
-    if math.exp(-((radius / spot) ** 2)) > target_rel_tol:
-        radius = 6.0 * spot
-    return radius
 
 
 @dataclass(frozen=True)
@@ -1102,8 +1070,13 @@ def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec 
       ``S``.  Orders stop at ``q_max = S + sqrt(2 ln(1/eps) / rho)``,
       ``eps = _ORDER_TAIL``: with ``|c_m| <= 1 / (pi m)`` and the Mills
       bound on the Gaussian sum, the orders beyond add at most ``(4 / pi)
-      eps`` of ``2 pi / |c|``.  ``q_max R`` is refused beyond
-      ``_MAX_BESSEL_ARG``, the range over which ``bessel_j0`` is tested.
+      eps`` of ``2 pi / |c|``.  The same envelope ``|K(v)| <= exp(-Re(c)
+      |v|^2 / 2)`` sets ``R``: beyond it ``|K|`` integrates to at most
+      ``(2 pi / Re(c)) exp(-Re(c) R^2 / 2)``, so ``R = sqrt(2 ln(|c| /
+      (Re(c) eps)) / Re(c))`` (about 4.4 ``r0``) leaves at most ``eps``
+      of ``2 pi / |c|``; a set ``quad.truncation_radius`` overrides it.
+      ``q_max R`` is refused beyond ``_MAX_BESSEL_ARG``, the range over
+      which ``bessel_j0`` is tested.
     """
     quad = quad or QuadratureSpec()
     n, tol = quad.radial_nodes, quad.target_rel_tol
@@ -1129,7 +1102,8 @@ def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec 
         if cfg.pump_gaussian:
             c = _pump_rate(cfg)
             cut += math.sqrt(2.0 * math.log(1.0 / _ORDER_TAIL) * abs(c) ** 2 / c.real)
-            radius = quad.truncation_radius or default_truncation_radius(cfg, tol)
+            radius = quad.truncation_radius or math.sqrt(
+                2.0 * math.log(abs(c) / (c.real * _ORDER_TAIL)) / c.real)
             if not cut * radius <= _MAX_BESSEL_ARG:
                 raise ConfigError(
                     f"grating transform would evaluate J0 at {cut * radius:.3g}, beyond "

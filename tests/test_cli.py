@@ -595,6 +595,24 @@ def test_scan_gate_open_window(tmp_path):
     assert max(rates) == 1.0
 
 
+@pytest.mark.parametrize("instrument", ["confocal", "widefield"])
+def test_classical_scan_prints_no_gate_lines(tmp_path, instrument):
+    """Only the twin-photon image is gated: a classical scan with a closed
+    window prints neither the gate's warning nor its line, and its image
+    still peaks at 1.  Its dispersion model is still built and checked, so
+    a bad one is refused as for a twin scan."""
+    lines = ["dispersion.n_o = 1.55", "dispersion.n_e = 1.60", "dispersion.psi = 49 deg",
+             "scan.samples = 17", f"scan.instrument = {instrument}"]
+    code, out, err = run_cli("scan", "--config", write_config(tmp_path, "\n".join(lines) + "\n"))
+    assert code == 0
+    assert err == ""
+    rates = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    assert max(rates) == 1.0
+    lines[0] = "dispersion.n_o = 1.55, 1e300"
+    code, _, err = run_cli("scan", "--config", write_config(tmp_path, "\n".join(lines) + "\n"))
+    assert code != 0 and "non-finite value" in err
+
+
 @pytest.mark.parametrize("n_o, n_e", [("1.60", "1.55"), ("1.55", "1.60")])
 def test_scan_out_file_moves_report_to_stdout(tmp_path, n_o, n_e):
     """With ``--out`` the gate and dip lines go to stdout, as compare's

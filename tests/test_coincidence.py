@@ -31,7 +31,6 @@ from twinfocal.coincidence import (
     TwoPoint,
     amplitude,
     coincidence_rate,
-    default_truncation_radius,
     delay_window,
     gate,
     inv_group_velocity,
@@ -138,19 +137,17 @@ def test_quadrature_spec_caps_panel_points():
     cap = coincidence._MAX_PANEL_POINTS
     with pytest.raises(ConfigError, match=r"16000000000000 kernel points.*MiB"):
         QuadratureSpec(radial_nodes=10**6)
-    # a grating stripe at the last doubling: 4 radial by 4 angular counts
-    with pytest.raises(ConfigError, match=r"kernel points per panel"):
-        QuadratureSpec(angular_nodes=cap // (16 * 48) + 1)
-    QuadratureSpec(angular_nodes=cap // (16 * 48))
-    with pytest.raises(ConfigError, match=r"kernel points per panel"):
-        QuadratureSpec(radial_nodes=cap // (16 * 384) + 1)
-    QuadratureSpec(radial_nodes=cap // (16 * 384))
+    # angular_nodes governs no panel: any count is accepted and changes nothing
+    offsets = np.column_stack([np.linspace(-1e-6, 1e-6, 9), np.zeros(9)])
+    wide = QuadratureSpec(angular_nodes=1 << 20)
+    assert coincidence.sample_amplitudes(Slit(5e-7), offsets, CFG8, wide).tobytes() == \
+        coincidence.sample_amplitudes(Slit(5e-7), offsets, CFG8, QuadratureSpec()).tobytes()
     # a square panel at the last doubling: 4 radial counts squared
     with pytest.raises(ConfigError, match=r"kernel points per panel"):
         QuadratureSpec(radial_nodes=math.isqrt(cap // 16) + 1, angular_nodes=8)
     QuadratureSpec(radial_nodes=math.isqrt(cap // 16), angular_nodes=8)
-    # the largest shipped spec, a default grating stripe: 192 x 1536 points
-    assert 16 * 48 * 384 == 294_912 < cap // 4
+    # the default panel at the last doubling: 192 x 192 points
+    assert (4 * 48) ** 2 == 36_864 < cap // 4
 
 
 # ----------------------------------------------------------------------------
@@ -977,20 +974,34 @@ def test_table_values_match_direct_panel_sums():
         assert np.allclose(keyed, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())
 
 
-def test_default_truncation_radius_paths():
-    # large pump spot (1 mm waist): Airy cut would leave Gaussian mass
-    # outside, so the 6 r0 radius wins
-    cfg1 = MicroscopeConfig()
-    assert default_truncation_radius(cfg1) == pytest.approx(6.0 * r0(cfg1), rel=1e-12)
-    # tight spot (2 cm waist): 6 r0 is inside the third Airy zero
-    cfg20 = MicroscopeConfig(w0=2e-2)
-    value = default_truncation_radius(cfg20)
-    assert value == pytest.approx(6.0 * r0(cfg20), rel=1e-12)
-    airy_cut = 10.173468135062722 * 702e-9 / (4.0 * math.pi)
-    assert value < airy_cut
-    # no envelope: only the Airy cut applies
-    cfg_open = MicroscopeConfig(pump_gaussian=False)
-    assert default_truncation_radius(cfg_open) == pytest.approx(airy_cut, rel=1e-12)
+@pytest.mark.parametrize("cfg", [MicroscopeConfig(w0=1e-3), CFG8, MicroscopeConfig(w0=12e-3),
+                                 NON_DEGENERATE],
+                         ids=["w0_1mm", "w0_8mm", "w0_12mm", "non_degenerate"])
+def test_grating_radius_leaves_at_most_the_order_tail(cfg):
+    """A twin grating's transform is cut at ``R = sqrt(2 ln(|c| / (Re(c)
+    eps)) / Re(c))``, ``eps = _ORDER_TAIL``: a dense radial rule (400
+    panels of 32 nodes out to 3 R) integrates ``|K|`` beyond it to at most
+    ``eps`` of ``2 pi / |c|``, the share the order cutoff leaves.  The
+    default transfer values are bit for bit those of a spec that sets
+    ``R``, and a set radius wins over it."""
+    c = _envelope_rate(cfg)
+    eps = coincidence._ORDER_TAIL
+    radius = math.sqrt(2.0 * math.log(abs(c) / (c.real * eps)) / c.real)
+    base, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(radius, 3.0 * radius, 401)
+    half = 0.5 * np.diff(edges)
+    r = ((edges[:-1] + half)[:, None] + half[:, None] * base).ravel()
+    weight = (half[:, None] * w).ravel() * r
+    tail = 2.0 * math.pi * weight @ np.abs(kernel_field(r, 0.0, cfg))
+    assert 0.0 < tail <= eps * 2.0 * math.pi / abs(c)
+
+    def transfer(quad):
+        orders = coincidence.grating_orders(Grating(2e-6), cfg, quad, None)
+        return orders.transfer(orders.freq).tobytes()
+
+    default = transfer(None)
+    assert default == transfer(QuadratureSpec(truncation_radius=radius))
+    assert default != transfer(QuadratureSpec(truncation_radius=6.0 * r0(cfg)))
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from twinfocal import coincidence
 from twinfocal.coincidence import Grating, QuadratureSpec, kernel_field
-from twinfocal.optics import MicroscopeConfig
+from twinfocal.optics import MicroscopeConfig, r0
 from twinfocal.psf import psf_widefield
 from twinfocal.scansim import Instrument, Line, ScanPlan, scan
 from twinfocal.specfun import airy_amp, bessel_j0
@@ -74,11 +74,11 @@ def test_widefield_grating_image_is_the_closed_form():
 
 
 def test_stripe_panels_move_toward_the_order_sum():
-    """Stripe panels cut at the default truncation radius R, 2 R and 4 R
-    (nodes along y in proportion) miss the order sum by 2.0e-2, 1.1e-2 and
-    6.1e-3 of the peak: each doubling of the radius moves them closer,
-    as the widefield response's algebraic tail falls off."""
-    radius = coincidence.default_truncation_radius(CFG8)
+    """Stripe panels cut at R = 6 r0, the radius they were once cut at, 2 R
+    and 4 R (nodes along y in proportion) miss the order sum by 2.0e-2,
+    1.1e-2 and 6.1e-3 of the peak: each doubling of the radius moves them
+    closer, as the widefield response's algebraic tail falls off."""
+    radius = 6.0 * r0(CFG8)
     exact = widefield_closed_form(OFFSETS)
     misses = [np.abs(stripe_panels(k * radius, 64 * k) - exact).max() for k in (1, 2, 4)]
     assert misses[0] > misses[1] > misses[2] > 1e-3
@@ -113,11 +113,11 @@ def test_confocal_transfer_values_match_a_dense_hankel_transform():
 def test_twin_transfer_values_match_a_dense_square_rule(cfg):
     """The twin transfer values, Hankel transforms of ``K`` on radial
     panels, agree with ``integral K(v) cos(q v_x) d^2 v`` over the square
-    of half side ``R`` (the truncation radius) by 32 x 32 panels of 16
-    nodes, a rule that shares nothing with them but ``kernel_field``."""
+    of half side ``6 r0`` by 32 x 32 panels of 16 nodes, a rule that
+    shares nothing with them but ``kernel_field``, nor their radius."""
     orders = coincidence.grating_orders(Grating(PERIOD, DUTY), cfg, None, None)
     values = orders.transfer(orders.freq)
-    radius = coincidence.default_truncation_radius(cfg)
+    radius = 6.0 * r0(cfg)
     x, w = gauss_legendre(-radius, radius, 32, 16)
     along_x = kernel_field(x[:, None], x[None, :], cfg) @ w  # integrated over v_y
     reference = np.cos(np.outer(orders.freq, x)) @ (w * along_x)

@@ -23,14 +23,16 @@ accepts, ``10 * target_rel_tol`` of the larger of the value and 1% of the
 mass.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import lit_cells, panel_rule, reference_scan
 
 from twinfocal import coincidence
-from twinfocal.coincidence import QuadratureSpec, Raster, Slit, kernel_field
-from twinfocal.optics import MicroscopeConfig
+from twinfocal.coincidence import Grating, QuadratureSpec, Raster, Slit, TwoPoint, kernel_field
+from twinfocal.optics import MicroscopeConfig, r0
 from twinfocal.psf import psf_confocal, psf_widefield
 from twinfocal.scansim import Grid, Line
 
@@ -54,6 +56,12 @@ def line(seed, half_range: float, samples: int, shift=(0.0, 0.0)) -> np.ndarray:
     angle = 0.0 if seed is None else 2.0 * np.pi * np.random.default_rng(seed).random()
     geometry = Line(direction=(np.cos(angle), np.sin(angle)), half_range=half_range,
                     samples=samples)
+    return geometry.offsets() + shift
+
+
+def diagonal(half_range: float, samples: int, shift=(0.0, 0.0)) -> np.ndarray:
+    """Offsets of a ``Line`` along the diagonal x = y, moved by ``shift`` [m]."""
+    geometry = Line(direction=(0.5 ** 0.5, 0.5 ** 0.5), half_range=half_range, samples=samples)
     return geometry.offsets() + shift
 
 
@@ -94,6 +102,17 @@ CASES = {
                                   QuadratureSpec(radial_nodes=12), 48),
     "widefield_raster": ("widefield", CFG12, complex_raster(13, (4, 6), 1.5e-7),
                          line(None, 1.2e-6, 16, (0.0, 3e-8)), QuadratureSpec(radial_nodes=12), 24),
+    "twin_raster_pitch_005_diagonal": ("twin", CFG8, complex_raster(14, (6, 6), 5e-8),
+                                       diagonal(6e-7, 16, (1e-8, 0.0)),
+                                       QuadratureSpec(radial_nodes=8), 16),
+    "twin_raster_pitch_03_diagonal": ("twin", CFG12, complex_raster(15, (3, 3), 3e-7, 0.3),
+                                      diagonal(1.2e-6, 16), QuadratureSpec(radial_nodes=12), 32),
+    "confocal_raster_pitch_03": ("confocal", CFG1, complex_raster(16, (3, 4), 3e-7),
+                                 line(16, 1.5e-6, 16, (2e-8, 0.0)),
+                                 QuadratureSpec(radial_nodes=12), 32),
+    "widefield_raster_pitch_005_diagonal": ("widefield", CFG8, complex_raster(17, (5, 5), 5e-8),
+                                            diagonal(8e-7, 16, (0.0, 1e-8)),
+                                            QuadratureSpec(radial_nodes=8), 16),
 }
 
 
@@ -155,3 +174,68 @@ def test_scan_lies_within_its_accepted_error_and_drop_limit_of_the_reference(cas
     allowed = error + np.abs(at_rounded - at_count) + limit + 1e-14 * mass
     excess = np.abs(raw - reference) / allowed
     assert excess.max() <= 1.0, (excess.argmax(), excess.max())
+
+
+@pytest.mark.parametrize("instrument", RESPONSES)
+def test_two_point_scan_is_the_kernel_at_both_points(instrument):
+    """A two-point sample has no panel: its raw value at each offset of a
+    diagonal line is the kernel summed at the two points' true
+    displacements from it, to float rounding (1e-14 of the summed
+    magnitudes)."""
+    cfg, separation = CFG12, 3e-7
+    response = RESPONSES[instrument]
+    offsets = diagonal(8e-7, 16, (1e-8, 0.0))
+    raw = coincidence.sample_amplitudes(TwoPoint(separation), offsets, cfg, None, response)
+    if response is None:
+        values = [kernel_field(x - offsets[:, 0], -offsets[:, 1], cfg)
+                  for x in (-0.5 * separation, 0.5 * separation)]
+    else:
+        values = [response(np.hypot(x - offsets[:, 0], offsets[:, 1]), cfg)
+                  for x in (-0.5 * separation, 0.5 * separation)]
+    mass = np.abs(values[0]) + np.abs(values[1])
+    assert np.all(np.abs(raw - (values[0] + values[1])) <= 1e-14 * mass)
+
+
+def stripe_reference(cfg, sample, offsets, n: int) -> np.ndarray:
+    """The twin amplitude of a grating from stripe panels of
+    ``kernel_field``, at every offset: each stripe whose centre lies within
+    ``R + period`` of the offset along x, ``R = 6 r0``, cut to ``|v_y| <=
+    R``, by Gauss-Legendre panels of ``n`` nodes a side, ``r0 / 2`` wide
+    or narrower.  The grating is constant in y, so an offset's y does not
+    enter; nothing here shares code with ``grating_orders``."""
+    radius, period = 6.0 * r0(cfg), sample.period
+    half = 0.5 * sample.duty * period
+
+    def rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        base, weight = np.polynomial.legendre.leggauss(n)
+        edges = np.linspace(lo, hi, math.ceil((hi - lo) / (0.5 * r0(cfg))) + 1)
+        width = 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + width)[:, None] + width[:, None] * base
+        return nodes.ravel(), (width[:, None] * weight).ravel()
+
+    gx, wx = rule(-half, half)
+    gy, wy = rule(-radius, radius)
+    values = []
+    for y in offsets[:, 0]:
+        near = np.arange(math.floor((y - radius) / period) - 1,
+                         math.ceil((y + radius) / period) + 2) * period
+        near = near[np.abs(near - y) < radius + period]
+        vx = (near[:, None] + gx - y).ravel()
+        values.append(np.tile(wx, near.size) @ kernel_field(vx[:, None], gy[None, :], cfg) @ wy)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("cfg", [CFG8, NON_DEGENERATE], ids=["w0_8mm", "non_degenerate"])
+def test_twin_grating_line_matches_stripe_panels(cfg):
+    """A twin grating's raw values, sums over its diffraction orders, on a
+    line in a random direction off the axis lie within 1e-12 of the peak of
+    stripe panels of the kernel cut at 6 r0 (``stripe_reference``), whose
+    envelope there is exp(-72).  The stripe rule has converged: it moves
+    by at most 1e-12 of the peak from ``n`` to ``2 n`` nodes."""
+    sample = Grating(period=1e-6, duty=0.4)
+    offsets = line(18, 1e-6, 16, (1.3e-8, 2e-8))
+    raw = coincidence.sample_amplitudes(sample, offsets, cfg, None)
+    coarse, reference = (stripe_reference(cfg, sample, offsets, n) for n in (12, 24))
+    peak = np.abs(reference).max()
+    assert np.abs(reference - coarse).max() <= 1e-12 * peak
+    assert np.abs(raw - reference).max() <= 1e-12 * peak

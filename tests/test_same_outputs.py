@@ -59,3 +59,22 @@ def test_output_bytes_tell_outputs_apart():
     assert output_bytes(0.1) != output_bytes(np.nextafter(0.1, 1.0))
     assert output_bytes((0, "x,y\n", "")) != output_bytes((1, "x,y\n", ""))
     assert output_bytes(ValueError("no")) != output_bytes(ValueError("yes"))
+
+
+def test_moved_values_are_measured_against_their_peak():
+    """An array, a float and a command line's CSV rows carry their values;
+    the largest move is taken against the larger side's peak.  Outputs
+    without values, of other lengths or empty are not measured."""
+    script = load_script()
+    assert script.output_values(np.array([[1.0, -4.0]])) == [1.0, -4.0]
+    assert script.output_values(0.25) == [0.25]
+    table = "y_m,rate\n-1.00e-06,2.5e-01\n0.0,1\ngate: window_s=7e-13\n"
+    assert script.output_values((0, table, "warning\n")) == [-1e-6, 0.25, 0.0, 1.0]
+    assert script.output_values((0, "x,y\n", "")) == []
+    assert script.output_values(ValueError("no")) is None
+    assert script.largest_move([1.0, -4.0], [1.0, -3.0]) == 0.25
+    assert script.largest_move([0.5], [2.0]) == 0.75
+    assert script.largest_move([0.0, -0.0], [0.0, 0.0]) == 0.0
+    assert script.largest_move([1.0], [1.0, 2.0]) is None
+    assert script.largest_move(None, [1.0]) is None
+    assert script.largest_move([], []) is None
