@@ -11,7 +11,8 @@ interpreter per ``TWINFOCAL_THREADS`` value (1 and 2) runs every job of
 every benchmark workload once, at seeds 7 and 11, through the runners of
 ``bench/run.py``'s ``Workload``, and hashes each job's raw output: the exit
 code, stdout and stderr of a command line, the bytes of an array, the bits
-of a float, or the type and message of an exception.  The script prints
+of a float, or the type and message of an exception, together with the
+bytes of the SVG figure the job wrote, if any.  The script prints
 each job whose output differs between ``REV`` and the working tree, with
 the largest move of its values relative to their peak, the largest
 magnitude on either side (``largest_move``; the values of an array, a
@@ -20,8 +21,8 @@ working-tree output differs between the thread counts, then a summary
 line.  Only the second kind breaks the package's promise of
 bit-identical output for any thread count, so only it exits 1; a
 revision git does not know, or a tree whose jobs cannot be run, exits 2.
-It only reads ``bench/``; the runners write their config files under
-``.bench_work/`` of their own tree and remove them.
+It only reads ``bench/``; the runners write their config files and
+figures under ``.bench_work/`` of their own tree and remove them.
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ def output_bytes(output) -> bytes:
     if isinstance(output, tuple):  # a command line: exit code, stdout, stderr
         return repr(output).encode()
     return repr((output.dtype.str, output.shape)).encode() + output.tobytes()
+
+
+def job_digest(output, workdir: Path) -> str:
+    """SHA-256 of a job's raw output and of each SVG file it wrote into
+    ``workdir``, by name and bytes.  The files are removed, so the next
+    job's digest holds only its own figure."""
+    digest = hashlib.sha256(output_bytes(output))
+    for path in sorted(workdir.glob("*.svg")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        path.unlink()
+    return digest.hexdigest()
 
 
 def output_values(output) -> list[float] | None:
@@ -86,7 +98,7 @@ def largest_move(old: list[float] | None, new: list[float] | None) -> float | No
 def digests(tree: str) -> None:
     """Run every benchmark job of ``tree`` once per seed and print one JSON
     object: job (``workload seed name``) to the SHA-256 of its output and
-    its values (``output_values``)."""
+    figure (``job_digest``) and its values (``output_values``)."""
     sys.path.insert(0, str(Path(tree) / "bench"))
     import run  # the benchmark of ``tree``, on the path only now
 
@@ -102,7 +114,7 @@ def digests(tree: str) -> None:
                     except Exception as exc:  # a job that raises has that as its output
                         output = exc
                     found[f"{name} {seed} {job.name}"] = (
-                        hashlib.sha256(output_bytes(output)).hexdigest(), output_values(output))
+                        job_digest(output, wl.workdir), output_values(output))
             finally:
                 wl.close()
     print(json.dumps(found))

@@ -385,9 +385,9 @@ def _finish(output: OutputSpec, table: str, report: Sequence[str],
 
 def _csv_table(header: Sequence[str], rows: Sequence[Sequence[float]],
                precision: int) -> str:
+    fmt = f"{{:.{precision}e}}".format  # _fmt, applied to the floats of one tolist
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v, precision) for v in row))
+    lines += [",".join(map(fmt, row)) for row in np.asarray(rows, dtype=float).tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -458,9 +458,10 @@ def render_heatmap_svg(matrix: np.ndarray, title: str) -> str:
         f'<text x="{left + nx * cell / 2:.0f}" y="24" text-anchor="middle" '
         f'font-size="14">{title}</text>',
     ]
-    for i in range(ny):
-        for j in range(nx):
-            shade = int(round(255.0 * (1.0 - float(matrix[i, j]))))
+    # np.rint rounds half to even, as round does; int refuses NaN and inf as it does
+    shades = np.rint(255.0 * (1.0 - np.asarray(matrix, dtype=float))).tolist()
+    for i, row in enumerate(shades):
+        for j, shade in enumerate(map(int, row)):
             parts.append(f'<rect x="{left + j * cell}" y="{top + i * cell}" '
                          f'width="{cell}" height="{cell}" '
                          f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>')

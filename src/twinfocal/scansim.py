@@ -59,6 +59,7 @@ from .coincidence import (
     SampleTransmittance,
     TwoPoint,
     _check_reach,
+    _check_timing,
     sample_amplitudes,
     twin_rates,
 )
@@ -233,8 +234,10 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
     twin-photon instrument only; classical instruments have no pair
     timing.  A gated-out twin scan returns an all-zero image with
     ``peak_value_raw = 0``, once its sample is admitted as for an open
-    gate.
+    gate.  A ``t12`` without a dispersion model is refused for every
+    instrument.
     """
+    _check_timing(t12, disp)
     offsets = plan.geometry.offsets()
     with Chunks(_thread_count()) as chunks:
         if plan.instrument is Instrument.TWIN_PHOTON:

@@ -613,6 +613,21 @@ def test_classical_scan_prints_no_gate_lines(tmp_path, instrument):
     assert code != 0 and "non-finite value" in err
 
 
+@pytest.mark.parametrize("instrument", ["twin", "confocal", "widefield"])
+@pytest.mark.parametrize("n_o, n_e, message", [
+    ("0.5", "1.5555", "n_o must be >= 1 at the ordinary carrier"),
+    ("1.6654, 2.0e-17", "0.5", "n_e must be >= 1 at the extraordinary carrier"),
+], ids=["thin_n_o", "thin_n_e"])
+def test_scan_refuses_an_unphysical_index_without_a_warning(tmp_path, instrument, n_o, n_e,
+                                                            message):
+    """An index below 1 at its carrier is refused before the gate's window
+    is reported: exit 2 with the error alone, no closed-gate warning, for
+    every instrument, as the model is checked for every instrument."""
+    cfg = write_config(tmp_path, f"dispersion.n_o = {n_o}\ndispersion.n_e = {n_e}\n"
+                                 f"dispersion.psi = 49.2 deg\nscan.instrument = {instrument}\n")
+    assert run_cli("scan", "--config", cfg) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("n_o, n_e", [("1.60", "1.55"), ("1.55", "1.60")])
 def test_scan_out_file_moves_report_to_stdout(tmp_path, n_o, n_e):
     """With ``--out`` the gate and dip lines go to stdout, as compare's
@@ -772,6 +787,78 @@ def test_scan_svg_outputs(tmp_path):
                          "--out", str(tmp_path / "grid.csv"))
     assert code == 0
     assert "<rect" in grid_svg.read_text(encoding="utf-8")
+
+
+# ----------------------------------------------------------------------------
+# output formatting
+# ----------------------------------------------------------------------------
+
+def reference_csv_table(header, rows, precision):
+    """``cli._csv_table`` as a per-element formula: one numpy scalar at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.{precision}e}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_heatmap_svg(matrix, title):
+    """``cli.render_heatmap_svg`` with its shades rounded one element at a time."""
+    ny, nx = matrix.shape
+    cell = max(2, min(16, 480 // max(nx, ny)))
+    left, top = 40, 40
+    width = left + nx * cell + 40
+    height = top + ny * cell + 40
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{left + nx * cell / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-size="14">{title}</text>',
+    ]
+    for i in range(ny):
+        for j in range(nx):
+            shade = int(round(255.0 * (1.0 - float(matrix[i, j]))))
+            parts.append(f'<rect x="{left + j * cell}" y="{top + i * cell}" '
+                         f'width="{cell}" height="{cell}" '
+                         f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def half_shade_values() -> np.ndarray:
+    """Values whose shade ``255 (1 - v)`` lies within an ulp of each
+    half-integer from 0.5 to 254.5, on either side, and the end points."""
+    exact = 1.0 - (np.arange(255) + 0.5) / 255.0
+    return np.concatenate([np.nextafter(exact, -1.0), exact, np.nextafter(exact, 2.0),
+                           [0.0, 1.0, -0.0]])
+
+
+def test_csv_table_matches_the_per_element_formula():
+    rng = np.random.default_rng(29)
+    grids = [rng.random((33, 33)), rng.random((16, 40)) * 10.0 ** rng.integers(-300, 300),
+             half_shade_values().reshape(-1, 6),
+             np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, math.nan]])]
+    for grid in grids:
+        for precision in (3, 9, 17):
+            assert cli._csv_table(["h"], grid, precision) == reference_csv_table(
+                ["h"], grid, precision)
+    rows = [(1, 2.5, np.float64(1e-3)), (-3, 0.1, 7)]  # sweep rows: mixed scalars
+    assert cli._csv_table(["a", "b", "c"], rows, 4) == reference_csv_table(["a", "b", "c"],
+                                                                           rows, 4)
+
+
+def test_heatmap_svg_matches_the_per_element_formula():
+    """Shades round half to even, as ``round`` does, also within an ulp of
+    a half-integer, and from float32 images as from float64 ones."""
+    rng = np.random.default_rng(29)
+    half = half_shade_values().reshape(-1, 16)
+    for matrix in (rng.random((33, 33)), rng.random((16, 20)), half, half.astype(np.float32),
+                   np.zeros((16, 16))):
+        assert cli.render_heatmap_svg(matrix, "grid") == reference_heatmap_svg(matrix, "grid")
+    for bad, error in ((math.nan, ValueError), (math.inf, OverflowError)):
+        with pytest.raises(error):
+            cli.render_heatmap_svg(np.full((16, 16), bad), "grid")
+        with pytest.raises(error):
+            reference_heatmap_svg(np.full((16, 16), bad), "grid")
 
 
 # ----------------------------------------------------------------------------

@@ -8,7 +8,9 @@ exceeds the tolerances being certified).
 """
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from conftest import riemann_amplitude
 from twinfocal.errors import ConfigError, QuadratureError
 from twinfocal.optics import SPEED_OF_LIGHT, MicroscopeConfig, airy_radius, eta0_inv_sq, r0
 from twinfocal.psf import psf_confocal, psf_twin
-from twinfocal.scansim import Grid
+from twinfocal.scansim import Grid, Instrument, ScanPlan, scan
 from twinfocal.specfun import Workspace, _workspace, airy_amp
 from twinfocal import coincidence
 from twinfocal.coincidence import (
@@ -254,12 +256,97 @@ def test_gate_closed_when_mismatch_non_positive():
         assert gate(t12, slow_e, CFG8.omega_o, CFG8.omega_e) == 0.0
 
 
-def test_gate_rejects_unphysical_index():
-    thin = DispersionModel(n_o=lambda w: 0.9, n_e=toy_n_e, psi=0.5, L=1e-3)
-    with pytest.raises(ConfigError):
-        gate(1e-13, thin, CFG8.omega_o, CFG8.omega_e)
+@pytest.mark.parametrize("n_o, n_e, message", [
+    (lambda w: 0.9, toy_n_e, "n_o must be >= 1"),
+    (toy_n_o, lambda w, psi: 0.9, "n_e must be >= 1"),
+], ids=["thin_n_o", "thin_n_e"])
+def test_gate_rejects_unphysical_index(n_o, n_e, message):
+    """A failed index check is not kept with the model's window: every call
+    of ``gate`` and ``delay_window`` raises again."""
+    thin = DispersionModel(n_o=n_o, n_e=n_e, psi=0.5, L=1e-3)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match=message):
+            gate(1e-13, thin, CFG8.omega_o, CFG8.omega_e)
+        with pytest.raises(ConfigError, match=message):
+            delay_window(thin, CFG8.omega_o, CFG8.omega_e)
     with pytest.raises(ConfigError):
         gate(math.nan, TOY_DISP, CFG8.omega_o, CFG8.omega_e)
+
+
+def test_gated_grid_evaluates_the_indices_a_fixed_number_of_times(monkeypatch):
+    """A gated twin grid calls ``gate`` once per offset, but the model
+    evaluates its index functions for one carrier pair only once, whatever
+    the number of offsets."""
+    def counted_scan(side: int) -> tuple[int, int]:
+        evaluations = [0]
+
+        def n_o(omega):
+            evaluations[0] += 1
+            return toy_n_o(omega)
+
+        def n_e(omega, psi):
+            evaluations[0] += 1
+            return toy_n_e(omega, psi)
+
+        disp = DispersionModel(n_o=n_o, n_e=n_e, psi=0.5, L=1e-3)
+        gates = [0]
+
+        def counted_gate(*args):
+            gates[0] += 1
+            return gate(*args)
+
+        monkeypatch.setattr(coincidence, "gate", counted_gate)
+        window = delay_window(disp, CFG8.omega_o, CFG8.omega_e)
+        plan = ScanPlan(Grid(0.6e-6, 0.6e-6, side, side), Instrument.TWIN_PHOTON)
+        image = scan(plan, CFG8, TwoPoint(0.25e-6), t12=0.5 * window, disp=disp)
+        assert image.peak_value_raw > 0.0
+        return gates[0], evaluations[0]
+
+    small, large = counted_scan(16), counted_scan(33)
+    assert (small[0], large[0]) == (256, 1089)
+    assert small[1] == large[1] <= 10  # 1 check and 4 differences per index
+
+
+def test_each_model_gates_by_its_own_window():
+    """Models and carrier pairs alternated in one process each keep their
+    own window: a ``t12`` between two windows opens only the wider one."""
+    narrow = DispersionModel(n_o=lambda w: 1.60, n_e=lambda w, psi: 1.55, psi=0.5, L=1e-3)
+    wide = DispersionModel(n_o=lambda w: 1.60, n_e=lambda w, psi: 1.55, psi=0.5, L=2e-3)
+    assert narrow == narrow and narrow != wide
+    carriers = (CFG8.omega_o, CFG8.omega_e)
+    t12 = 1.5 * delay_window(narrow, *carriers)
+    assert delay_window(wide, *carriers) == pytest.approx(2.0 * delay_window(narrow, *carriers),
+                                                          rel=1e-9)
+    for _ in range(3):
+        assert gate(t12, narrow, *carriers) == 0.0
+        assert gate(t12, wide, *carriers) == 1.0
+    # one model at two carrier pairs: n_o rises with omega, so the pair
+    # with the faster ordinary carrier has the wider window
+    fast_o = (1.02 * CFG8.omega_o, CFG8.omega_e)
+    t12 = 0.5 * (delay_window(TOY_DISP, *carriers) + delay_window(TOY_DISP, *fast_o))
+    for _ in range(3):
+        assert gate(t12, TOY_DISP, *carriers) == 0.0
+        assert gate(t12, TOY_DISP, *fast_o) == 1.0
+
+
+def test_threads_sharing_a_model_read_one_window():
+    """Threads racing on a fresh model's first window each store the same
+    value, so every thread reads the window one thread alone computes."""
+    carriers = (CFG8.omega_o, CFG8.omega_e)
+    expected = delay_window(DispersionModel(n_o=toy_n_o, n_e=toy_n_e, psi=0.5, L=1e-3),
+                            *carriers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared = DispersionModel(n_o=toy_n_o, n_e=toy_n_e, psi=0.5, L=1e-3)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                windows = [f.result(timeout=10.0) for f in
+                           [pool.submit(delay_window, shared, *carriers) for _ in range(8)]]
+            assert windows == [expected] * 8
+            assert shared._windows == {carriers: expected}
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------------

@@ -61,6 +61,25 @@ def test_output_bytes_tell_outputs_apart():
     assert output_bytes(ValueError("no")) != output_bytes(ValueError("yes"))
 
 
+def test_a_job_digest_covers_the_figure_it_wrote(tmp_path):
+    """Two runs of a job with the same output but other SVG bytes differ;
+    the figure is removed once hashed, so the next job's digest is its
+    output's alone."""
+    job_digest = load_script().job_digest
+    output = (0, "x,y\n1,2\n", "")
+    figure = tmp_path / "scan_grid.svg"
+    digests = []
+    for text in ("<svg>a</svg>\n", "<svg>a</svg>\n", "<svg>b</svg>\n", None):
+        if text is not None:
+            figure.write_text(text, encoding="utf-8")
+        digests.append(job_digest(output, tmp_path))
+        assert not figure.exists()
+    assert digests[0] == digests[1]
+    assert len(set(digests)) == 3
+    (tmp_path / "params.cfg").write_text("a = 1\n", encoding="utf-8")  # not a figure
+    assert job_digest(output, tmp_path) == digests[3]
+
+
 def test_moved_values_are_measured_against_their_peak():
     """An array, a float and a command line's CSV rows carry their values;
     the largest move is taken against the larger side's peak.  Outputs

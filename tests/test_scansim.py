@@ -191,6 +191,19 @@ def test_pitch_that_offsets_overflow_is_refused(plan, sample, message):
             scan(plan() if callable(plan) else plan, CFG8, sample)
 
 
+@pytest.mark.parametrize("t12", [math.nan, -1.0, 0.5 * OPEN_WINDOW],
+                         ids=["nan", "negative", "inside_a_window"])
+@pytest.mark.parametrize("instrument", list(Instrument), ids=lambda i: i.value)
+def test_t12_without_a_dispersion_model_is_refused(instrument, t12):
+    """A ``t12`` has no gate to open or close without a dispersion model:
+    ``scan`` refuses it for every instrument, and ``coincidence_rate`` too,
+    rather than return an ungated image."""
+    with pytest.raises(ConfigError, match="t12 needs a dispersion model"):
+        scan(ScanPlan(Line(samples=16), instrument), CFG8, Delta(), t12=t12)
+    with pytest.raises(ConfigError, match="t12 needs a dispersion model"):
+        coincidence.coincidence_rate(0.0, CFG8, Delta(), t12=t12)
+
+
 @pytest.mark.parametrize("t12", [0.5 * OPEN_WINDOW, 1e-12], ids=["open_gate", "closed_gate"])
 def test_far_sample_is_refused_whatever_the_gate(t12):
     """A closed gate returns zeros without kernel work, but only after the
