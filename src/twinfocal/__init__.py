@@ -4,10 +4,12 @@ The package splits along the physics:
 
 * :mod:`twinfocal.specfun`  - Bessel/Airy special functions
 * :mod:`twinfocal.optics`   - geometry, pump focus, derived scales
-* :mod:`twinfocal.psf`      - instrument point spread functions and widths
-* :mod:`twinfocal.coincidence` - samples, crystal dispersion, gated amplitude
+* :mod:`twinfocal.psf`      - instruments, their responses and the coincidence kernel, widths
+* :mod:`twinfocal.coincidence` - samples, crystal dispersion, each instrument's scan rates
 * :mod:`twinfocal.scansim`  - scan plans, images, resolution metrics
 * :mod:`twinfocal.cli`      - the ``twinfocal`` command line tool
+
+Each layer imports only ``errors`` and the layers listed above it.
 
 The package exports the ``__all__`` of ``errors`` and of each layer
 module above but ``cli``: that list is the one statement of a

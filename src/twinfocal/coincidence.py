@@ -4,76 +4,27 @@ The detected coincidence rate for a thin sample ``t`` scanned by an offset
 ``y`` is ``gate * |A(y)|^2`` with the coherent amplitude
 
     A(y) = integral d^2 u  t(u) * K(u - y),
-    K(v) = exp(-(|v|^2 / 2) * (4 Re(eta0_inv_sq) + i Im(eta0_inv_sq)))
-           * airy_amp(2 Omega_o a |v| / (s0 c))
-           * airy_amp(2 Omega_e a |v| / (s0 c)),
 
-where ``eta0_inv_sq = 1/r0^2 - 2 i omega_p / (s0 c)`` combines the pump
-focal spot with the free propagation to the crystal.  Both down-converted
+``K`` the complex coincidence kernel (``psf.kernel_field``; its formula
+and derivation are in the ``psf`` module docstring).  Both down-converted
 photons traverse the sample at the same transverse point, so distinct
-sample points add coherently in ``A`` before squaring.  For a point-like
-sample ``|K(v)|^2`` is exactly the twin-photon point spread function,
-``exp(-4 |v|^2 / r0^2)`` times the two Airy intensities.  The pump
-envelope of ``K`` is separable in ``v_x`` and ``v_y``, and
-``kernel_field`` evaluates it one component at a time.
-
-Derivation of K
----------------
-Let ``v`` be the position of a sample point relative to the scanned focus.
-The pump, the signal and the idler are all confocal with that focus: each
-reaches the sample point and the conjugate point ``-v`` on the other side
-of the fold through the objective (pupil radius ``a`` at distance ``s0``).
-
-* Pinhole propagators.  Photon ``j`` (frequency ``Omega_j``) leaves ``v``,
-  crosses the pupil at ``xi`` and returns inverted, at ``-xi``, to ``-v``.
-  The two paraxial legs carry the phase
-  ``(Omega_j / (2 s0 c)) (|v - xi|^2 + |xi - v|^2)``; the ``|xi|^2`` terms
-  are cancelled by the objective, the cross terms add to
-  ``-Omega_j xi . (v - (-v)) / (s0 c)``, and the remaining terms give
-  ``Omega_j (|v|^2 + |-v|^2) / (2 s0 c)``.  Averaging the linear phase over
-  the pupil disc gives
-
-      h_j(v) = exp(i Omega_j |v|^2 / (s0 c)) * airy_amp(Omega_j a |2 v| / (s0 c)).
-
-  The Airy argument is doubled because the pupil phase is linear in the
-  separation ``2 v`` of the two endpoints; this is the argument doubling
-  that makes ``twin(y) = confocal(2 y)`` without the pump envelope.
-* Pump.  At its focus (``d = f_p``) the pump angular spectrum is
-  ``E~_p(Q) ~ exp(-r0^2 |Q|^2 / 2)``, whose field is the real Gaussian
-  ``E_p(w) = integral d^2 Q E~_p(Q) exp(i Q . w) ~ exp(-|w|^2 / (2 r0^2))``
-  with the spot intensity ``exp(-|w|^2 / r0^2)``.  Thin-crystal transverse
-  phase matching hands every pump component ``Q`` to a pair with
-  ``q_o + q_e = Q``, and the pair's linear phase on the folded path is
-  ``exp(-i (q_o + q_e) . 2 v)``, the same separation the pupil phases see.
-  Summing over the angular spectrum therefore samples the pump at the
-  separation: the pump factor is ``E_p(2 v) = exp(-2 |v|^2 / r0^2)``.
-* Product.  ``K(v) = E_p(2 v) h_o(v) h_e(v)``.  The doubling reaches the
-  Gaussian term of ``eta0_inv_sq``: ``-|2 v|^2 / (2 r0^2)`` is
-  ``-(|v|^2 / 2) * 4 Re(eta0_inv_sq)``, and ``|K|^2`` carries
-  ``exp(-4 |v|^2 / r0^2)``.  It does not reach the quadratic phase: the
-  curvature terms depend on each endpoint's own distance from the axis,
-  ``|v|`` and ``|-v|``, so the two legs add and are not evaluated at the
-  separation.  Summed over both photons they give
-  ``(Omega_o + Omega_e) |v|^2 / (s0 c) = omega_p |v|^2 / (s0 c)``, which is
-  ``-(|v|^2 / 2) * i Im(eta0_inv_sq)`` as ``eta0_inv_sq`` defines it.  At
-  the reference geometry it stays below 1e-3 rad within 1 um of the
-  focus; widths do not depend on it, and the 12 mm two-point resolution
-  limit is the same to 16 digits with the phase taken at 2 v as well.
-
-With the doubled envelope the pump focus competes with the twin core when
-its spot radius ``r0 / 2`` in the twin response reaches the first twin zero
-``airy_radius / 2``, i.e. at ``optics.crossover_waist`` where ``r0`` equals
-the Airy radius.
+sample points add coherently in ``A`` before squaring.
 
 The gate factor models the coincidence electronics: it is 1 only when the
 signal/idler arrival-time offset falls inside the group-delay window
 ``D * L`` opened by the crystal dispersion, and 0 otherwise.
 
-``sample_amplitudes`` evaluates ``A`` for any sample at any number of
-offsets, and the classical images the same way with the instrument's
-intensity response, integrated incoherently; it decides what the threads
-split (``Chunks`` splits it), and every amplitude, rate and image goes
-through it.  ``twin_rates`` alone forms the rate ``gate * |A|^2``.
+The instrument is decided here, once per scan.  ``scan_rates`` is the
+one entry of every scan: it gates and squares the twin amplitude and
+returns a classical image as it is.  It and ``sample_amplitudes`` take
+an ``Instrument`` (``psf``), from which ``_admit`` alone picks the
+kernel, its coherence and a grating's transfer values: the twin kernel
+``K``, integrated coherently against ``t``, or a classical intensity
+response (``psf._instrument_psf``), integrated incoherently against
+``|t|^2``.  ``sample_amplitudes`` evaluates the integral for any sample
+at any number of offsets, and decides what the threads split (``Chunks``
+splits it); every amplitude, rate and image goes through it.
+
 A grating, periodic in x and constant in y, is a sum over its
 diffraction orders, one transfer value of the instrument per order
 (``grating_orders``, ``grating_sum``); one bound on the twin kernel's
@@ -125,8 +76,9 @@ import numpy as np
 
 from .errors import (
     ConfigError, QuadratureError, check_integers, check_positive, check_real, check_size)
-from .optics import SPEED_OF_LIGHT, MicroscopeConfig, eta0_inv_sq
-from .specfun import Workspace, _workspace, airy_amp, bessel_j0
+from .optics import SPEED_OF_LIGHT, MicroscopeConfig
+from .psf import Instrument, _instrument_psf, _pump_rate, _twin_alphas, kernel_field
+from .specfun import Workspace, _workspace, bessel_j0
 
 __all__ = [
     "Delta",
@@ -424,20 +376,26 @@ def gate(t12: float | None, disp: DispersionModel, omega_o: float, omega_e: floa
 
     A non-positive ``D`` closes the window entirely (the gate is 0 for
     every offset); the indices must be physical (>= 1) at the carriers.
-    ``t12`` must be given: a dispersion model without it is a ConfigError.
+    ``t12`` must be given, as a real number: a dispersion model without
+    it is a ConfigError.
     """
     if t12 is None:
         raise ConfigError("t12 is required when a dispersion model is supplied")
+    if not isinstance(t12, float):  # a float skips the slower check, once per offset
+        check_real(t12, "arrival-time offset t12")
     if not math.isfinite(t12):
         raise ConfigError("arrival-time offset t12 must be finite")
     return 1.0 if 0.0 < t12 < delay_window(disp, omega_o, omega_e) else 0.0
 
 
 def _check_timing(t12: float | None, disp: DispersionModel | None) -> None:
-    """Refuse an arrival-time offset ``t12`` given without a dispersion
-    model: without one there is no gate for it to open or close."""
-    if t12 is not None and disp is None:
-        raise ConfigError("t12 needs a dispersion model (disp); without one there is no gate")
+    """Refuse an arrival-time offset ``t12`` that is not a real number, or
+    is given without a dispersion model: without one there is no gate for
+    it to open or close."""
+    if t12 is not None:
+        check_real(t12, "arrival-time offset t12")
+        if disp is None:
+            raise ConfigError("t12 needs a dispersion model (disp); without one there is no gate")
 
 
 def delay_window(disp: DispersionModel, omega_o: float, omega_e: float) -> float:
@@ -515,62 +473,6 @@ class QuadratureSpec:
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
     return np.polynomial.legendre.leggauss(n)
-
-
-def _twin_alphas(cfg: MicroscopeConfig) -> tuple[float, float]:
-    scale = 2.0 * cfg.a / (cfg.s0 * SPEED_OF_LIGHT)
-    return cfg.omega_o * scale, cfg.omega_e * scale
-
-
-def _pump_rate(cfg: MicroscopeConfig) -> complex:
-    """``c`` of the twin kernel's pump envelope ``exp(-|v|^2 c / 2)``: the
-    pump amplitude, the Gaussian term of ``eta0_inv_sq`` at the doubled
-    coordinate, with its Fresnel phase undoubled."""
-    eta = eta0_inv_sq(cfg)
-    return complex(4.0 * eta.real, eta.imag)
-
-
-def kernel_field(v_x, v_y, cfg: MicroscopeConfig) -> np.ndarray:
-    """Complex coincidence kernel ``K`` at displacement components [m].
-
-    The components broadcast against each other.  The pump envelope
-    ``exp(-|v|^2 c / 2)``, ``c = 4 Re(eta0_inv_sq) + i Im(eta0_inv_sq)``,
-    is the product of ``exp(-v_x^2 c / 2)`` and ``exp(-v_y^2 c / 2)``,
-    each evaluated at its own component's shape: a panel grid of
-    ``(k, n, 1)`` by ``(k, 1, n)`` nodes takes ``2 n`` complex
-    exponentials per row, not ``n^2``.  Every value still depends on its
-    own ``(v_x, v_y)`` alone, and on the axis (``v_y = 0``) the second
-    factor is exactly 1.  Arrays of the broadcast shape, the result among
-    them, come from the thread's workspace (``specfun.Workspace``).
-    """
-    work = _workspace()
-    xx = np.square(np.asarray(v_x, dtype=float))
-    yy = np.square(np.asarray(v_y, dtype=float))
-    # where numpy allocates, operators: they are faster on scalars
-    out = work.out(xx, yy)
-    radius = np.asarray(xx + yy, order="C") if out is None else np.add(xx, yy, out=out)
-    np.sqrt(radius, out=radius)
-    alpha_o, alpha_e = _twin_alphas(cfg)
-    # each Airy factor overwrites its spent argument, an array of its own
-    # (a fresh one outside a scan pass); a degenerate pair has two equal
-    # factors: evaluate it once
-    if alpha_e == alpha_o:
-        radius *= alpha_o
-        amp = airy_amp(radius, out=radius)
-        amp *= amp
-    else:
-        first = np.asarray(np.multiply(radius, alpha_o, out=work.out(radius)))
-        amp = airy_amp(first, out=first)
-        radius *= alpha_e
-        amp *= airy_amp(radius, out=radius)
-    if cfg.pump_gaussian:
-        c = _pump_rate(cfg)
-        along_x, along_y = np.exp(-0.5 * xx * c), np.exp(-0.5 * yy * c)
-        out = work.out(radius, dtype=complex)
-        field = along_x * along_y if out is None else np.multiply(along_x, along_y, out=out)
-        field *= amp
-        return field
-    return np.asarray(amp, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -1051,6 +953,11 @@ def _otf_autocorrelation(s: np.ndarray, n: int) -> np.ndarray:
     return 4.0 * total
 
 
+# The power of ``airy_amp`` in each classical response (``psf``), which
+# sets its grating transfer values (``grating_orders``).
+_AIRY_POWER = {Instrument.WIDEFIELD: 2, Instrument.CONFOCAL: 4}
+
+
 @dataclass(frozen=True)
 class _Orders:
     """A grating's diffraction orders ``m >= 0`` (``grating_orders``):
@@ -1064,14 +971,14 @@ class _Orders:
 
 
 def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec | None,
-                   airy_power: int | None) -> _Orders:
-    """The diffraction orders of ``sample`` that an instrument passes, and
+                   instrument: Instrument) -> _Orders:
+    """The diffraction orders of ``sample`` that ``instrument`` passes, and
     its transfer value at each (see ``grating_sum``).  The orders are
     counted and refused beyond ``_MAX_ORDERS`` before any is evaluated.
 
-    ``airy_power`` None is the twin kernel ``K`` (``kernel_field``);
-    2 and 4 are the widefield and confocal responses ``airy_amp(beta
-    r)^p``, ``beta = 2 pi a / (lambda_o f)``.
+    The twin instrument's kernel is ``K`` (``kernel_field``); the
+    widefield and confocal responses are ``airy_amp(beta r)^p``, ``beta =
+    2 pi a / (lambda_o f)``, with ``p`` 2 and 4 (``_AIRY_POWER``).
     * Widefield: the disc OTF (``_lens_transfer``), 0 from ``2 beta`` on.
     * Confocal: the OTF's autocorrelation, ``(16 / beta^2) C(q / (2
       beta))`` (``_otf_autocorrelation``), 0 from ``4 beta`` on, on the
@@ -1114,6 +1021,7 @@ def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec 
                                   counts, coarse, mass, tol)
         return transfer
 
+    airy_power = _AIRY_POWER.get(instrument)
     if airy_power is not None:
         beta = 2.0 * math.pi * cfg.a / (cfg.lambda_o * cfg.f)
         cut = beta * airy_power
@@ -1163,7 +1071,7 @@ def grating_orders(sample: Grating, cfg: MicroscopeConfig, quad: QuadratureSpec 
     return _Orders(freq, weight, converged(hankel, True))
 
 
-def grating_sum(orders: _Orders, offsets: np.ndarray, chunks: "Chunks") -> np.ndarray:
+def grating_sum(orders: _Orders, offsets: np.ndarray) -> np.ndarray:
     """``sum_m w_m T_m cos(g_m y_x)`` over the orders of ``grating_orders``
     at every scan offset ``y`` (rows of ``offsets``).
 
@@ -1171,17 +1079,17 @@ def grating_sum(orders: _Orders, offsets: np.ndarray, chunks: "Chunks") -> np.nd
     exp(i g_m u_x)``, so ``integral t(u) kern(u - y) d^2 u`` is ``sum_m
     c_m T(|g_m|) exp(i g_m y_x)``, ``T`` the transform of the radial
     kernel (Goodman, *Introduction to Fourier Optics*, ch. 6); the orders
-    ``+-m`` pair to the cosine.  The transfer values are evaluated once,
-    on the calling thread; ``chunks.map`` splits the offsets, and each
-    offset's sum over the orders is one reduction of its own row, so it
-    is the same for any split and thread count."""
+    ``+-m`` pair to the cosine.  Everything runs on the calling thread:
+    the transfer values once, then the offsets in blocks; each offset's
+    sum over the orders is one reduction of its own row, so it does not
+    depend on the blocks."""
     coefficient = orders.weight * orders.transfer(orders.freq)
 
     def assemble(block: np.ndarray) -> np.ndarray:
         phase = np.multiply.outer(block[:, 0], orders.freq)
         return (np.cos(phase) * coefficient).sum(axis=1, dtype=complex)
 
-    return chunks.map(lambda chunk: _in_blocks(assemble, chunk, orders.freq.size), offsets)
+    return _in_blocks(assemble, offsets, orders.freq.size)
 
 
 # ============================================================================
@@ -1215,63 +1123,70 @@ def point_sum(lattice: _Lattice, offsets: np.ndarray, kern) -> np.ndarray:
 
 def sample_amplitudes(sample: SampleTransmittance, offsets: np.ndarray,
                       cfg: MicroscopeConfig, quad: QuadratureSpec | None,
-                      response=None, chunks: Chunks | None = None,
-                      airy_power: int | None = None) -> np.ndarray:
+                      instrument: Instrument = Instrument.TWIN_PHOTON,
+                      chunks: Chunks | None = None) -> np.ndarray:
     """Integral of ``t(u) * kern(u - y)`` at every scan offset ``y`` (rows
-    of ``offsets``), with the kernel and the coherence of the instrument.
+    of ``offsets``), with the kernel and the coherence of ``instrument``
+    (``_admit``).
 
-    The twin-photon instrument (``response`` None) integrates its kernel
-    ``K`` (``kernel_field``) coherently, against ``t``: the result is the
-    amplitude ``A(y)``.  A classical instrument passes its intensity
-    response ``response(r, cfg, out)`` (``psf.psf_widefield``,
-    ``psf.psf_confocal``), evaluated at the radius ``|u - y|`` and
-    integrated incoherently, against ``|t|^2``, and the response's power
-    of ``airy_amp`` (2 and 4), which a grating's transfer values need: the
-    result is the image.  ``chunks`` splits the work between threads
-    (``Chunks``; one thread if None).  The sample is lowered and admitted
-    (``_admit``) before any kernel call.
+    The twin-photon instrument integrates its kernel ``K``
+    (``kernel_field``) coherently, against ``t``: the result is the
+    amplitude ``A(y)``.  A classical instrument integrates its intensity
+    response (``psf._instrument_psf``), evaluated at the radius ``|u -
+    y|``, incoherently, against ``|t|^2``: the result is the image.
+    ``chunks`` splits the work between threads (``Chunks``; one thread if
+    None).  The sample is lowered and admitted (``_admit``) before any
+    kernel call.
     """
-    return _admit(sample, offsets, cfg, quad, response, airy_power)(chunks or Chunks())
+    return _admit(sample, offsets, cfg, quad, instrument)(chunks or Chunks())
 
 
 def _admit(sample: SampleTransmittance, offsets: np.ndarray, cfg: MicroscopeConfig,
-           quad: QuadratureSpec | None, response, airy_power: int | None):
+           quad: QuadratureSpec | None, instrument: Instrument):
     """Lower ``sample`` and refuse it, with its offsets, before any kernel
-    call; return ``run(chunks)``, which evaluates the scan.  A grating
-    hands its orders to ``grating_sum``, point cells their offsets to
-    ``chunks.map`` (``point_sum``) and panel cells their table rows to
-    ``chunks`` (``integrate_sample``)."""
+    call; return ``run(chunks)``, which evaluates the scan.  The one place
+    the instrument picks its kernel: the twin kernel ``K``, coherent, or
+    the classical intensity response, incoherent, read from ``psf`` here,
+    when the scan runs.  A grating hands its orders to ``grating_sum``,
+    point cells their offsets to ``chunks.map`` (``point_sum``) and panel
+    cells their table rows to ``chunks`` (``integrate_sample``)."""
     if isinstance(sample, Grating):
-        if response is not None and airy_power not in (2, 4):
-            raise ConfigError("a classical grating image needs the response's airy_power, "
-                              f"2 or 4, got {airy_power!r}")
-        orders = grating_orders(sample, cfg, quad, None if response is None else airy_power)
-        return lambda chunks: grating_sum(orders, offsets, chunks)
+        orders = grating_orders(sample, cfg, quad, instrument)
+        return lambda chunks: grating_sum(orders, offsets)
+
+    coherent = instrument is Instrument.TWIN_PHOTON
+    response = _instrument_psf(instrument)
 
     def kern(vx, vy):
-        if response is None:
+        if coherent:
             return kernel_field(vx, vy, cfg)
         radius = np.add(vx * vx, vy * vy, out=_workspace().out(vx, vy))
         return response(np.sqrt(radius, out=radius), cfg, out=radius)
 
-    lattice = _sample_lattice(sample, cfg, quad, response is None)
+    lattice = _sample_lattice(sample, cfg, quad, coherent)
     table = lattice.table(offsets)
     if table is None:  # point cells have no nodes
         return lambda chunks: chunks.map(lambda chunk: point_sum(lattice, chunk, kern), offsets)
     return lambda chunks: integrate_sample(lattice, offsets, table, kern, chunks)
 
 
-def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
-               cfg: MicroscopeConfig, quad: QuadratureSpec | None,
-               t12: float | None = None, disp: DispersionModel | None = None,
-               chunks: Chunks | None = None) -> np.ndarray:
-    """Unnormalized coincidence rates ``gate * |A(y)|^2`` at every scan
-    offset ``y`` (rows of ``offsets``).  Without a dispersion model the
-    gate is 1.  A closed gate returns zeros without any kernel call, but
-    only after the sample is lowered and admitted with its offsets
-    (``_admit``), so it refuses exactly what an open gate refuses.  A
-    ``t12`` without a dispersion model is refused (``_check_timing``)."""
+def scan_rates(sample: SampleTransmittance, offsets: np.ndarray, cfg: MicroscopeConfig,
+               quad: QuadratureSpec | None, instrument: Instrument, t12: float | None = None,
+               disp: DispersionModel | None = None, chunks: Chunks | None = None) -> np.ndarray:
+    """Unnormalized rates of ``instrument`` at every scan offset ``y``
+    (rows of ``offsets``): the one entry of every scan.
+
+    A ``t12`` that is not a real number, or without a dispersion model, is
+    refused for every instrument (``_check_timing``).  The twin-photon
+    rate is the coincidence rate ``gate * |A(y)|^2``; without a dispersion
+    model the gate is 1.  A closed gate returns zeros without any kernel
+    call, but only after the sample is lowered and admitted with its
+    offsets (``_admit``), so it refuses exactly what an open gate refuses.
+    A classical instrument has no pair timing: its rate is its image,
+    ``|image|``, ungated."""
     _check_timing(t12, disp)
+    if instrument is not Instrument.TWIN_PHOTON:
+        return np.abs(sample_amplitudes(sample, offsets, cfg, quad, instrument, chunks))
     # The gate is the same at every offset but is called per offset, as
     # the benchmark's traced self-check counts these calls.  The carriers
     # are read once, and the model keeps its window (``delay_window``), so
@@ -1280,7 +1195,7 @@ def twin_rates(sample: SampleTransmittance, offsets: np.ndarray,
     if disp is not None:
         omega_o, omega_e = cfg.omega_o, cfg.omega_e
         gates = np.array([gate(t12, disp, omega_o, omega_e) for _ in offsets])
-    run = _admit(sample, offsets, cfg, quad, None, None)
+    run = _admit(sample, offsets, cfg, quad, instrument)
     if not np.any(gates):
         return np.zeros(offsets.shape[0])
     amps = run(chunks or Chunks())
@@ -1304,7 +1219,8 @@ def coincidence_rate(y, cfg: MicroscopeConfig, sample: SampleTransmittance,
                      quad: QuadratureSpec | None = None,
                      t12: float | None = None,
                      disp: DispersionModel | None = None) -> float:
-    """``twin_rates`` at the one scan offset ``y``, a scalar or a 2-vector
-    [m], which is checked before the gate.  A point sample's rate is
-    ``|K(-y)|^2``, the twin-photon response."""
-    return float(twin_rates(sample, _one_offset(y), cfg, quad, t12, disp)[0])
+    """The twin-photon ``scan_rates`` at the one scan offset ``y``, a
+    scalar or a 2-vector [m], which is checked before the gate.  A point
+    sample's rate is ``|K(-y)|^2``, the twin-photon response."""
+    return float(scan_rates(sample, _one_offset(y), cfg, quad, Instrument.TWIN_PHOTON, t12,
+                            disp)[0])

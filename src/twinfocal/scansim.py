@@ -8,8 +8,11 @@ widefield and confocal instruments image incoherently, integrating
 ``|t|^2`` against their intensity responses.  Images are peak-normalized,
 with the raw peak kept for reference.
 
-Every scan goes through ``coincidence.sample_amplitudes``, a twin scan by
-way of ``coincidence.twin_rates``.  A grating is a sum over its
+The instrument is decided in ``coincidence``, not here: every scan makes
+one call, ``coincidence.scan_rates``, for every instrument, which picks
+the instrument's kernel and coherence (``coincidence._admit``), gates
+and squares a twin amplitude, and evaluates each through
+``coincidence.sample_amplitudes``.  A grating is a sum over its
 diffraction orders, one transfer value of the instrument per order
 (``coincidence.grating_orders``); every other sample lowers to weighted
 cells of one lattice.  Point samples (``Delta``, ``TwoPoint``) lower to
@@ -42,7 +45,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 import numpy as np
@@ -51,7 +53,7 @@ from .errors import (
     ConfigError, NumericalError, ScanRangeError, check_integers, check_positive, check_real,
     check_size)
 from .optics import MicroscopeConfig
-from .psf import _bisect, psf_confocal, psf_twin, psf_widefield, response_fwhm
+from .psf import Instrument, _bisect, _instrument_psf, response_fwhm
 from .coincidence import (
     Chunks,
     DispersionModel,
@@ -59,13 +61,10 @@ from .coincidence import (
     SampleTransmittance,
     TwoPoint,
     _check_reach,
-    _check_timing,
-    sample_amplitudes,
-    twin_rates,
+    scan_rates,
 )
 
 __all__ = [
-    "Instrument",
     "Line",
     "Grid",
     "ScanPlan",
@@ -100,12 +99,6 @@ def _check_half_range(value: float, subject: str) -> None:
     ``coincidence._MAX_REACH``, before any arithmetic on it."""
     check_positive(value, subject)
     _check_reach(value, subject)
-
-
-class Instrument(Enum):
-    WIDEFIELD = "widefield"
-    CONFOCAL = "confocal"
-    TWIN_PHOTON = "twin"
 
 
 @dataclass(frozen=True)
@@ -212,19 +205,6 @@ def _thread_count() -> int:
     return min(n or cpus, cpus)
 
 
-# The power of ``airy_amp`` in each classical response (``psf``), which
-# the transfer values of a grating need.
-_AIRY_POWER = {Instrument.WIDEFIELD: 2, Instrument.CONFOCAL: 4}
-
-
-def _instrument_psf(instrument: Instrument):
-    if instrument is Instrument.WIDEFIELD:
-        return psf_widefield
-    if instrument is Instrument.CONFOCAL:
-        return psf_confocal
-    return psf_twin
-
-
 def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
          quad: QuadratureSpec | None = None, t12: float | None = None,
          disp: DispersionModel | None = None) -> ScanImage:
@@ -234,18 +214,12 @@ def scan(plan: ScanPlan, cfg: MicroscopeConfig, sample: SampleTransmittance,
     twin-photon instrument only; classical instruments have no pair
     timing.  A gated-out twin scan returns an all-zero image with
     ``peak_value_raw = 0``, once its sample is admitted as for an open
-    gate.  A ``t12`` without a dispersion model is refused for every
-    instrument.
+    gate.  A ``t12`` that is not a real number, or without a dispersion
+    model, is refused for every instrument (``coincidence.scan_rates``).
     """
-    _check_timing(t12, disp)
     offsets = plan.geometry.offsets()
     with Chunks(_thread_count()) as chunks:
-        if plan.instrument is Instrument.TWIN_PHOTON:
-            values = twin_rates(sample, offsets, cfg, quad, t12, disp, chunks)
-        else:
-            values = np.abs(sample_amplitudes(
-                sample, offsets, cfg, quad, _instrument_psf(plan.instrument), chunks,
-                _AIRY_POWER[plan.instrument]))
+        values = scan_rates(sample, offsets, cfg, quad, plan.instrument, t12, disp, chunks)
     peak = float(values.max()) if values.size else 0.0
     if peak > 0.0:
         values = values / peak
@@ -285,6 +259,7 @@ def min_resolvable_separation(cfg: MicroscopeConfig, instrument: Instrument,
     Raises ``ScanRangeError`` if the dip does not straddle the threshold
     across that bracket.
     """
+    check_real(threshold, "threshold")
     if not (0.0 < threshold < 1.0):
         raise ConfigError("threshold must lie in (0, 1)")
     width = response_fwhm(_instrument_psf(instrument), cfg)

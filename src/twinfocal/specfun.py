@@ -152,7 +152,7 @@ class Workspace:
     """Scratch arrays carved, in order, from one byte buffer allocated up front.
 
     Inside ``with work.use():`` it is the calling thread's workspace:
-    ``airy_amp``, ``coincidence.kernel_field`` and the classical
+    ``airy_amp``, ``psf.kernel_field`` and the classical
     ``psf_*`` responses take the arrays whose size scales with their
     argument from it (``_workspace().out``) instead of allocating them,
     so calls that follow one another reuse the same memory.  A result

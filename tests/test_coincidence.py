@@ -22,7 +22,7 @@ from twinfocal.optics import SPEED_OF_LIGHT, MicroscopeConfig, airy_radius, eta0
 from twinfocal.psf import psf_confocal, psf_twin
 from twinfocal.scansim import Grid, Instrument, ScanPlan, scan
 from twinfocal.specfun import Workspace, _workspace, airy_amp
-from twinfocal import coincidence
+from twinfocal import coincidence, psf
 from twinfocal.coincidence import (
     Delta,
     DispersionModel,
@@ -383,14 +383,14 @@ def test_degenerate_kernel_evaluates_one_airy_factor(monkeypatch):
         calls.append(v)
         return airy_amp(v, out=out)
 
-    monkeypatch.setattr(coincidence, "airy_amp", counted)
+    monkeypatch.setattr(psf, "airy_amp", counted)
     for cfg, expected_calls in ((CFG8, 1), (MicroscopeConfig(w0=8e-3, pump_gaussian=False), 1),
                                 (non_degenerate, 2)):
         calls.clear()
         values = kernel_field(X, Y, cfg)
         assert len(calls) == expected_calls
         radius = np.sqrt(X * X + Y * Y)
-        alpha_o, alpha_e = coincidence._twin_alphas(cfg)
+        alpha_o, alpha_e = psf._twin_alphas(cfg)
         two_calls = np.asarray(airy_amp(alpha_o * radius) * airy_amp(alpha_e * radius),
                                dtype=complex)
         if cfg.pump_gaussian:
@@ -479,7 +479,7 @@ def test_on_axis_kernel_is_the_unseparated_envelope():
     (the kernel on the axis) is unchanged by the separation."""
     ys = np.linspace(-3e-6, 3e-6, 1201)
     for cfg in (CFG8, MicroscopeConfig(w0=1e-3), MicroscopeConfig(w0=2e-2)):
-        alpha_o, alpha_e = coincidence._twin_alphas(cfg)
+        alpha_o, alpha_e = psf._twin_alphas(cfg)
         radius = np.sqrt(ys * ys)
         amp = airy_amp(alpha_o * radius) * airy_amp(alpha_e * radius)
         expected = amp * np.exp(-0.5 * (ys * ys) * _envelope_rate(cfg))
@@ -617,7 +617,8 @@ def test_every_sample_kind_lowers_to_one_lattice():
     spec = QuadratureSpec(radial_nodes=16, angular_nodes=64)
     with pytest.raises(ConfigError, match="unsupported sample"):
         coincidence._sample_lattice(Grating(period=2e-6), CFG8, spec, True)
-    assert coincidence.grating_orders(Grating(period=2e-6), CFG8, spec, 2).freq.size == 6
+    assert coincidence.grating_orders(Grating(period=2e-6), CFG8, spec,
+                                      Instrument.WIDEFIELD).freq.size == 6
     for sample in (Delta(), TwoPoint(3e-7), Slit(2e-7), Raster(pitch=1e-7, grid=np.eye(3))):
         point = isinstance(sample, (Delta, TwoPoint))
         for coherent in (True, False):
@@ -782,13 +783,15 @@ def test_incoherent_integral_is_its_own_mass(monkeypatch):
         points.append(np.broadcast(vx, vy).size)
         return kernel_field(vx, vy, cfg)
 
+    monkeypatch.setattr(psf, "psf_confocal", recording)
     monkeypatch.setattr(coincidence, "kernel_field", twin)
-    for response, row_points in ((recording, 8 * 8 + 16 * 16), (None, 6 * 16 * 16)):
+    for instrument, row_points in ((Instrument.CONFOCAL, 8 * 8 + 16 * 16),
+                                   (Instrument.TWIN_PHOTON, 6 * 16 * 16)):
         points.clear()
-        batched = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, response)
+        batched = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, instrument)
         assert sum(points) == row_points * table_rows(sample, offsets, spec)
         one_by_one = [coincidence.sample_amplitudes(sample, row[None, :], CFG8, spec,
-                                                    response)[0] for row in offsets]
+                                                    instrument)[0] for row in offsets]
         assert np.array_equal(batched, np.array(one_by_one))
 
 
@@ -919,7 +922,7 @@ CONFOCAL_SLIT_NOT_CONVERGED = (
     # fails all three checks; the message is the last one's
     (2e-6, 8, [(4, 4), (8, 8), (16, 16), (32, 32)], CONFOCAL_SLIT_NOT_CONVERGED),
 ], ids=["three_checks", "odd_counts", "fails_three_checks"])
-def test_incoherent_ladder_starts_at_half_the_counts(width, radial, passes, error):
+def test_incoherent_ladder_starts_at_half_the_counts(width, radial, passes, error, monkeypatch):
     """A confocal slit climbs the node ladder from half the requested
     counts, one pass per rung, and no pass exceeds four times the counts.
     A converged value agrees with a dense spec's; a failure raises the
@@ -933,13 +936,15 @@ def test_incoherent_ladder_starts_at_half_the_counts(width, radial, passes, erro
             shapes.append(r.shape[1:])
         return psf_confocal(r, cfg, out=out)
 
+    monkeypatch.setattr(psf, "psf_confocal", recording)
     if error is not None:
         with pytest.raises(QuadratureError, match=error):
-            coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording)
+            coincidence.sample_amplitudes(sample, offsets, CFG8, spec, Instrument.CONFOCAL)
     else:
-        value = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, recording)
+        value = coincidence.sample_amplitudes(sample, offsets, CFG8, spec, Instrument.CONFOCAL)
+        monkeypatch.undo()
         dense = coincidence.sample_amplitudes(
-            sample, offsets, CFG8, QuadratureSpec(radial_nodes=64), psf_confocal)
+            sample, offsets, CFG8, QuadratureSpec(radial_nodes=64), Instrument.CONFOCAL)
         assert abs(value[0] - dense[0]) <= 1e-7 * abs(dense[0])
     assert shapes == passes
     assert all(n_x <= 4 * radial and n_y <= 4 * radial for n_x, n_y in shapes)
@@ -1083,7 +1088,7 @@ def test_grating_radius_leaves_at_most_the_order_tail(cfg):
     assert 0.0 < tail <= eps * 2.0 * math.pi / abs(c)
 
     def transfer(quad):
-        orders = coincidence.grating_orders(Grating(2e-6), cfg, quad, None)
+        orders = coincidence.grating_orders(Grating(2e-6), cfg, quad, Instrument.TWIN_PHOTON)
         return orders.transfer(orders.freq).tobytes()
 
     default = transfer(None)

@@ -97,7 +97,8 @@ def test_confocal_transfer_values_match_a_dense_hankel_transform():
     with ``2 pi integral airy_amp(beta r)^4 J0(q r) r dr`` over 2000 units
     of ``beta r`` (its tail beyond is below 1e-12 of the value at 0), by
     16 Gauss-Legendre nodes per unit."""
-    orders = coincidence.grating_orders(Grating(PERIOD, DUTY), CFG8, None, 4)
+    orders = coincidence.grating_orders(Grating(PERIOD, DUTY), CFG8, None,
+                                         Instrument.CONFOCAL)
     values = orders.transfer(orders.freq)
     x, w = gauss_legendre(0.0, 2000.0, 2000, 16)
     weight = (2.0 * math.pi / BETA ** 2) * w * x * airy_amp(x) ** 4
@@ -115,7 +116,7 @@ def test_twin_transfer_values_match_a_dense_square_rule(cfg):
     panels, agree with ``integral K(v) cos(q v_x) d^2 v`` over the square
     of half side ``6 r0`` by 32 x 32 panels of 16 nodes, a rule that
     shares nothing with them but ``kernel_field``, nor their radius."""
-    orders = coincidence.grating_orders(Grating(PERIOD, DUTY), cfg, None, None)
+    orders = coincidence.grating_orders(Grating(PERIOD, DUTY), cfg, None, Instrument.TWIN_PHOTON)
     values = orders.transfer(orders.freq)
     radius = 6.0 * r0(cfg)
     x, w = gauss_legendre(-radius, radius, 32, 16)
@@ -156,8 +157,9 @@ def test_flat_pump_twin_grating_is_the_widefield_image_at_doubled_frequency():
     response at twice the argument, so its transfer value at ``q`` is the
     widefield one at ``q / 2``, over 4."""
     flat = MicroscopeConfig(w0=8e-3, pump_gaussian=False)
-    twin = coincidence.grating_orders(Grating(PERIOD, DUTY), flat, None, None)
-    wide = coincidence.grating_orders(Grating(2.0 * PERIOD, DUTY), flat, None, 2)
+    twin = coincidence.grating_orders(Grating(PERIOD, DUTY), flat, None, Instrument.TWIN_PHOTON)
+    wide = coincidence.grating_orders(Grating(2.0 * PERIOD, DUTY), flat, None,
+                                      Instrument.WIDEFIELD)
     assert np.allclose(twin.transfer(twin.freq), 0.25 * wide.transfer(wide.freq)[:twin.freq.size],
                        rtol=1e-13, atol=0.0)
 
@@ -183,11 +185,9 @@ def test_transfer_values_that_keep_moving_raise_quadrature_error():
 
 def test_grating_refusals_come_before_any_transfer_value():
     """A twin transform that would reach beyond the tested range of
-    ``bessel_j0``, and a classical response without its Airy power, are
-    refused when the grating is admitted, before any kernel call."""
+    ``bessel_j0`` is refused when the grating is admitted, before any
+    kernel call."""
     offsets = np.zeros((1, 2))
     with pytest.raises(coincidence.ConfigError, match=r"evaluate J0 at 1\.25e\+06, beyond 100000"):
         coincidence.sample_amplitudes(Grating(PERIOD, DUTY), offsets, CFG8,
                                       QuadratureSpec(truncation_radius=1e-2))
-    with pytest.raises(coincidence.ConfigError, match="airy_power, 2 or 4, got None"):
-        coincidence.sample_amplitudes(Grating(PERIOD, DUTY), offsets, CFG8, None, psf_widefield)

@@ -56,3 +56,27 @@ def test_verdict_on_a_parent_spread_wider_than_the_bound():
     assert verdict(parent, [1.5] * 10, "lower", 0.25)["verdict"] == "unresolved"
     assert verdict(parent, [0.9] * 10, "lower", 0.25)["verdict"] == "within bound"
     assert verdict(parent, [0.4] * 10, "lower", 0.25)["verdict"] == "gain"
+
+
+def summary(**counts) -> dict:
+    """A canned ``bench/run.py`` summary holding ``counts`` and one timing."""
+    metrics = {name.replace("__", "."): {"value": value, "unit": "count"}
+               for name, value in counts.items()}
+    metrics["closed_form.study_s"] = {"value": 0.4, "unit": "s"}
+    return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+
+def test_count_changes_lists_only_the_counts_that_differ():
+    """Timings never count as changes; a count present on one side only
+    reads None on the other; the changes come sorted by name."""
+    parent = summary(twin_extended__gate__calls=1089, closed_form__scan__calls=5,
+                     closed_form__kept=3)
+    change = summary(twin_extended__gate__calls=1089, closed_form__scan__calls=4,
+                     classical_extended__new=1)
+    change["metrics"]["closed_form.study_s"]["value"] = 0.2
+    assert load_script().count_changes(parent, change) == [
+        ("classical_extended.new", None, 1),
+        ("closed_form.kept", 3, None),
+        ("closed_form.scan.calls", 5, 4),
+    ]
+    assert load_script().count_changes(parent, parent) == []

@@ -30,16 +30,18 @@ import pytest
 
 from conftest import lit_cells, panel_rule, reference_scan
 
-from twinfocal import coincidence
+from twinfocal import coincidence, psf
 from twinfocal.coincidence import Grating, QuadratureSpec, Raster, Slit, TwoPoint, kernel_field
 from twinfocal.optics import MicroscopeConfig, r0
-from twinfocal.psf import psf_confocal, psf_widefield
+from twinfocal.psf import Instrument, psf_confocal, psf_widefield
 from twinfocal.scansim import Grid, Line
 
 CFG1, CFG8, CFG12 = (MicroscopeConfig(w0=w0) for w0 in (1e-3, 8e-3, 12e-3))
 FLAT = MicroscopeConfig(w0=8e-3, pump_gaussian=False)
 NON_DEGENERATE = MicroscopeConfig(w0=8e-3, lambda_o=650e-9, lambda_e=351e-9 * 650 / 299)
 RESPONSES = {"twin": None, "confocal": psf_confocal, "widefield": psf_widefield}
+INSTRUMENTS = {"twin": Instrument.TWIN_PHOTON, "confocal": Instrument.CONFOCAL,
+               "widefield": Instrument.WIDEFIELD}
 
 
 def complex_raster(seed: int, shape, pitch: float, lit: float = 0.5) -> Raster:
@@ -116,10 +118,11 @@ CASES = {
 }
 
 
-def accepted_counts(sample, offsets, cfg, spec, response, monkeypatch):
+def accepted_counts(sample, offsets, cfg, spec, instrument, monkeypatch):
     """Each offset's one-offset value, and the largest node count of its
     kernel calls: the count at which node doubling accepted it."""
     counts = []
+    response = RESPONSES[instrument]
     if response is None:
         twin = coincidence.kernel_field
 
@@ -131,11 +134,12 @@ def accepted_counts(sample, offsets, cfg, spec, response, monkeypatch):
         def recording(r, config, out=None):
             counts.append(r.shape[-1])
             return response(r, config, out=out)
+        monkeypatch.setattr(psf, response.__name__, recording)
     values, accepted = [], []
     for offset in offsets:
         counts.clear()
         values.append(coincidence.sample_amplitudes(sample, offset[None, :], cfg, spec,
-                                                    None if response is None else recording)[0])
+                                                    INSTRUMENTS[instrument])[0])
         accepted.append(max(counts))
     monkeypatch.undo()
     return np.array(values), np.array(accepted)
@@ -150,8 +154,8 @@ def test_scan_lies_within_its_accepted_error_and_drop_limit_of_the_reference(cas
         kern = lambda vx, vy: kernel_field(vx, vy, cfg)  # noqa: E731
     else:
         kern = lambda vx, vy: response(np.hypot(vx, vy), cfg)  # noqa: E731
-    raw = coincidence.sample_amplitudes(sample, offsets, cfg, spec, response)
-    one_by_one, accepted = accepted_counts(sample, offsets, cfg, spec, response, monkeypatch)
+    raw = coincidence.sample_amplitudes(sample, offsets, cfg, spec, INSTRUMENTS[instrument])
+    one_by_one, accepted = accepted_counts(sample, offsets, cfg, spec, instrument, monkeypatch)
     assert np.array_equal(raw, one_by_one)
 
     cells = lit_cells(sample, coherent)
@@ -185,7 +189,8 @@ def test_two_point_scan_is_the_kernel_at_both_points(instrument):
     cfg, separation = CFG12, 3e-7
     response = RESPONSES[instrument]
     offsets = diagonal(8e-7, 16, (1e-8, 0.0))
-    raw = coincidence.sample_amplitudes(TwoPoint(separation), offsets, cfg, None, response)
+    raw = coincidence.sample_amplitudes(TwoPoint(separation), offsets, cfg, None,
+                                        INSTRUMENTS[instrument])
     if response is None:
         values = [kernel_field(x - offsets[:, 0], -offsets[:, 1], cfg)
                   for x in (-0.5 * separation, 0.5 * separation)]

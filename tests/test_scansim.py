@@ -135,9 +135,8 @@ def test_grating_order_count_is_bounded(instrument):
     instrument's cut; more than ``_MAX_ORDERS`` of them are refused with
     the count and the memory before any transfer value is evaluated, and
     a period below the resolution keeps order 0 alone: a flat image."""
-    cut = {Instrument.WIDEFIELD: 2, Instrument.CONFOCAL: 4, Instrument.TWIN_PHOTON: None}
     limit = coincidence._MAX_ORDERS
-    orders = coincidence.grating_orders(Grating(period=2e-6), CFG8, None, cut[instrument])
+    orders = coincidence.grating_orders(Grating(period=2e-6), CFG8, None, instrument)
     count = orders.freq.size
     assert count == {Instrument.WIDEFIELD: 6, Instrument.CONFOCAL: 12,
                      Instrument.TWIN_PHOTON: 40}[instrument]
@@ -202,6 +201,28 @@ def test_t12_without_a_dispersion_model_is_refused(instrument, t12):
         scan(ScanPlan(Line(samples=16), instrument), CFG8, Delta(), t12=t12)
     with pytest.raises(ConfigError, match="t12 needs a dispersion model"):
         coincidence.coincidence_rate(0.0, CFG8, Delta(), t12=t12)
+
+
+@pytest.mark.parametrize("t12", ["1e-13", 1j, True, np.array([1e-13])],
+                         ids=["str", "complex", "bool", "array"])
+@pytest.mark.parametrize("instrument", list(Instrument), ids=lambda i: i.value)
+def test_t12_that_is_not_a_real_number_is_refused(instrument, t12):
+    """``t12`` is checked as a real number (``errors.check_real``, which
+    refuses bools) for every instrument, with or without a dispersion
+    model, and by ``gate`` itself: a bool is not taken as 1 s."""
+    for disp in (OPEN_DISP, None):
+        with pytest.raises(ConfigError, match="t12 must be a real number"):
+            scan(ScanPlan(Line(samples=16), instrument), CFG8, Delta(), t12=t12, disp=disp)
+    with pytest.raises(ConfigError, match="t12 must be a real number"):
+        coincidence.coincidence_rate(0.0, CFG8, Delta(), t12=t12, disp=OPEN_DISP)
+    with pytest.raises(ConfigError, match="t12 must be a real number"):
+        coincidence.gate(t12, OPEN_DISP, CFG8.omega_o, CFG8.omega_e)
+
+
+@pytest.mark.parametrize("threshold", ["0.1", None, 0.1j, True])
+def test_threshold_that_is_not_a_real_number_is_refused(threshold):
+    with pytest.raises(ConfigError, match="threshold must be a real number"):
+        min_resolvable_separation(CFG8, Instrument.CONFOCAL, threshold=threshold)
 
 
 @pytest.mark.parametrize("t12", [0.5 * OPEN_WINDOW, 1e-12], ids=["open_gate", "closed_gate"])
@@ -655,6 +676,22 @@ def test_gate_open_scan_matches_ungated():
     assert gated.peak_value_raw == plain.peak_value_raw
 
 
+@pytest.mark.parametrize("instrument", [Instrument.CONFOCAL, Instrument.WIDEFIELD],
+                         ids=lambda i: i.value)
+def test_classical_scan_ignores_a_closed_gate(instrument):
+    """Classical instruments have no pair timing: with a dispersion model
+    whose gate is closed and a ``t12``, a scan equals the ungated scan bit
+    for bit, for point, panel and grating samples."""
+    closed = DispersionModel(n_o=lambda w: 1.55, n_e=lambda w, psi: 1.60, psi=0.5, L=1e-3)
+    assert coincidence.gate(1e-13, closed, CFG8.omega_o, CFG8.omega_e) == 0.0
+    plan = line_plan(instrument, samples=17)
+    for sample in (TwoPoint(2.5e-7), Slit(width=2e-7), Grating(period=2e-6)):
+        gated = scan(plan, CFG8, sample, t12=1e-13, disp=closed)
+        plain = scan(plan, CFG8, sample)
+        assert gated.values.tobytes() == plain.values.tobytes()
+        assert gated.peak_value_raw == plain.peak_value_raw
+
+
 def test_gated_point_scan_requires_t12():
     for sample in (Delta(), TwoPoint(2.5e-7), Slit(width=2e-7)):
         with pytest.raises(ConfigError, match="t12"):
@@ -764,3 +801,26 @@ def test_a_pass_too_small_to_pay_starts_no_pool(monkeypatch):
         assert chunks_seen == [[0, 1, 2, 3]] and constructed == []
         assert np.array_equal(chunks(record, rows, least // 2), rows)
     assert sorted(chunks_seen[1:]) == [[0, 1], [2, 3]] and len(constructed) == 1
+
+
+@pytest.mark.parametrize("instrument", list(Instrument), ids=lambda i: i.value)
+def test_a_grating_scan_starts_no_pool(instrument, monkeypatch):
+    """A grating's order sums run on the calling thread: a grating line at
+    two threads constructs no ``ThreadPoolExecutor``, and its image is the
+    one-thread image bit for bit."""
+    constructed = []
+    executor = coincidence.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        constructed.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(coincidence, "ThreadPoolExecutor", counting)
+    monkeypatch.setattr(scansim.os, "cpu_count", lambda: 2)
+    plan, sample = line_plan(instrument, samples=33), Grating(period=2e-6)
+    images = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TWINFOCAL_THREADS", threads)
+        images.append(scan(plan, CFG8, sample))
+    assert constructed == []
+    assert images[0].values.tobytes() == images[1].values.tobytes()
